@@ -450,8 +450,8 @@ inline bool parse(const std::string& text, value& out, std::string& err) {
 // In-place-family addendum: entries whose "bench" starts with "inplace"
 // exist to prove the memory claim of the in-place kernel, so they must
 // report a POSITIVE "peak_ws_bytes" stat (the kernel's leased high-water
-// mark, from sort_stats::peak_workspace_bytes) plus the two rival
-// yardsticks "ms_OutOfPlace" and "ms_Legacy" (non-negative medians).
+// mark, from sort_stats::peak_workspace_bytes) plus the rival yardstick
+// "ms_OutOfPlace" (a non-negative median).
 
 inline bool check_number(const value& entry, const std::string& name,
                          const char* field, std::string& err,
@@ -632,7 +632,7 @@ inline bool validate_result_entry(const value& entry, std::string& err,
   // In-place-family contract (scenarios_inplace.hpp). The family's reason
   // to exist is the workspace high-water comparison, so a report without
   // the measured peak (or with a zero peak: the accounting broke) and the
-  // rival timings is not evidence.
+  // rival timing is not evidence.
   if (bench_v != nullptr && bench_v->is_string() &&
       bench_v->as_string().rfind("inplace", 0) == 0) {
     const value* stats = entry.find("stats");
@@ -645,13 +645,11 @@ inline bool validate_result_entry(const value& entry, std::string& err,
       err = name + ": inplace entry: missing positive stat 'peak_ws_bytes'";
       return false;
     }
-    for (const char* field : {"ms_OutOfPlace", "ms_Legacy"}) {
-      const value* v = stats->find(field);
-      if (v == nullptr || !v->is_number() || v->as_number() < 0) {
-        err = name + ": inplace entry: missing non-negative stat '" +
-              std::string(field) + "'";
-        return false;
-      }
+    const value* oop = stats->find("ms_OutOfPlace");
+    if (oop == nullptr || !oop->is_number() || oop->as_number() < 0) {
+      err = name + ": inplace entry: missing non-negative stat "
+                   "'ms_OutOfPlace'";
+      return false;
     }
   }
   return true;

@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
         "refine-by-segment driver vs std::stable_sort; wide-str: string "
         "keys, 16-byte radix prefix + tie-break), and the parallel "
         "families (parallel-auto/codec/wide: the per-call num_threads "
-        "sweep and the workspace_pool refine vs its serial ablation), and "
+        "sweep, the wide one through the workspace_pool refine), and "
         "the service families (service-batch: the open-loop batched sort "
         "service, request-size mix x concurrency, req/s with p50/p99 "
         "latency; service-stream: chunked streaming ingestion vs the "
@@ -294,8 +294,8 @@ int main(int argc, char** argv) {
         "std::nth_element and vs paying for the full sort; query-groupby: "
         "first-class group_by vs stable_sort-then-scan), and the in-place "
         "families (inplace-32/64: the block-permutation kernel vs the "
-        "engine's out-of-place pick vs the American-flag baseline, with "
-        "peak leased workspace reported per variant). Times "
+        "engine's out-of-place pick, with peak leased workspace reported "
+        "per variant). Times "
         "are medians over the "
         "timed repetitions on a warm workspace; every scenario is "
         "cross-checked (see 'check').",

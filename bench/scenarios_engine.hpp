@@ -6,8 +6,7 @@
 //                       (formerly bench_counting_sort).
 //   engine-distribute — scatter strategies head-to-head (direct | buffered
 //                       | unstable | automatic) by bucket count (formerly
-//                       bench_distribute; BENCH_distribute.json is the
-//                       PR-1-era baseline for these numbers).
+//                       bench_distribute).
 //   engine-workspace  — DovetailSort with a warm persistent workspace vs a
 //                       cold per-sort one: the cost of hot-path allocation
 //                       the reusable arena removes.
@@ -180,7 +179,7 @@ inline void register_engine_scenarios(const run_config& cfg) {
     }
   }
 
-  // --- engine-distribute: scatter strategies (BENCH_distribute lineage) ---
+  // --- engine-distribute: scatter strategies ---
   for (std::size_t b : {std::size_t{256}, std::size_t{4096},
                         std::size_t{65536}}) {
     for (const auto strategy : {dovetail::scatter_strategy::direct,

@@ -1,26 +1,24 @@
-// In-place kernel scenarios (ISSUE 10 tentpole): the block-permutation
-// kernel (core/inplace_sort.hpp) against the engine's preferred
-// out-of-place kernel and against the seed-era American-flag baseline
-// (`inplace-legacy`), on the same pure-key inputs.
+// In-place kernel scenarios: the block-permutation kernel
+// (core/inplace_sort.hpp) against the engine's preferred out-of-place
+// kernel, on the same pure-key inputs.
 //
-// Protocol: the three variants run INTERLEAVED — every timed round runs
-// all three on pristine copies, rotating which goes first — so no variant
+// Protocol: the two variants run INTERLEAVED — every timed round runs
+// both on pristine copies, alternating which goes first — so neither
 // systematically inherits a cold cache or the allocator churn of its
-// predecessor (same rationale as run_interleaved_reps, extended to three).
-// The in-place kernel is the primary (its times are the scenario's); the
-// rivals' medians land in stats as ms_OutOfPlace / ms_Legacy, and the
-// memory story — the tentpole's headline — is reported as peak_ws_bytes
-// (in-place high-water, from sort_stats::peak_workspace_bytes) next to
-// peak_ws_bytes_oop (the rival's O(n) ping-pong high-water). Inputs are
-// pure keys, so the sorted sequence is unique and all three variants are
-// checked byte-for-byte against one std::sort reference.
+// predecessor (same rationale as run_interleaved_reps). The in-place
+// kernel is the primary (its times are the scenario's); the rival's
+// median lands in stats as ms_OutOfPlace, and the memory story is
+// reported as peak_ws_bytes (in-place high-water, from
+// sort_stats::peak_workspace_bytes) next to peak_ws_bytes_oop (the
+// rival's O(n) ping-pong high-water). Inputs are pure keys, so the sorted
+// sequence is unique and both variants are checked byte-for-byte against
+// one std::sort reference.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/core/auto_sort.hpp"
 #include "harness.hpp"
 
@@ -48,8 +46,8 @@ scenario_result run_inplace_cell(const run_config& cfg,
 
   // Dedicated workspaces: the peak-workspace comparison is the point of
   // this family, so no variant may ride another's (or the suite's) slabs.
-  dovetail::sort_workspace ws_in, ws_oop, ws_leg;
-  dovetail::sort_stats st_in, st_oop, st_leg;
+  dovetail::sort_workspace ws_in, ws_oop;
+  dovetail::sort_stats st_in, st_oop;
   std::vector<K> work(input.size());
 
   const auto timed = [&](auto&& sort_fn, std::vector<double>& times) {
@@ -81,41 +79,23 @@ scenario_result run_inplace_cell(const run_config& cfg,
     o.stats = &st_oop;
     dovetail::sort(s, o);
   };
-  const auto run_legacy = [&](std::span<K> s) {
-    dovetail::baseline::inplace_radix_options o;
-    o.workspace = &ws_leg;
-    o.stats = &st_leg;
-    dovetail::baseline::inplace_radix_sort(s, o);
-  };
 
-  std::vector<double> t_in, t_oop, t_leg;
+  std::vector<double> t_in, t_oop;
   for (int w = 0; w < cfg.warmups; ++w) {
     timed(run_inplace, t_in);
     timed(run_oop, t_oop);
-    timed(run_legacy, t_leg);
   }
   t_in.clear();
   t_oop.clear();
-  t_leg.clear();
 
   for (int r = 0; r < cfg.reps; ++r) {
-    // Rotate the in-round order so every variant leads equally often.
-    switch (r % 3) {
-      case 0:
-        timed(run_inplace, t_in);
-        timed(run_oop, t_oop);
-        timed(run_legacy, t_leg);
-        break;
-      case 1:
-        timed(run_oop, t_oop);
-        timed(run_legacy, t_leg);
-        timed(run_inplace, t_in);
-        break;
-      default:
-        timed(run_legacy, t_leg);
-        timed(run_inplace, t_in);
-        timed(run_oop, t_oop);
-        break;
+    // Alternate the in-round order so each variant leads equally often.
+    if (r % 2 == 0) {
+      timed(run_inplace, t_in);
+      timed(run_oop, t_oop);
+    } else {
+      timed(run_oop, t_oop);
+      timed(run_inplace, t_in);
     }
     st_in.note_timed_run(t_in.back(), res.n);
   }
@@ -127,7 +107,6 @@ scenario_result run_inplace_cell(const run_config& cfg,
     return ts[ts.size() / 2] * 1e3;
   };
   res.stats["ms_OutOfPlace"] = median_ms(t_oop);
-  res.stats["ms_Legacy"] = median_ms(t_leg);
   res.stats["peak_ws_bytes"] = static_cast<double>(st_in.peak_workspace());
   res.stats["peak_ws_bytes_oop"] =
       static_cast<double>(st_oop.peak_workspace());
@@ -145,8 +124,8 @@ void register_inplace_cell(const run_config& cfg, const std::string& bench,
   s.bench = bench;
   s.name = bench + "/" + width_tag + "bit/" + d.name + "/InPlace";
   s.paper =
-      "ISSUE 10: in-place block permutation vs out-of-place ping-pong vs "
-      "the American-flag baseline (IPS2Ra/RegionsSort stand-ins, Tab 2)";
+      "In-place block permutation (IPS2Ra/RegionsSort role, Tab 2) vs "
+      "out-of-place ping-pong";
   s.row = d.name;
   s.col = std::string("InPlace/") + width_tag;
   s.labels = {{"dist", d.name}, {"algo", "InPlace"}, {"width", width_tag}};
@@ -159,8 +138,7 @@ void register_inplace_cell(const run_config& cfg, const std::string& bench,
 
 inline void register_inplace_scenarios(const run_config& cfg) {
   using dovetail::gen::find_distribution;
-  // Light- through heavy-duplicate instances plus the bit-skewed family
-  // (the legacy baseline's documented weak spot).
+  // Light- through heavy-duplicate instances plus the bit-skewed family.
   for (const char* name :
        {"Unif-1e9", "Unif-1e5", "Exp-5", "Zipf-1.2", "BExp-30"})
     register_inplace_cell<std::uint32_t>(cfg, "inplace-32",

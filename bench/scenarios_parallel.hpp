@@ -16,13 +16,10 @@
 //       (tkv<double>, encode → radix → decode), proving the per-call limit
 //       composes with codec dispatch.
 //   parallel-wide  — 128-bit (wkv128) and string keys through the
-//       refine-by-segment driver, each rep interleaved against the
-//       policy.parallel_wide_refine=false ablation: refine_gain is the
-//       serial-refine/pool-refine median ratio (> 1 iff the workspace_pool
-//       path wins), and the pool counters (checkouts / hits / creations,
-//       delta over the timed reps) prove the pool actually engaged — hits
-//       without creations on warm reps is the zero-steady-state-allocation
-//       property in the report.
+//       refine-by-segment sort: the pool counters (checkouts / hits /
+//       creations, delta over the timed reps) prove the workspace_pool
+//       actually engaged at p > 1 — hits without creations on warm reps is
+//       the zero-steady-state-allocation property in the report.
 //
 // Every cell at p=1 must match the serial engine exactly: the scoped limit
 // makes pardo take its serial path, parallel_for runs inline, and the wide
@@ -126,9 +123,9 @@ scenario_result run_parallel_cell(const run_config& rc,
 }
 
 // ---------------------------------------------------------------------------
-// Wide cells: pool-backed refine vs the parallel_wide_refine=false ablation,
-// interleaved rep by rep like every A-vs-B pair in the suite. The shared
-// workspace_pool's counters are sampled around the timed reps.
+// Wide cells: wide_refine under a per-call worker limit (pool-backed
+// above one worker). The shared workspace_pool's counters are sampled
+// around the timed reps.
 
 struct pool_counter_snapshot {
   std::uint64_t checkouts, hits, creations;
@@ -159,16 +156,6 @@ scenario_result run_parallel_wide_cell(const run_config& rc,
     dovetail::sort(std::span<Rec>(work), key, opt);
     return t.seconds();
   };
-  const auto run_serial_refine = [&]() -> double {
-    std::copy(input.begin(), input.end(), work.begin());
-    dovetail::timer t;
-    dovetail::auto_sort_options opt;
-    opt.workspace = &suite_workspace();
-    opt.num_threads = p;
-    opt.policy.parallel_wide_refine = false;
-    dovetail::sort(std::span<Rec>(work), key, opt);
-    return t.seconds();
-  };
 
   run_warmups(std::max(rc.warmups, 1), run_pooled);
   if (rc.check) {
@@ -190,8 +177,7 @@ scenario_result run_parallel_wide_cell(const run_config& rc,
   }
 
   const pool_counter_snapshot c0 = snap_pool();
-  const std::vector<double> serial_times = run_interleaved_reps(
-      rc.reps, res, run_pooled, run_serial_refine, &stats);
+  run_timed_reps(rc.reps, res, run_pooled, &stats);
   const pool_counter_snapshot c1 = snap_pool();
 
   res.stats["pool_checkouts_timed"] =
@@ -205,11 +191,6 @@ scenario_result run_parallel_wide_cell(const run_config& rc,
       stats.wide_segments.load(std::memory_order_relaxed));
   res.stats["chosen_parallelism"] = static_cast<double>(
       stats.chosen_parallelism.load(std::memory_order_relaxed));
-  scenario_result ser;
-  ser.times_s = serial_times;
-  res.stats["ms_SerialRefine"] = ser.median_s() * 1e3;
-  if (res.median_s() > 0)
-    res.stats["refine_gain"] = ser.median_s() / res.median_s();
   note_parallel_speedup(cell_key, p, res);
   return res;
 }
@@ -234,16 +215,6 @@ inline scenario_result run_parallel_string_cell(
     dovetail::sort(std::span<std::string>(work), opt);
     return t.seconds();
   };
-  const auto run_serial_refine = [&]() -> double {
-    std::copy(input.begin(), input.end(), work.begin());
-    dovetail::timer t;
-    dovetail::auto_sort_options opt;
-    opt.workspace = &suite_workspace();
-    opt.num_threads = p;
-    opt.policy.parallel_wide_refine = false;
-    dovetail::sort(std::span<std::string>(work), opt);
-    return t.seconds();
-  };
 
   run_warmups(std::max(rc.warmups, 1), run_pooled);
   if (rc.check) {
@@ -259,8 +230,7 @@ inline scenario_result run_parallel_string_cell(
   }
 
   const pool_counter_snapshot c0 = snap_pool();
-  const std::vector<double> serial_times = run_interleaved_reps(
-      rc.reps, res, run_pooled, run_serial_refine, &stats);
+  run_timed_reps(rc.reps, res, run_pooled, &stats);
   const pool_counter_snapshot c1 = snap_pool();
 
   res.stats["pool_checkouts_timed"] =
@@ -274,11 +244,6 @@ inline scenario_result run_parallel_string_cell(
       stats.wide_segments.load(std::memory_order_relaxed));
   res.stats["chosen_parallelism"] = static_cast<double>(
       stats.chosen_parallelism.load(std::memory_order_relaxed));
-  scenario_result ser;
-  ser.times_s = serial_times;
-  res.stats["ms_SerialRefine"] = ser.median_s() * 1e3;
-  if (res.median_s() > 0)
-    res.stats["refine_gain"] = ser.median_s() / res.median_s();
   note_parallel_speedup(cell_key, p, res);
   return res;
 }
@@ -367,7 +332,7 @@ inline void register_parallel_scenarios(const run_config& cfg) {
     }
   }
 
-  // --- parallel-wide: pool-backed segment refine vs the serial ablation ---
+  // --- parallel-wide: pool-backed segment refine under the thread sweep ---
   static const distribution wide_dist = {dist_kind::zipfian, 1.2,
                                          "Zipf-1.2"};
   for (const std::size_t n : sizes) {
@@ -377,7 +342,7 @@ inline void register_parallel_scenarios(const run_config& cfg) {
       const std::string cell =
           s.bench + "/u128/" + wide_dist.name + "/n=" + std::to_string(n);
       s.name = cell + "/p=" + std::to_string(p);
-      s.paper = "workspace_pool refine vs serial-refine ablation (128-bit)";
+      s.paper = "workspace_pool-backed wide refine (128-bit)";
       s.row = "u128/" + wide_dist.name + "/n=" + std::to_string(n);
       s.col = "p=" + std::to_string(p);
       s.labels = {{"dist", wide_dist.name},  {"algo", "Auto"},
@@ -399,7 +364,7 @@ inline void register_parallel_scenarios(const run_config& cfg) {
       const std::string cell =
           s.bench + "/str/" + wide_dist.name + "/n=" + std::to_string(n);
       s.name = cell + "/p=" + std::to_string(p);
-      s.paper = "workspace_pool refine vs serial-refine ablation (strings)";
+      s.paper = "workspace_pool-backed wide refine (strings)";
       s.row = "str/" + wide_dist.name + "/n=" + std::to_string(n);
       s.col = "p=" + std::to_string(p);
       s.labels = {{"dist", wide_dist.name},  {"algo", "Auto"},

@@ -22,14 +22,10 @@
 //       plants a shared common prefix of 0/16/64/256 bytes, so the sort
 //       must walk past the whole prefix before any byte distinguishes
 //       keys — the probe skip-jumps the shared middle in one scan, so
-//       deeper prefixes cost more scanning but no extra radix rounds. Each cell times THREE variants on
-//       rotating rep order: continuation (primary), the PR-5 comparison
-//       tie-break ablation (policy.wide_continuation = false,
-//       ms_TieBreak / speedup_vs_tiebreak), and std::stable_sort
-//       (ms_StdStable / speedup_vs_std). The committed BENCH_wide.json is
-//       the evidence for the ISSUE-8 acceptance bar: continuation >= 2x
-//       the tie-break at lcp >= 64, and the lcp-0 cells within noise of
-//       the plain wide-str protocol.
+//       deeper prefixes cost more scanning but no extra radix rounds.
+//       Each cell interleaves the continuation (primary) with
+//       std::stable_sort (ms_StdStable / speedup_vs_std) and reports
+//       tiebreak_fallbacks, which must stay 0.
 // All families record refine_rounds / wide_segments (and the lcp cells
 // the continuation_* counters) next to the times, so the committed
 // baseline also documents how much refinement each instance actually
@@ -245,11 +241,8 @@ inline scenario_result run_wide_string_cell(
   return res;
 }
 
-// wide-str-lcp cells: three timed variants per rep — MSD continuation
-// (primary), the comparison tie-break ablation, and std::stable_sort —
-// with the in-rep order rotated by rep index so no variant always pays
-// the cold-predecessor penalty (the 3-way analogue of
-// run_interleaved_reps' alternation).
+// wide-str-lcp cells: MSD continuation (primary) interleaved with
+// std::stable_sort, alternating which runs first (run_interleaved_reps).
 inline scenario_result run_wide_lcp_cell(
     const run_config& rc, const std::vector<std::string>& input) {
   scenario_result res;
@@ -257,18 +250,23 @@ inline scenario_result run_wide_lcp_cell(
 
   std::vector<std::string> work(input.size());
   dovetail::sort_stats stats;
-  const auto run_variant = [&](bool continuation) -> double {
+  std::uint64_t cont_fallbacks = 0;
+  const auto run_cont = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
     dovetail::timer t;
     dovetail::auto_sort_options opt;
-    opt.policy.wide_continuation = continuation;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
     dovetail::sort(std::span<std::string>(work), opt);
-    return t.seconds();
+    const double s = t.seconds();
+    // wide_refine stores last-run snapshots; tiebreak_fallbacks is
+    // accumulated across runs, because the acceptance bar is that the
+    // continuation never falls back to a comparison sort above the base
+    // case.
+    cont_fallbacks +=
+        stats.wide_tiebreak_fallbacks.load(std::memory_order_relaxed);
+    return s;
   };
-  const auto run_cont = [&]() -> double { return run_variant(true); };
-  const auto run_tiebreak = [&]() -> double { return run_variant(false); };
   const auto run_std = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
     dovetail::timer t;
@@ -287,80 +285,33 @@ inline scenario_result run_wide_lcp_cell(
           "std::stable_sort order";
       return res;
     }
-    run_tiebreak();
-    if (work != ref) {
-      res.check = "fail";
-      res.check_detail =
-          "tie-break ablation output differs from the stable reference "
-          "(byte-identity between the two paths is broken)";
-      return res;
-    }
     res.check = "pass";
   }
-  run_warmups(1, run_tiebreak);  // warm the ablation path too
 
+  cont_fallbacks = 0;
   const std::uint64_t alloc0 =
       stats.workspace_allocations.load(std::memory_order_relaxed);
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
-  std::vector<double> tb_times;
-  std::vector<double> std_times;
-  std::uint64_t cont_fallbacks = 0;
-  const auto primary = [&] {
-    const double s = run_cont();
-    res.times_s.push_back(s);
-    stats.note_timed_run(s, res.n);
-    // The refine driver stores last-run snapshots, so read the
-    // continuation counters here — right after a continuation run —
-    // before an ablation/std run overwrites them. tiebreak_fallbacks is
-    // accumulated across continuation runs only: the ablation bumps it
-    // legitimately, but the acceptance bar is that the continuation path
-    // never falls back to a comparison sort above base_case.
-    res.stats["refine_rounds"] = static_cast<double>(
-        stats.refine_rounds.load(std::memory_order_relaxed));
-    res.stats["wide_segments"] = static_cast<double>(
-        stats.wide_segments.load(std::memory_order_relaxed));
-    res.stats["continuation_rounds"] = static_cast<double>(
-        stats.wide_continuation_rounds.load(std::memory_order_relaxed));
-    res.stats["continuation_segments"] = static_cast<double>(
-        stats.wide_continuation_segments.load(std::memory_order_relaxed));
-    res.stats["max_byte_offset"] = static_cast<double>(
-        stats.wide_max_byte_offset.load(std::memory_order_relaxed));
-    cont_fallbacks +=
-        stats.wide_tiebreak_fallbacks.load(std::memory_order_relaxed);
-  };
-  for (int r = 0; r < reps; ++r) {
-    switch (r % 3) {
-      case 0:
-        primary();
-        tb_times.push_back(run_tiebreak());
-        std_times.push_back(run_std());
-        break;
-      case 1:
-        tb_times.push_back(run_tiebreak());
-        std_times.push_back(run_std());
-        primary();
-        break;
-      default:
-        std_times.push_back(run_std());
-        primary();
-        tb_times.push_back(run_tiebreak());
-        break;
-    }
-  }
-
+  scenario_result sr;
+  sr.times_s = run_interleaved_reps(reps, res, run_cont, run_std, &stats);
+  // std::stable_sort leaves the snapshots alone: they describe the last
+  // continuation run.
+  res.stats["refine_rounds"] = static_cast<double>(
+      stats.refine_rounds.load(std::memory_order_relaxed));
+  res.stats["wide_segments"] = static_cast<double>(
+      stats.wide_segments.load(std::memory_order_relaxed));
+  res.stats["continuation_rounds"] = static_cast<double>(
+      stats.wide_continuation_rounds.load(std::memory_order_relaxed));
+  res.stats["continuation_segments"] = static_cast<double>(
+      stats.wide_continuation_segments.load(std::memory_order_relaxed));
+  res.stats["max_byte_offset"] = static_cast<double>(
+      stats.wide_max_byte_offset.load(std::memory_order_relaxed));
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
   res.stats["tiebreak_fallbacks"] = static_cast<double>(cont_fallbacks);
-  scenario_result tb;
-  tb.times_s = std::move(tb_times);
-  res.stats["ms_TieBreak"] = tb.median_s() * 1e3;
-  scenario_result sr;
-  sr.times_s = std::move(std_times);
   res.stats["ms_StdStable"] = sr.median_s() * 1e3;
-  if (res.median_s() > 0) {
-    res.stats["speedup_vs_tiebreak"] = tb.median_s() / res.median_s();
+  if (res.median_s() > 0)
     res.stats["speedup_vs_std"] = sr.median_s() / res.median_s();
-  }
   return res;
 }
 
@@ -470,7 +421,7 @@ inline void register_wide_lcp_cell(const run_config& cfg,
   s.name = s.bench + "/" + d.name + "/" + col;
   s.paper = "long-common-prefix strings: MSD continuation skip-jumps the "
             "shared prefix and radix-sorts the first differing word vs "
-            "the comparison tie-break ablation";
+            "std::stable_sort";
   s.row = d.name;
   s.col = col;
   s.labels = {{"dist", d.name},

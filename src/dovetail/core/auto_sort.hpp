@@ -2,59 +2,29 @@
 // library, generalized over typed keys by the key-codec layer
 // (key_codec.hpp).
 //
-// The paper's headline result (Tab 3 / Fig 1) is that no single integer
-// sort wins everywhere: DTSort dominates on skewed and heavy-duplicate
-// inputs, LSD-style radix sorts win on small dense keys, and for tiny or
-// (near-)sorted inputs neither is the right tool. This header turns that
-// observation into one entry point: sketch the input cheaply
-// (input_sketch.hpp), then route through a pluggable dispatch_policy to the
-// kernel the evidence says is fastest, with its parameters tuned from the
-// same sketch.
-//
-// Kernels (all stable, all running through the shared sort_workspace):
-//   std_sort  — sequential std::stable_sort; below the serial threshold the
-//               parallel machinery costs more than it saves.
-//   run_merge — detect maximal non-decreasing runs and merge adjacent runs
-//               pairwise (O(n log R) for R runs): near-sorted inputs finish
-//               in one or two passes, a fully sorted input in zero. A
-//               strictly descending input is reversed in place first (no
-//               equal keys can exist in a strictly descending sequence, so
-//               the reversal is trivially stable).
-//   counting  — one stable distribution pass over the exact key range
-//               (counting sort): unbeatable when max-min is small, because
-//               every other kernel pays at least one extra pass.
-//   lsd       — classic LSD radix sort (baselines/lsd_radix_sort.hpp) with
-//               a sketch-tuned scatter strategy: buffered RADULS-style
-//               staging for uniform digits, direct stores when the sampled
-//               low digit is heavily skewed (few hot buckets).
-//   dtsort    — dovetail_sort with auto gamma and the overflow-bucket range
-//               trick: the heavy-duplicate / wide-key workhorse.
-//
-// The default thresholds are derived from the committed BENCH_suite.json
-// baseline and cross-checked by the bench_suite "auto" family; docs/
-// TUNING.md walks through the evidence behind each one and how to re-derive
-// them on your machine. policy::always(kernel) pins a kernel (parameter
-// tuning still applies) — that is what the "auto" benchmarks use to compare
-// the dispatcher against every hand-picked kernel.
-//
-// Typed keys (key_codec.hpp): every entry point accepts any codec-covered
-// key type — signed integers, float/double, pair/tuple composites, or a
-// user key_codec specialization — not just unsigned integers. Strategy:
-//   * cheap codecs (all built-ins) on trivially copyable records FUSE the
-//     encode into the key function, so every kernel, the sketch and the
-//     dispatch operate on encoded keys with no extra pass and no extra
-//     memory — records are scattered as-is and never decoded;
-//   * expensive codecs, and records that are not trivially copyable (e.g.
-//     a std::span<std::pair<...>> under libstdc++), ENCODE ONCE into a
-//     workspace-leased (encoded key, index) array, sort that through the
-//     same dispatcher, and apply the resulting stable permutation back to
-//     the records with one gather pass.
-//   * WIDE keys — multi-word codecs (pair<u64, u64>, __int128, strings,
-//     >64-bit composites; key_codec.hpp) — route through the segmented-
-//     MSD refine driver of core/wide_sort.hpp: sort by word 0 through
-//     this same dispatcher, then refine equal-prefix segments word by
-//     word. The single-word fast paths below are untouched.
-// The encode-once machinery is also what powers the SoA entry points:
+// The kernels, the input sketch and the routing policy live in the
+// single-word dispatcher (dispatch.hpp); multi-word keys go through the
+// segmented-MSD refinement (wide_sort.hpp). This header decides how a typed
+// key reaches them:
+//   * cheap single-word codecs (all built-ins) on trivially copyable
+//     records FUSE the encode into the key function, so every kernel, the
+//     sketch and the dispatch operate on encoded keys with no extra pass
+//     and no extra memory — records are scattered as-is and never decoded;
+//     cheap WIDE codecs fuse the same way into wide_refine;
+//   * everything else — expensive codecs, records that are not trivially
+//     copyable (e.g. a std::span<std::pair<...>> under libstdc++, or
+//     std::string), and the SoA / argsort entry points — takes the ONE
+//     encode-once route (detail::encode_once): materialize each key once
+//     as a workspace-leased (encoded words, index) record, run a kernel
+//     on those records (the dispatcher for single-word keys, the refine
+//     loop for wide ones, the rank-window selector for the queries in
+//     order_stats.hpp), and gather the resulting stable permutation back
+//     into the caller's arrays.
+// Every route but the fused single-word one opens with the same per-call
+// preamble (detail::call_scope): the caller's worker cap for the whole
+// call, encode and gather passes included, and the workspace every
+// scratch lease comes from. The encode-once route is also what powers the
+// SoA entry points:
 //   * sort_by_key(keys, values) sorts parallel key/value arrays without
 //     ever dragging the value bytes through a radix pass (4-byte keys stop
 //     hauling 32-byte rows through every scatter);
@@ -64,7 +34,7 @@
 // (entry_point / codec_kind_id / codec_encoded_bits snapshots).
 #pragma once
 
-#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -74,56 +44,16 @@
 #include <utility>
 #include <vector>
 
-#include "dovetail/baselines/lsd_radix_sort.hpp"
-#include "dovetail/core/distribute.hpp"
-#include "dovetail/core/dovetail_sort.hpp"
-#include "dovetail/core/inplace_sort.hpp"
-#include "dovetail/core/input_sketch.hpp"
+#include "dovetail/core/dispatch.hpp"
 #include "dovetail/core/key_codec.hpp"
-#include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
+#include "dovetail/core/wide_sort.hpp"
 #include "dovetail/core/workspace.hpp"
-#include "dovetail/parallel/merge.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/primitives.hpp"
+#include "dovetail/parallel/scheduler.hpp"
 
 namespace dovetail {
-
-enum class sort_kernel : std::uint8_t {
-  std_sort,
-  run_merge,
-  counting,
-  lsd,
-  dtsort,
-  // In-place block-permutation MSD radix (core/inplace_sort.hpp): O(n)
-  // ping-pong buffer replaced by O(buckets * block) scratch. UNSTABLE —
-  // auto-chosen only under a memory budget when instability is
-  // unobservable (pure-key records) or permitted (stability::relaxed);
-  // policy::always(inplace) demands the same safety or throws.
-  inplace,
-};
-
-inline constexpr int kNumSortKernels = 6;
-
-inline const char* kernel_name(sort_kernel k) {
-  switch (k) {
-    case sort_kernel::std_sort: return "StdSort";
-    case sort_kernel::run_merge: return "RunMerge";
-    case sort_kernel::counting: return "Counting";
-    case sort_kernel::lsd: return "LSD";
-    case sort_kernel::dtsort: return "DTSort";
-    case sort_kernel::inplace: return "InPlace";
-  }
-  return "?";
-}
-
-// Decode sort_stats::chosen_kernel (0 = no dispatch recorded).
-inline std::optional<sort_kernel> chosen_kernel_of(const sort_stats& st) {
-  const std::uint64_t v = st.chosen_kernel.load(std::memory_order_relaxed);
-  if (v == 0 || v > static_cast<std::uint64_t>(kNumSortKernels))
-    return std::nullopt;
-  return static_cast<sort_kernel>(v - 1);
-}
 
 // Stable argsort / permutation index type returned by dovetail::rank.
 using index_t = std::size_t;
@@ -161,641 +91,132 @@ inline std::optional<codec_kind> codec_kind_of(const sort_stats& st) {
   return static_cast<codec_kind>(v - 1);
 }
 
-// A dispatch decision: the kernel plus its sketch-tuned parameters.
-struct kernel_plan {
-  sort_kernel kernel = sort_kernel::dtsort;
-  int gamma = 0;  // digit width for lsd/dtsort; 0 = the kernel's default
-  scatter_strategy scatter = scatter_strategy::automatic;
-  // Workers the kernel runs under (1 = serial; see parallel_crossover_n).
-  // Recorded in sort_stats::chosen_parallelism next to chosen_kernel.
-  int parallelism = 1;
-  const char* reason = "";  // the rule that fired (for logs/debugging)
-};
-
-// The pluggable routing policy. Every threshold is a public field so a
-// deployment can re-derive them for its hardware (docs/TUNING.md has the
-// recipe); the defaults are fitted to the committed BENCH_suite.json
-// baseline. `policy::always(k)` skips the kernel choice but keeps the
-// sketch-driven parameter tuning, so pinned kernels in benchmarks run
-// exactly what the dispatcher would run.
-struct dispatch_policy {
-  // Forced kernel (policy::always); kernel choice is skipped when set.
-  bool forced = false;
-  sort_kernel forced_kernel = sort_kernel::dtsort;
-
-  // n at or below this sorts with sequential std::stable_sort. The radix
-  // kernels overtake a comparison sort astonishingly early (measured
-  // crossover ~2^9-2^10 records on the baseline box: LSD 7.6us vs
-  // std::stable_sort 4.5us at n=512, and 2x ahead by n=1024), so this only
-  // guards the regime where sketching + workspace setup are not worth it.
-  std::size_t serial_threshold = 512;
-  // The stability contract (sort_options.hpp): strict keeps every
-  // auto-chosen kernel stable; relaxed certifies the caller cannot observe
-  // the order of equal records, unlocking the unstable in-place kernel for
-  // the memory-budget rule below and for policy::always(inplace) on
-  // payload-carrying records. Pure-key records (detected from the key
-  // functor, input_sketch::pure_key_records) never need relaxed.
-  stability stability_mode = stability::strict;
-  // Peak extra workspace the caller will tolerate, in bytes; 0 = no budget.
-  // When the out-of-place kernels' O(n) record ping-pong lease
-  // (n * sizeof(record)) would exceed this AND instability is safe (pure
-  // keys or relaxed), the dispatcher routes to the in-place kernel, whose
-  // scratch is O(2^gamma * block) — see core/inplace_sort.hpp and
-  // sort_stats::peak_workspace_bytes for the measured high-water mark.
-  std::size_t memory_budget_bytes = 0;
-  // Try the run-merge kernel when no sampled adjacent pair descends (or
-  // none ascends — reverse-sorted). Confirmed by an exact run scan; inputs
-  // with more than run_merge_max_runs(n) runs fall through to the radix
-  // kernels, where merging would cost more than O(n sqrt(log r)) work.
-  // 0 = auto: max(64, 4 log2 n) runs, i.e. merge depth ≲ log2 log-ish n.
-  std::size_t run_merge_max_runs = 0;
-  // One-pass counting sort when the exact key range (max - min) is at most
-  // this. The competitor is not a full-width radix sort but LSD over the
-  // *detected* bits — two 8-bit passes for any range up to 2^16 — so the
-  // single pass only wins while its bucket cursors stay cache-resident:
-  // measured crossover ~2^12 (n=1e6: counting 7.9ms vs LSD 11.3ms at range
-  // 2^10, 14.4 vs 11.2 by 2^13).
-  std::size_t counting_max_range = std::size_t{1} << 12;
-  // Duplicate regime => dtsort (heavy-key buckets skip all recursion,
-  // Thm 4.6/4.7): fires when the most frequent sampled key exceeds
-  // dtsort_top_freq, or when the sample is nearly all duplicates
-  // (distinct_ratio below dtsort_distinct_ratio), or when key_bits is
-  // large (see lsd_max_key_bits). Evidence: BENCH_suite.json table3-32
-  // rows Unif-10 / BExp-100 / BExp-300 (DTSort 2-4x over LSD) vs
-  // Zipf-1.5 / BExp-30 (LSD ahead; top_freq below the bar).
-  double dtsort_top_freq = 0.45;
-  double dtsort_distinct_ratio = 0.05;
-  // Moderate-duplicate tier, consulted only after the digit-skew rule: a
-  // top key above ~20% (Zipf s >= ~1.5) is worth a heavy bucket even on
-  // 32-bit keys (BENCH_auto.json: Zipf-1.5/32 DTSort 22ms vs LSD 32ms),
-  // but bitwise-skewed inputs with a moderate top key (BExp-30/32,
-  // top ~34%) still belong to direct-scatter LSD — hence the ordering.
-  double dtsort_mid_top_freq = 0.20;
-  // Low-digit skew => LSD with direct stores: when one byte value owns
-  // this share of the sampled low digit, few scatter cursors are hot and
-  // buffered staging only adds copies (BENCH_suite.json: BExp-10/30 LSD
-  // beats RD by 1.3-1.6x; hashed-uniform digits favour buffered).
-  double direct_digit_share = 0.25;
-  // Keys at most this wide with no duplicate/skew signal go to LSD: at
-  // gamma=8 that is <= 4 fixed passes, which beat MSD recursion on every
-  // 32-bit BENCH_suite.json instance outside the duplicate regime. Wider
-  // keys default to dtsort (the paper's 64-bit headline, Tab 3 right).
-  int lsd_max_key_bits = 32;
-  // Parallelism cap consulted by plan_parallelism(); 0 = every worker the
-  // surrounding scope allows (par::effective_workers(), itself capped by
-  // auto_sort_options::num_threads / sort_options::num_threads).
-  int num_threads = 0;
-  // n at or below this runs the chosen kernel single-threaded even when
-  // more workers are available: below the crossover, fork/join setup, the
-  // per-block counting matrices and the extra cache traffic of a parallel
-  // distribution cost more than they save. Like every threshold here the
-  // default is fitted to the committed baselines (docs/TUNING.md has the
-  // re-derivation recipe and the evidence); the serial/parallel decision
-  // lands in sort_stats::chosen_parallelism, the kernel's twin snapshot.
-  std::size_t parallel_crossover_n = std::size_t{1} << 15;
-  // Wide (multi-word) keys only: equal-prefix segments at or below this
-  // size finish with one stable comparison sort over the remaining words
-  // instead of re-entering the radix front door (wide_sort.hpp). A
-  // segment must amortise a full dispatch + distribution pass to be worth
-  // radixing again; below ~2^15 records the comparison sort — run in
-  // parallel ACROSS segments — wins on every wide BENCH_wide.json
-  // instance.
-  std::size_t wide_segment_base_case = std::size_t{1} << 15;
-  // Order-statistics queries (core/order_stats.hpp) only: a rank-window
-  // segment at or below this size finishes with one stable comparison
-  // sort instead of another pruned distribution pass. Smaller than
-  // wide_segment_base_case on purpose: a selection segment that recurses
-  // gets to PRUNE most of its buckets (the next pass touches only the
-  // window straddlers), so another distribution pass stays profitable on
-  // segments far below the size where a full-sort refinement would give
-  // up — the query-topk bench family is the evidence, same recipe as
-  // every threshold here (docs/TUNING.md).
-  std::size_t select_base_case = std::size_t{1} << 11;
-  // Wide keys only: refine large equal-prefix segments CONCURRENTLY, each
-  // in-flight sort on its own workspace_pool arena (wide_sort.hpp). Off =
-  // the pre-pool behaviour (segments re-enter the front door one at a
-  // time, parallel only inside each call) — kept as an ablation toggle so
-  // the parallel-refine gain stays measurable (bench scenarios_parallel).
-  bool parallel_wide_refine = true;
-  // Offset-capable non-exhaustive codecs (std::string / std::string_view)
-  // only: when a segment still ties after every materialized prefix word,
-  // re-enter radix refinement on the next slice of the true keys (the
-  // offset-codec form in key_codec.hpp) instead of finishing the whole
-  // segment with one comparison sort. Off = the pre-continuation
-  // behaviour (the PR-5 tie-break), kept as an ablation toggle: both
-  // paths produce byte-identical output (asserted in
-  // tests/test_string_engine.cpp) and the wide-str-lcp bench family
-  // measures the gap on long-common-prefix corpora.
-  bool wide_continuation = true;
-
-  // The decision tree. `disallow` is a bitmask of sort_kernel values the
-  // caller has ruled out (the dispatcher uses it when a cheap-branch
-  // precondition fails its exact confirmation, e.g. the input was not
-  // near-sorted after all).
-  [[nodiscard]] kernel_plan choose(const input_sketch& s,
-                                   unsigned disallow = 0) const {
-    const auto allowed = [&](sort_kernel k) {
-      return ((disallow >> static_cast<int>(k)) & 1U) == 0;
-    };
-    kernel_plan p;
-    if (s.n <= serial_threshold && allowed(sort_kernel::std_sort)) {
-      p.kernel = sort_kernel::std_sort;
-      p.reason = "n below serial threshold";
-    } else if (memory_budget_bytes != 0 && s.record_bytes != 0 &&
-               (s.pure_key_records ||
-                stability_mode == stability::relaxed) &&
-               s.n * s.record_bytes > memory_budget_bytes &&
-               allowed(sort_kernel::inplace)) {
-      // The budget rule outranks every data-driven rule below: when the
-      // O(n) ping-pong lease is off the table, only the in-place kernel
-      // fits, and it is safe here (pure keys or an explicit relaxed
-      // contract).
-      p.kernel = sort_kernel::inplace;
-      p.reason = "ping-pong lease exceeds memory budget";
-    } else if ((s.maybe_sorted() || s.maybe_reverse_sorted()) &&
-               allowed(sort_kernel::run_merge)) {
-      p.kernel = sort_kernel::run_merge;
-      p.reason = s.maybe_sorted() ? "no sampled adjacent pair descends"
-                                  : "no sampled adjacent pair ascends";
-    } else if (s.sample_range() <= counting_max_range &&
-               allowed(sort_kernel::counting)) {
-      p.kernel = sort_kernel::counting;
-      p.reason = "sampled key range fits one counting pass";
-    } else if ((s.top_freq() >= dtsort_top_freq ||
-                s.distinct_ratio() <= dtsort_distinct_ratio) &&
-               allowed(sort_kernel::dtsort)) {
-      p.kernel = sort_kernel::dtsort;
-      p.reason = "heavy duplicates (Thm 4.6/4.7 regime)";
-    } else if (s.digit_top_share() >= direct_digit_share &&
-               allowed(sort_kernel::lsd)) {
-      p.kernel = sort_kernel::lsd;
-      p.reason = "bitwise-skewed digits: LSD with direct stores";
-    } else if (s.top_freq() >= dtsort_mid_top_freq &&
-               allowed(sort_kernel::dtsort)) {
-      p.kernel = sort_kernel::dtsort;
-      p.reason = "moderate heavy key: worth a heavy bucket";
-    } else if (s.key_bits <= lsd_max_key_bits && allowed(sort_kernel::lsd)) {
-      p.kernel = sort_kernel::lsd;
-      p.reason = "small dense keys: few fixed LSD passes";
-    } else if (allowed(sort_kernel::dtsort)) {
-      p.kernel = sort_kernel::dtsort;
-      p.reason = "wide keys: DTSort default";
-    } else {
-      p.kernel = sort_kernel::lsd;  // dtsort ruled out: lsd handles anything
-      p.reason = "fallback";
-    }
-    tune(p, s);
-    return p;
-  }
-
-  // Sketch-driven parameter tuning, applied to chosen and forced kernels
-  // alike (so policy::always benchmarks measure the kernel the dispatcher
-  // would actually run).
-  void tune(kernel_plan& p, const input_sketch& s) const {
-    if (p.kernel == sort_kernel::lsd) {
-      p.gamma = 8;
-      p.scatter = s.digit_top_share() >= direct_digit_share
-                      ? scatter_strategy::direct
-                      : scatter_strategy::automatic;
-    }
-    p.parallelism =
-        p.kernel == sort_kernel::std_sort ? 1 : plan_parallelism(s.n);
-  }
-
-  // The serial/parallel half of the dispatch: how many workers should a
-  // sort of n records run under? 1 below the crossover (or for std_sort,
-  // which is sequential regardless), else every worker the scope allows,
-  // capped by this policy's num_threads.
-  [[nodiscard]] int plan_parallelism(std::size_t n) const {
-    if (n <= parallel_crossover_n) return 1;
-    int avail = par::effective_workers();
-    if (num_threads > 0 && num_threads < avail) avail = num_threads;
-    return avail;
-  }
-
-  [[nodiscard]] std::size_t max_merge_runs(std::size_t n) const {
-    if (run_merge_max_runs != 0) return run_merge_max_runs;
-    return std::max<std::size_t>(
-        64, 4 * static_cast<std::size_t>(
-                    ceil_log2(std::max<std::size_t>(2, n))));
-  }
-};
-
-namespace policy {
-
-// The default data-driven routing.
-inline dispatch_policy automatic() { return {}; }
-
-// Pin a kernel, bypassing the decision tree (sketch-driven parameter
-// tuning still applies). Precondition for always(counting): the exact key
-// range (max - min) must be below 2^20, else dovetail::sort throws
-// std::invalid_argument — a forced one-pass counting sort over a wider
-// range would need an infeasibly large counting matrix.
-inline dispatch_policy always(sort_kernel k) {
-  dispatch_policy p;
-  p.forced = true;
-  p.forced_kernel = k;
-  return p;
-}
-
-}  // namespace policy
-
-// Options for dovetail::sort. The workspace/stats contract matches
-// dovetail_sort: pass the same sort_workspace to repeated calls and every
-// kernel's O(n) scratch is reused after warm-up; one in-flight sort per
-// workspace.
-struct auto_sort_options {
-  dispatch_policy policy{};
-  sketch_options sketch{};                // sample/probe budget and seed
-  std::uint64_t seed = 42;                // dtsort kernel determinism seed
-  // Per-call parallelism cap, same contract as sort_options::num_threads:
-  // 0 = all scheduler workers; 1 = run the whole call on the calling
-  // thread (exact); 2..p caps forking/granularity decisions while actual
-  // concurrency stays bounded by the shared pool. Applied for the entire
-  // call — sketch, dispatch, kernel, gather passes — and composes with
-  // policy.num_threads and dispatch_policy::parallel_crossover_n (the
-  // dispatcher may still choose FEWER workers than allowed; the choice is
-  // recorded in sort_stats::chosen_parallelism).
-  int num_threads = 0;
-  sort_workspace* workspace = nullptr;
-  // Workspace pool for concurrent in-flight sub-sorts (today: the wide-key
-  // refine driver sorting large equal-prefix segments concurrently).
-  // nullptr = workspace_pool::shared(), the process-wide default.
-  workspace_pool* pool = nullptr;
-  sort_stats* stats = nullptr;
-};
-
 namespace detail {
 
-// Hard feasibility cap for a forced counting kernel (policy::always).
-inline constexpr std::uint64_t kCountingHardCap = std::uint64_t{1} << 20;
-
-// Boundaries of maximal non-decreasing runs: positions i with
-// key(a[i-1]) > key(a[i]), bracketed by 0 and n.
-template <typename Rec, typename KeyFn>
-std::vector<std::size_t> run_boundaries(std::span<const Rec> a,
-                                        const KeyFn& key) {
-  const std::size_t n = a.size();
-  std::vector<std::size_t> bounds{0};
-  if (n >= 2) {
-    const std::size_t nblocks =
-        n <= 8192 ? 1
-                  : std::min<std::size_t>(
-                        8 * static_cast<std::size_t>(par::num_workers()),
-                        (n + 8191) / 8192);
-    const std::size_t bsize = (n + nblocks - 1) / nblocks;
-    std::vector<std::vector<std::size_t>> local(nblocks);
-    par::parallel_for(
-        0, nblocks,
-        [&](std::size_t b) {
-          const std::size_t lo = std::max<std::size_t>(1, b * bsize);
-          const std::size_t hi = std::min(n, (b + 1) * bsize);
-          for (std::size_t i = lo; i < hi; ++i)
-            if (static_cast<std::uint64_t>(key(a[i - 1])) >
-                static_cast<std::uint64_t>(key(a[i])))
-              local[b].push_back(i);
-        },
-        1);
-    for (const auto& v : local)
-      bounds.insert(bounds.end(), v.begin(), v.end());
-  }
-  bounds.push_back(n);
-  return bounds;
-}
-
-// Bottom-up pairwise merging of the runs delimited by `bounds`, ping-pong
-// between `a` and scratch `t`; the sorted result always ends in `a`.
-template <typename Rec, typename KeyFn>
-void merge_runs(std::span<Rec> a, const KeyFn& key, std::span<Rec> t,
-                std::vector<std::size_t> bounds) {
-  const auto comp = [&](const Rec& x, const Rec& y) {
-    return static_cast<std::uint64_t>(key(x)) <
-           static_cast<std::uint64_t>(key(y));
-  };
-  std::span<Rec> src = a, dst = t;
-  while (bounds.size() > 2) {
-    const std::size_t nr = bounds.size() - 1;
-    par::parallel_for(
-        0, nr / 2,
-        [&](std::size_t i) {
-          const std::size_t lo = bounds[2 * i], mid = bounds[2 * i + 1],
-                            hi = bounds[2 * i + 2];
-          par::merge(std::span<const Rec>(src.data() + lo, mid - lo),
-                     std::span<const Rec>(src.data() + mid, hi - mid),
-                     dst.subspan(lo, hi - lo), comp);
-        },
-        1);
-    if (nr % 2 != 0) {  // odd run out: carry it over unchanged
-      const std::size_t lo = bounds[nr - 1], hi = bounds[nr];
-      par::copy(std::span<const Rec>(src.data() + lo, hi - lo),
-                dst.subspan(lo, hi - lo));
-    }
-    std::vector<std::size_t> next;
-    next.reserve(nr / 2 + 2);
-    for (std::size_t i = 0; i < bounds.size(); i += 2) next.push_back(bounds[i]);
-    if (next.back() != bounds.back()) next.push_back(bounds.back());
-    bounds = std::move(next);
-    std::swap(src, dst);
-  }
-  if (src.data() != a.data())
-    par::copy(std::span<const Rec>(src.data(), a.size()), a);
-}
-
-// One stable counting-sort pass over the exact key range [min_key, max_key].
-template <typename Rec, typename KeyFn>
-void counting_kernel(std::span<Rec> data, const KeyFn& key,
-                     std::uint64_t min_key, std::uint64_t max_key,
-                     sort_workspace& ws, sort_stats* stats) {
-  const std::size_t n = data.size();
-  const std::size_t buckets =
-      static_cast<std::size_t>(max_key - min_key) + 1;
-  std::span<Rec> t = ws.template record_buffer<Rec>(n, stats);
-  sort_workspace::lease off_lease =
-      ws.acquire((buckets + 1) * sizeof(std::size_t), stats);
-  const std::span<std::size_t> offs =
-      off_lease.template carve<std::size_t>(buckets + 1);
-  distribute_options dopt;
-  dopt.require_stable = true;
-  dopt.workspace = &ws;
-  dopt.stats = stats;
-  distribute(std::span<const Rec>(data.data(), n), t, buckets,
-             [&](const Rec& r) -> std::size_t {
-               return static_cast<std::size_t>(
-                   static_cast<std::uint64_t>(key(r)) - min_key);
-             },
-             offs, dopt);
-  par::copy(std::span<const Rec>(t.data(), n), data);
-  if (stats != nullptr) {
-    stats->distributed_records.fetch_add(n, std::memory_order_relaxed);
-    stats->num_distributions.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-// Exact (min, max) of the keys — one parallel reduce pass. Only run when a
-// branch's precondition needs confirming; the sketch pays o(n) everywhere
-// else.
-template <typename Rec, typename KeyFn>
-std::pair<std::uint64_t, std::uint64_t> exact_key_range(
-    std::span<const Rec> data, const KeyFn& key) {
-  using mm = std::pair<std::uint64_t, std::uint64_t>;
-  return par::reduce_map(
-      0, data.size(),
-      mm{~std::uint64_t{0}, 0},
-      [&](std::size_t i) {
-        const auto k = static_cast<std::uint64_t>(key(data[i]));
-        return mm{k, k};
-      },
-      [](mm x, mm y) {
-        return mm{std::min(x.first, y.first), std::max(x.second, y.second)};
-      });
-}
-
-// The dispatch core: sketch, route, run. `key` must return an unsigned
-// integer here — the public entry points below fold any other key type
-// through its key_codec before reaching this.
-template <typename Rec, typename KeyFn>
-sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
-                          const auto_sort_options& opt) {
-  static_assert(std::is_trivially_copyable_v<Rec>,
-                "dovetail::sort requires trivially copyable records");
-  sort_stats* st = opt.stats;
-  const std::size_t n = data.size();
-
-  // The per-call cap bounds everything below — sketch, confirmation scans,
-  // kernel — and is what dispatch_policy::plan_parallelism() sees as the
-  // available worker count.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  if (st != nullptr)
-    st->effective_workers.store(
-        static_cast<std::uint64_t>(par::effective_workers()),
-        std::memory_order_relaxed);
-
-  input_sketch sk =
-      sketch_input(std::span<const Rec>(data.data(), n), key, opt.sketch);
-  // Type-level facts the sampling pass cannot know: the record footprint
-  // (drives the memory-budget rule) and whether equal encoded keys imply
-  // byte-identical records (makes the unstable in-place kernel safe).
-  sk.record_bytes = sizeof(Rec);
-  sk.pure_key_records = is_pure_key_fn_v<KeyFn>;
-  if (st != nullptr) {
-    const auto permille = [](std::size_t part, std::size_t whole) {
-      return whole == 0 ? std::uint64_t{0}
-                        : static_cast<std::uint64_t>(1000 * part / whole);
-    };
-    st->sketch_key_bits.store(static_cast<std::uint64_t>(sk.key_bits),
-                              std::memory_order_relaxed);
-    st->sketch_distinct_permille.store(
-        permille(sk.distinct_samples, sk.num_samples),
-        std::memory_order_relaxed);
-    st->sketch_top_permille.store(permille(sk.top_count, sk.num_samples),
-                                  std::memory_order_relaxed);
-    st->sketch_desc_permille.store(permille(sk.desc_probes, sk.probes),
-                                   std::memory_order_relaxed);
-    st->sketch_heavy_keys.store(sk.heavy_keys, std::memory_order_relaxed);
-    st->sketch_runs.store(0, std::memory_order_relaxed);
-  }
-
-  sort_workspace local_ws;
-  sort_workspace& ws =
-      opt.workspace != nullptr ? *opt.workspace : local_ws;
-  const auto record_choice = [&](const kernel_plan& p) {
-    if (st != nullptr) {
-      st->chosen_kernel.store(1 + static_cast<std::uint64_t>(p.kernel),
-                              std::memory_order_relaxed);
-      st->chosen_parallelism.store(static_cast<std::uint64_t>(p.parallelism),
-                                   std::memory_order_relaxed);
-    }
-  };
-
-  unsigned disallow = 0;
-  for (;;) {
-    kernel_plan plan;
-    if (opt.policy.forced) {
-      plan.kernel = opt.policy.forced_kernel;
-      opt.policy.tune(plan, sk);
-    } else {
-      plan = opt.policy.choose(sk, disallow);
-    }
-    // Below the crossover the plan says "serial": cap the kernel (and its
-    // confirmation scans) to one worker so the decision is enforced, not
-    // advisory. The cap composes with worker_cap above by taking the min.
-    const par::scoped_worker_limit plan_cap(plan.parallelism);
-
-    switch (plan.kernel) {
-      case sort_kernel::std_sort: {
-        record_choice(plan);
-        std::stable_sort(data.begin(), data.end(),
-                         [&](const Rec& x, const Rec& y) {
-                           return static_cast<std::uint64_t>(key(x)) <
-                                  static_cast<std::uint64_t>(key(y));
-                         });
-        return plan.kernel;
-      }
-
-      case sort_kernel::run_merge: {
-        std::vector<std::size_t> bounds = detail::run_boundaries(
-            std::span<const Rec>(data.data(), n), key);
-        std::size_t runs = bounds.size() - 1;
-        if (n >= 2 && runs == n) {
-          // Every adjacent pair descends: the input is strictly
-          // descending, so no equal keys exist and a wholesale reversal
-          // is trivially stable — and leaves exactly one run.
-          par::reverse_inplace(data);
-          bounds = {0, n};
-          runs = 1;
-        }
-        if (st != nullptr)
-          st->sketch_runs.store(runs, std::memory_order_relaxed);
-        if (!opt.policy.forced && runs > opt.policy.max_merge_runs(n)) {
-          // The probes lied (descents exist but were all missed, or the
-          // reversal bailed): rule the branch out and re-dispatch.
-          disallow |= 1U << static_cast<int>(sort_kernel::run_merge);
-          continue;
-        }
-        record_choice(plan);
-        if (runs > 1) {
-          std::span<Rec> t = ws.template record_buffer<Rec>(n, st);
-          detail::merge_runs(data, key, t, std::move(bounds));
-        }
-        return plan.kernel;
-      }
-
-      case sort_kernel::counting: {
-        const auto [min_key, max_key] = detail::exact_key_range(
-            std::span<const Rec>(data.data(), n), key);
-        const std::uint64_t range =
-            n == 0 ? 0 : max_key - min_key;
-        if (opt.policy.forced) {
-          if (range >= detail::kCountingHardCap)
-            throw std::invalid_argument(
-                "dovetail::sort: policy::always(counting) needs an exact "
-                "key range below 2^20");
-        } else if (range > opt.policy.counting_max_range) {
-          // Rare keys above the sampled range (the overflow phenomenon of
-          // Sec 5) made the estimate optimistic: re-dispatch without the
-          // counting branch.
-          disallow |= 1U << static_cast<int>(sort_kernel::counting);
-          continue;
-        }
-        record_choice(plan);
-        if (n >= 2 && range > 0)
-          detail::counting_kernel(data, key, min_key, max_key, ws, st);
-        return plan.kernel;
-      }
-
-      case sort_kernel::lsd: {
-        record_choice(plan);
-        baseline::lsd_options lopt;
-        if (plan.gamma > 0) lopt.gamma = plan.gamma;
-        lopt.scatter = plan.scatter;
-        lopt.workspace = &ws;
-        lopt.stats = st;
-        baseline::lsd_radix_sort(data, key, lopt);
-        return plan.kernel;
-      }
-
-      case sort_kernel::dtsort: {
-        record_choice(plan);
-        sort_options dopt;
-        dopt.gamma = plan.gamma;  // 0 = dovetail_sort's own auto choice
-        dopt.seed = opt.seed;
-        dopt.workspace = &ws;
-        dopt.stats = st;
-        dovetail_sort(data, key, dopt);
-        return plan.kernel;
-      }
-
-      case sort_kernel::inplace: {
-        // Unstable kernel: reachable only when instability is unobservable
-        // (pure-key records) or explicitly permitted. The auto rule already
-        // guarantees this; a pinned policy::always(inplace) must prove it
-        // here.
-        if (!sk.pure_key_records &&
-            opt.policy.stability_mode != stability::relaxed)
-          throw std::invalid_argument(
-              "dovetail::sort: policy::always(inplace) on records that "
-              "carry payload needs dispatch_policy::stability_mode = "
-              "stability::relaxed (the kernel is unstable)");
-        record_choice(plan);
-        inplace_sort_options iopt;
-        if (plan.gamma > 0) iopt.gamma = plan.gamma;
-        iopt.workspace = &ws;
-        iopt.stats = st;
-        inplace_sort(data, key, iopt);
-        return plan.kernel;
-      }
-    }
-    throw std::invalid_argument("dovetail::sort: unknown kernel");
-  }
-}
-
-// --- typed-key machinery (the encode-once path) ---------------------------
-
-// Snapshot the entry-point/codec stats fields (last write wins, matching
-// chosen_kernel's contract).
-inline void note_entry(sort_stats* st, sort_entry entry, codec_kind kind,
-                       int encoded_bits) {
+// Snapshot which entry point ran with which codec (last write wins,
+// matching chosen_kernel's contract): `slot` is sort_stats::entry_point
+// for the sort entries and sort_stats::query_kind for the queries, `id`
+// is 1 + the entry's enum value.
+template <typename K>
+void note_call(sort_stats* st, std::atomic<std::uint64_t> sort_stats::*slot,
+               std::uint64_t id) {
   if (st == nullptr) return;
-  st->entry_point.store(1 + static_cast<std::uint64_t>(entry),
-                        std::memory_order_relaxed);
-  st->codec_kind_id.store(1 + static_cast<std::uint64_t>(kind),
+  using WT = wide_key_traits<K>;
+  (st->*slot).store(id, std::memory_order_relaxed);
+  st->codec_kind_id.store(1 + static_cast<std::uint64_t>(WT::kind),
                           std::memory_order_relaxed);
-  st->codec_encoded_bits.store(static_cast<std::uint64_t>(encoded_bits),
+  st->codec_encoded_bits.store(static_cast<std::uint64_t>(WT::encoded_bits),
                                std::memory_order_relaxed);
 }
 
-// (encoded key, source index) pair records for the encode-once path. The
-// narrow pair is used whenever the encoded key and the index both fit 32
-// bits — half the bytes per scatter pass.
+template <typename K>
+void note_entry(sort_stats* st, sort_entry entry) {
+  note_call<K>(st, &sort_stats::entry_point,
+               1 + static_cast<std::uint64_t>(entry));
+}
+
+// The per-call preamble of every typed entry point except the fused
+// single-word sort (whose dispatcher installs the same cap itself): the
+// caller's worker cap for the WHOLE call — encode, kernel and gather
+// passes alike, not just the nested sort_unsigned calls — and the
+// workspace every scratch lease comes from (the caller's, else one local
+// to the call). opt() is the caller's options with that workspace filled
+// in; everything below the entry points reads its workspace from there.
+class call_scope {
+ public:
+  explicit call_scope(const auto_sort_options& opt)
+      : cap_(opt.num_threads), opt_(opt) {
+    if (opt_.workspace == nullptr) opt_.workspace = &local_ws_;
+  }
+  call_scope(const call_scope&) = delete;
+  call_scope& operator=(const call_scope&) = delete;
+
+  [[nodiscard]] const auto_sort_options& opt() const noexcept {
+    return opt_;
+  }
+  [[nodiscard]] sort_workspace& ws() const noexcept {
+    return *opt_.workspace;
+  }
+
+ private:
+  par::scoped_worker_limit cap_;
+  sort_workspace local_ws_;
+  auto_sort_options opt_;
+};
+
+// (encoded key, source index) records of single-word keys on the
+// encode-once route. The narrow record is used whenever the encoded key
+// and the index both fit 32 bits — half the bytes per scatter pass. Wide
+// keys use enc_words<W> (wide_sort.hpp).
 struct enc_idx32 {
   std::uint32_t key;
-  std::uint32_t value;
+  std::uint32_t idx;
 };
 struct enc_idx64 {
   std::uint64_t key;
-  std::uint64_t value;
+  std::uint64_t idx;
 };
 
-template <typename PairRec, typename EncOf, typename Emit>
-sort_kernel ranked_permutation_impl(std::size_t n, const EncOf& enc_of,
-                                    const auto_sort_options& opt,
-                                    sort_workspace& ws, const Emit& emit) {
-  sort_workspace::lease pl = ws.acquire(n * sizeof(PairRec), opt.stats);
-  const std::span<PairRec> pairs = pl.template carve<PairRec>(n);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    pairs[i] = PairRec{static_cast<decltype(PairRec::key)>(enc_of(i)),
-                       static_cast<decltype(PairRec::value)>(i)};
-  });
-  // A stable sort of (encoded key, input index) pairs IS the stable
-  // permutation: equal keys keep increasing indices.
-  const sort_kernel k =
-      sort_unsigned(pairs, [](const PairRec& p) { return p.key; }, opt);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(pairs[i].value));
-  });
-  return k;
+// The encode-once route, the only place a typed key is materialized:
+// encode key_at(0..n) ONCE into workspace-leased (encoded words, index)
+// records — enc_idx32 / enc_idx64 for single-word keys of type K,
+// enc_words<W> for W-word keys — run `kernel(records)`, which reorders
+// them (a sort, or a selection that settles the requested rank windows),
+// then emit(pos, src) the resulting permutation, in parallel. The records
+// arrive at the kernel in input order, so a stable kernel keeps equal
+// keys in increasing index order — the stable permutation, with no
+// tie-break on the index. Warm calls lease without allocating.
+template <typename K, typename KeyAt, typename Kernel, typename Emit>
+void encode_once(std::size_t n, const KeyAt& key_at, sort_workspace& ws,
+                 sort_stats* st, const Kernel& kernel, const Emit& emit) {
+  using WT = wide_key_traits<K>;
+  const auto run = [&]<typename R>(std::type_identity<R>) {
+    std::span<R> recs;
+    sort_workspace::lease l = ws.acquire_array<R>(n, recs, st);
+    par::parallel_for(0, n, [&](std::size_t i) {
+      auto&& k = key_at(i);
+      if constexpr (WT::single_word) {
+        recs[i] = R{static_cast<decltype(R::key)>(WT::word(k, 0)),
+                    static_cast<decltype(R::idx)>(i)};
+      } else {
+        for (std::size_t w = 0; w < WT::word_count; ++w)
+          recs[i].word[w] = WT::word(k, w);
+        recs[i].idx = static_cast<std::uint64_t>(i);
+      }
+    });
+    kernel(recs);
+    par::parallel_for(0, n, [&](std::size_t i) {
+      emit(i, static_cast<std::size_t>(recs[i].idx));
+    });
+  };
+  if constexpr (!WT::single_word)
+    run(std::type_identity<enc_words<WT::word_count>>{});
+  else if (WT::encoded_bits <= 32 && n <= 0xFFFFFFFFull)
+    run(std::type_identity<enc_idx32>{});
+  else
+    run(std::type_identity<enc_idx64>{});
 }
 
-// Stable sorted permutation of [0, n) under the (already unsigned) encoded
-// keys enc_of(i): emit(pos, src) is called once per position (in parallel,
-// unordered) with the source index ranking there. Runs the full adaptive dispatcher
-// on the pair records, so presorted / tiny-range / tiny-n inputs keep
-// their cheap kernels; all scratch is leased from `ws`.
-template <typename EncOf, typename Emit>
-sort_kernel ranked_permutation(std::size_t n, int encoded_bits,
-                               const EncOf& enc_of,
-                               const auto_sort_options& opt,
-                               sort_workspace& ws, const Emit& emit) {
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  if (encoded_bits <= 32 && n <= 0xFFFFFFFFull)
-    return ranked_permutation_impl<enc_idx32>(n, enc_of, inner, ws, emit);
-  return ranked_permutation_impl<enc_idx64>(n, enc_of, inner, ws, emit);
+// The sort kernel of the encode-once route, for encode_once's `kernel`:
+// single-word records go straight to the dispatcher — presorted /
+// tiny-range / tiny-n inputs keep their cheap kernels — and W-word records
+// through wide_refine, which reads the true keys back through key_at for a
+// prefix codec's tie-break and continuation. `opt` comes from a
+// call_scope; the (word-0) kernel that ran lands in `k`.
+template <typename K, typename KeyAt>
+auto record_sorter(const KeyAt& key_at, const auto_sort_options& opt,
+                   sort_kernel& k) {
+  return [&key_at, &opt, &k]<typename R>(std::span<R> recs) {
+    if constexpr (wide_key_traits<K>::single_word)
+      k = sort_unsigned(recs, [](const R& r) { return r.key; }, opt);
+    else
+      k = refine_encoded<K>(recs, key_at, opt);
+  };
 }
 
 // n elements of T, backed by a workspace lease when T is trivially
 // copyable (warm calls: zero allocations) and by a plain vector otherwise
-// (T must then be default-constructible and copy-assignable).
+// (T must then be default-constructible and move-assignable).
 template <typename T>
 class scratch_array {
  public:
@@ -829,20 +250,39 @@ void write_back(std::span<T> from, std::span<T> to) {
   }
 }
 
-// Wide (multi-word) key routes — defined in core/wide_sort.hpp, which is
-// included at the bottom of this header so either include gives the whole
-// front door. The public entry points below branch here whenever the key
-// type's codec is multi-word (pair<u64, u64>, __int128, strings, >64-bit
-// composites).
-template <typename Rec, typename KeyFn>
-sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
-                      const auto_sort_options& opt);
-template <typename K, typename V>
-sort_kernel sort_by_key_wide(std::span<K> keys, std::span<V> values,
-                             const auto_sort_options& opt);
-template <typename Rec, typename KeyFn>
-std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
-                               const auto_sort_options& opt);
+// The gather half of the encode-once route: reorder `a` — and the
+// parallel array `b` with it, unless `b` is empty — by the permutation
+// `kernel` leaves on the encoded records of the keys key_at(i). Each
+// array is MOVED once into scratch and written back (the permutation
+// consumes every source exactly once, so a std::string never pays a heap
+// copy for being sorted). `opt` comes from a call_scope.
+template <typename K, typename A, typename B, typename KeyAt,
+          typename Kernel>
+void reorder_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
+                    const auto_sort_options& opt, const Kernel& kernel) {
+  scratch_array<A> ta(a.size(), *opt.workspace, opt.stats);
+  scratch_array<B> tb(b.size(), *opt.workspace, opt.stats);
+  const std::span<A> sa = ta.get();
+  const std::span<B> sb = tb.get();
+  encode_once<K>(a.size(), key_at, *opt.workspace, opt.stats, kernel,
+                 [&](std::size_t pos, std::size_t src) {
+                   sa[pos] = std::move(a[src]);
+                   if (!sb.empty()) sb[pos] = std::move(b[src]);
+                 });
+  write_back(sa, a);
+  write_back(sb, b);
+}
+
+// Stably sort `a` (and `b`) by the keys key_at(i): dovetail::sort's
+// encode-once records, sort_by_key and group_by's fingerprint route.
+template <typename A, typename B, typename KeyAt>
+sort_kernel sort_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
+                        const auto_sort_options& opt) {
+  using K = std::remove_cvref_t<decltype(key_at(std::size_t{0}))>;
+  sort_kernel k = sort_kernel::std_sort;
+  reorder_arrays<K>(a, b, key_at, opt, record_sorter<K>(key_at, opt, k));
+  return k;
+}
 
 }  // namespace detail
 
@@ -890,47 +330,38 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
       "unsigned/signed integer, float/double, a pair/tuple of those (any "
       "packed width), a 128-bit integer, std::string/string_view, or "
       "specialize dovetail::key_codec<K> (see core/key_codec.hpp)");
-  if constexpr (!sortable_key<K>) {
-    // Multi-word codec: the segmented-MSD refine driver (wide_sort.hpp).
-    return detail::sort_wide(data, key, opt);
-  } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    detail::note_entry(opt.stats, sort_entry::sort, traits::kind,
-                       traits::encoded_bits);
-    if constexpr (std::is_trivially_copyable_v<Rec> && traits::cheap) {
-      // Fused: kernels, sketch and dispatch all see encoded keys; records
-      // are scattered as-is and never decoded. Identity codecs (unsigned
-      // keys) skip even the encode wrapper.
-      if constexpr (traits::identity) {
-        return detail::sort_unsigned(data, key, opt);
-      } else {
-        // The named wrapper (not a lambda) keeps the purity of the inner
-        // functor visible to the dispatcher: encoded_key_fn over a
-        // pure-key functor is itself pure-key (is_pure_key_fn_v), which is
-        // what lets plain signed/float spans use the in-place kernel.
-        return detail::sort_unsigned(
-            data, encoded_key_fn<codec, KeyFn>{key}, opt);
-      }
+  using WT = wide_key_traits<K>;
+  detail::note_entry<K>(opt.stats, sort_entry::sort);
+  constexpr bool fused = std::is_trivially_copyable_v<Rec> && WT::cheap;
+  if constexpr (fused && WT::single_word) {
+    // Fused: kernels, sketch and dispatch all see encoded keys; records
+    // are scattered as-is and never decoded. Identity codecs (unsigned
+    // keys) skip even the encode wrapper.
+    using codec = typename codec_traits<K>::codec;
+    if constexpr (codec_traits<K>::identity) {
+      return detail::sort_unsigned(data, key, opt);
     } else {
-      // Encode once, sort (encoded, index) pairs, gather the records —
-      // also the route for non-trivially-copyable records regardless of
-      // key type (the radix kernels cannot scatter them).
-      const std::size_t n = data.size();
-      sort_workspace local_ws;
-      sort_workspace& ws =
-          opt.workspace != nullptr ? *opt.workspace : local_ws;
-      detail::scratch_array<Rec> tmp(n, ws, opt.stats);
-      const std::span<Rec> t = tmp.get();
-      const sort_kernel k = detail::ranked_permutation(
-          n, traits::encoded_bits,
-          [&](std::size_t i) {
-            return static_cast<std::uint64_t>(codec::encode(key(data[i])));
-          },
-          opt, ws,
-          [&](std::size_t pos, std::size_t src) { t[pos] = data[src]; });
-      detail::write_back(t, data);
-      return k;
+      // The named wrapper (not a lambda) keeps the purity of the inner
+      // functor visible to the dispatcher: encoded_key_fn over a
+      // pure-key functor is itself pure-key (is_pure_key_fn_v), which is
+      // what lets plain signed/float spans use the in-place kernel.
+      return detail::sort_unsigned(
+          data, encoded_key_fn<codec, KeyFn>{key}, opt);
+    }
+  } else {
+    const detail::call_scope call(opt);
+    if constexpr (fused) {
+      // Fused wide: wide_refine re-derives each word from the
+      // records (wide_sort.hpp).
+      return detail::refine_fused(data, key, call.opt());
+    } else {
+      // Encode once, sort the (encoded, index) records, gather the
+      // records — also the route for non-trivially-copyable records
+      // regardless of key type (the radix kernels cannot scatter them).
+      return detail::sort_arrays(
+          data, std::span<Rec>{},
+          [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
+          call.opt());
     }
   }
 }
@@ -958,7 +389,7 @@ sort_kernel sort(std::span<K> data, const auto_sort_options& opt = {}) {
 // Returns the kernel that sorted the pairs. Stable: equal keys keep their
 // input order in both arrays. Workspace/stats contract as dovetail::sort;
 // trivially copyable K/V lease all scratch (warm calls allocate nothing),
-// other types must be default-constructible + copy-assignable and use
+// other types must be default-constructible + move-assignable and use
 // per-call vectors.
 //
 // Throws std::invalid_argument when the spans' sizes differ.
@@ -971,35 +402,11 @@ sort_kernel sort_by_key(std::span<K> keys, std::span<V> values,
   if (keys.size() != values.size())
     throw std::invalid_argument(
         "dovetail::sort_by_key: keys and values differ in size");
-  if constexpr (!sortable_key<K>) {
-    return detail::sort_by_key_wide(keys, values, opt);
-  } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    const std::size_t n = keys.size();
-    detail::note_entry(opt.stats, sort_entry::sort_by_key, traits::kind,
-                       traits::encoded_bits);
-    sort_workspace local_ws;
-    sort_workspace& ws =
-        opt.workspace != nullptr ? *opt.workspace : local_ws;
-    detail::scratch_array<K> tk(n, ws, opt.stats);
-    detail::scratch_array<V> tv(n, ws, opt.stats);
-    const std::span<K> sk = tk.get();
-    const std::span<V> sv = tv.get();
-    const sort_kernel k = detail::ranked_permutation(
-        n, traits::encoded_bits,
-        [&](std::size_t i) {
-          return static_cast<std::uint64_t>(codec::encode(keys[i]));
-        },
-        opt, ws,
-        [&](std::size_t pos, std::size_t src) {
-          sk[pos] = keys[src];
-          sv[pos] = values[src];
-        });
-    detail::write_back(sk, keys);
-    detail::write_back(sv, values);
-    return k;
-  }
+  detail::note_entry<K>(opt.stats, sort_entry::sort_by_key);
+  const detail::call_scope call(opt);
+  return detail::sort_arrays(
+      keys, values, [&](std::size_t i) -> const K& { return keys[i]; },
+      call.opt());
 }
 
 // Stable argsort: the permutation p with data[p[0]], data[p[1]], ... in
@@ -1019,26 +426,18 @@ std::vector<index_t> rank(std::span<Rec> data, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::rank: the key type has no key_codec "
                 "(see core/key_codec.hpp)");
-  if constexpr (!sortable_key<K>) {
-    return detail::rank_wide(data, key, opt);
-  } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    const std::size_t n = data.size();
-    detail::note_entry(opt.stats, sort_entry::rank, traits::kind,
-                       traits::encoded_bits);
-    sort_workspace local_ws;
-    sort_workspace& ws =
-        opt.workspace != nullptr ? *opt.workspace : local_ws;
-    std::vector<index_t> out(n);
-    detail::ranked_permutation(
-        n, traits::encoded_bits,
-        [&](std::size_t i) {
-          return static_cast<std::uint64_t>(codec::encode(key(data[i])));
-        },
-        opt, ws, [&](std::size_t pos, std::size_t src) { out[pos] = src; });
-    return out;
-  }
+  detail::note_entry<K>(opt.stats, sort_entry::rank);
+  const detail::call_scope call(opt);
+  std::vector<index_t> out(data.size());
+  const auto key_at = [&](std::size_t i) -> decltype(auto) {
+    return key(data[i]);
+  };
+  sort_kernel k = sort_kernel::std_sort;
+  detail::encode_once<K>(
+      data.size(), key_at, call.ws(), opt.stats,
+      detail::record_sorter<K>(key_at, call.opt(), k),
+      [&](std::size_t pos, std::size_t src) { out[pos] = src; });
+  return out;
 }
 
 // rank over a span of plain keys, wide keys included.
@@ -1051,8 +450,3 @@ std::vector<index_t> rank(std::span<K> data,
 }
 
 }  // namespace dovetail
-
-// The wide-key half of the front door (the segmented-MSD refine driver
-// plus the detail::*_wide helpers forward-declared above). Included last
-// so either header pulls in the other; see wide_sort.hpp.
-#include "dovetail/core/wide_sort.hpp"  // NOLINT(misc-header-include-cycle)

@@ -42,6 +42,7 @@
 #include "dovetail/core/auto_sort.hpp"
 #include "dovetail/core/order_stats.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
+#include "dovetail/parallel/primitives.hpp"
 #include "dovetail/parallel/random.hpp"
 
 namespace dovetail {
@@ -84,66 +85,41 @@ struct grouped_view {
 
 namespace detail {
 
-// Boundaries of maximal runs of equal keys: positions i with
-// keys[i-1] != keys[i], bracketed by 0 and n. The block-parallel shape of
-// run_boundaries (auto_sort.hpp), with == instead of the codec order —
-// grouping only needs adjacency, never a second key decode.
+// Group boundary offsets of grouped keys: positions i with
+// keys[i-1] != keys[i], bracketed by 0 and n ({0} when empty) —
+// adjacency only, never a second key decode.
 template <typename K>
-std::vector<std::size_t> group_boundaries(std::span<const K> keys) {
-  const std::size_t n = keys.size();
-  if (n == 0) return {0};
-  std::vector<std::size_t> bounds{0};
-  if (n >= 2) {
-    const std::size_t nblocks =
-        n <= 8192 ? 1
-                  : std::min<std::size_t>(
-                        8 * static_cast<std::size_t>(par::num_workers()),
-                        (n + 8191) / 8192);
-    const std::size_t bsize = (n + nblocks - 1) / nblocks;
-    std::vector<std::vector<std::size_t>> local(nblocks);
-    par::parallel_for(
-        0, nblocks,
-        [&](std::size_t b) {
-          const std::size_t lo = std::max<std::size_t>(1, b * bsize);
-          const std::size_t hi = std::min(n, (b + 1) * bsize);
-          for (std::size_t i = lo; i < hi; ++i)
-            if (!(keys[i - 1] == keys[i])) local[b].push_back(i);
-        },
-        1);
-    for (const auto& v : local)
-      bounds.insert(bounds.end(), v.begin(), v.end());
-  }
-  bounds.push_back(n);
-  return bounds;
+std::vector<std::size_t> group_offsets(std::span<const K> keys) {
+  if (keys.empty()) return {0};
+  return par::run_bounds(keys.size(), [&](std::size_t i) {
+    return !(keys[i - 1] == keys[i]);
+  });
 }
 
-// The fingerprint (semisort) permutation for integral keys: stable sort
-// of (hash64(key), index) pairs, one gather per array. hash64 is a
-// bijective 64-bit mixer, so distinct keys never collide and equal keys
-// always do — grouping is exact, and the heavy-key sampling inside the
-// engine gives big groups their own buckets.
+// The fingerprint (semisort) route for integral keys under
+// group_order::fingerprint: a stable sort of hash64(key) through the
+// encode-once route, applied to `keys` and (unless empty) `values`.
+// hash64 is a bijective 64-bit mixer, so distinct keys never collide and
+// equal keys always do — grouping is exact, and the heavy-key sampling
+// inside the engine gives big groups their own buckets. Returns false
+// when the sorted route applies instead (non-integral keys have no
+// bijective fingerprint).
 template <typename K, typename V>
-void group_by_fingerprint(std::span<K> keys, std::span<V> values,
-                          const auto_sort_options& opt) {
-  const std::size_t n = keys.size();
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  scratch_array<K> tk(n, ws, opt.stats);
-  scratch_array<V> tv(n, ws, opt.stats);
-  const std::span<K> sk = tk.get();
-  const std::span<V> sv = tv.get();
-  ranked_permutation(
-      n, 64,
-      [&](std::size_t i) {
-        return par::hash64(static_cast<std::uint64_t>(keys[i]));
-      },
-      opt, ws,
-      [&](std::size_t pos, std::size_t src) {
-        sk[pos] = keys[src];
-        sv[pos] = values[src];
-      });
-  write_back(sk, keys);
-  write_back(sv, values);
+bool group_by_fingerprint(std::span<K> keys, std::span<V> values,
+                          const auto_sort_options& opt, group_order order) {
+  if constexpr (std::integral<std::remove_cvref_t<K>>) {
+    if (order == group_order::fingerprint) {
+      const call_scope call(opt);
+      sort_arrays(
+          keys, values,
+          [&](std::size_t i) {
+            return par::hash64(static_cast<std::uint64_t>(keys[i]));
+          },
+          call.opt());
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace detail
@@ -163,21 +139,12 @@ grouped_view<K, V> group_by(std::span<K> keys, std::span<V> values,
   if (keys.size() != values.size())
     throw std::invalid_argument(
         "dovetail::group_by: keys and values differ in size");
-  detail::note_query(opt.stats, query_kind::group_by,
-                     wide_key_traits<K>::kind,
-                     wide_key_traits<K>::encoded_bits);
-  if constexpr (std::integral<std::remove_cvref_t<K>>) {
-    if (order == group_order::fingerprint)
-      detail::group_by_fingerprint(keys, values, opt);
-    else
-      dovetail::sort_by_key(keys, values, opt);
-  } else {
-    (void)order;  // no bijective fingerprint: sorted is the only route
+  detail::note_query<K>(opt.stats, query_kind::group_by);
+  if (!detail::group_by_fingerprint(keys, values, opt, order))
     dovetail::sort_by_key(keys, values, opt);
-  }
   return grouped_view<K, V>{
       keys, values,
-      detail::group_boundaries(std::span<const K>(keys.data(), keys.size()))};
+      detail::group_offsets(std::span<const K>(keys.data(), keys.size()))};
 }
 
 // Keys-only overload: groups the keys themselves (the view's `values`
@@ -189,36 +156,12 @@ grouped_view<K, K> group_by(std::span<K> keys,
   static_assert(any_sortable_key<K>,
                 "dovetail::group_by: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query(opt.stats, query_kind::group_by,
-                     wide_key_traits<K>::kind,
-                     wide_key_traits<K>::encoded_bits);
-  if constexpr (std::integral<std::remove_cvref_t<K>>) {
-    if (order == group_order::fingerprint) {
-      // Single-array fingerprint permutation (semisort proper).
-      const std::size_t n = keys.size();
-      sort_workspace local_ws;
-      sort_workspace& ws =
-          opt.workspace != nullptr ? *opt.workspace : local_ws;
-      detail::scratch_array<K> tk(n, ws, opt.stats);
-      const std::span<K> sk = tk.get();
-      detail::ranked_permutation(
-          n, 64,
-          [&](std::size_t i) {
-            return par::hash64(static_cast<std::uint64_t>(keys[i]));
-          },
-          opt, ws,
-          [&](std::size_t pos, std::size_t src) { sk[pos] = keys[src]; });
-      detail::write_back(sk, keys);
-    } else {
-      dovetail::sort(keys, opt);
-    }
-  } else {
-    (void)order;
+  detail::note_query<K>(opt.stats, query_kind::group_by);
+  if (!detail::group_by_fingerprint(keys, std::span<K>{}, opt, order))
     dovetail::sort(keys, opt);
-  }
   return grouped_view<K, K>{
       keys, keys,
-      detail::group_boundaries(std::span<const K>(keys.data(), keys.size()))};
+      detail::group_offsets(std::span<const K>(keys.data(), keys.size()))};
 }
 
 }  // namespace dovetail

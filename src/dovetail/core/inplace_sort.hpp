@@ -22,8 +22,8 @@
 //   3. permute     — American-flag cycle-chasing at BLOCK granularity: one
 //                    block in hand, each memcpy moves a whole block to the
 //                    first unfinalized slot of its bucket (cache-line bursts
-//                    instead of the legacy baseline's record-at-a-time
-//                    swaps — the constant-factor win of IPS2Ra/RegionsSort).
+//                    instead of record-at-a-time swaps — the
+//                    constant-factor win of IPS2Ra/RegionsSort).
 //   4. shift       — blocks of bucket z occupy slots [c[z], c[z+1]); their
 //                    final record range starts at start[z] >= c[z]*blk.
 //                    Moving in decreasing z order never clobbers an unmoved
@@ -37,7 +37,7 @@
 //
 // UNSTABLE: equal keys land in arbitrary order. The front door only selects
 // it when that is unobservable (pure-key records) or explicitly permitted
-// (stability::relaxed) — see dispatch_policy in auto_sort.hpp.
+// (stability::relaxed) — see dispatch_policy in dispatch.hpp.
 #pragma once
 
 #include <algorithm>

@@ -800,9 +800,8 @@ struct key_codec<__int128> {
 // NON-exhaustive as a fixed word set (equal prefix words do not pin down
 // the key), so the driver still owes the order beyond the prefix — paid
 // either by the offset continuation above or, for segments at or below
-// the comparison base case (and on the wide_continuation = false
-// ablation), by a stable comparison sort on the true keys. Both routes
-// produce the same full lexicographic order.
+// the comparison base case, by a stable comparison sort on the true keys.
+// Both routes produce the same full lexicographic order.
 template <std::size_t Words>
 struct string_prefix_codec {
   static_assert(Words >= 1);

@@ -40,11 +40,13 @@
 //
 // Codec coverage matches dovetail::sort: unsigned/signed integers,
 // float/double (IEEE total order), composites, 128-bit integers,
-// std::string/string_view — single-word codecs fuse or take the
-// encode-once (encoded key, index) route, wide codecs select word 0
-// first and refine only surviving segments on later words (equal-prefix
-// segments that still tie after the materialized words finish with one
-// true-key comparison sort, the same contract as wide_sort.hpp).
+// std::string/string_view — cheap single-word codecs on trivially
+// copyable records fuse; everything else takes the front door's
+// encode-once route (auto_sort.hpp) with the selector as its kernel, and
+// wide codecs select word 0 first and refine only surviving segments on
+// later words (equal-prefix segments that still tie after the
+// materialized words finish with one true-key comparison sort, the same
+// contract as wide_sort.hpp).
 // Workspace/stats contract as dovetail::sort: all O(n) scratch is leased,
 // warm repeated queries on one workspace allocate nothing.
 #pragma once
@@ -124,15 +126,9 @@ namespace detail {
 
 // Snapshot the query/codec stats fields (last write wins; the pruning
 // counters are cumulative and bumped by the driver itself).
-inline void note_query(sort_stats* st, query_kind q, codec_kind kind,
-                       int encoded_bits) {
-  if (st == nullptr) return;
-  st->query_kind.store(1 + static_cast<std::uint64_t>(q),
-                       std::memory_order_relaxed);
-  st->codec_kind_id.store(1 + static_cast<std::uint64_t>(kind),
-                          std::memory_order_relaxed);
-  st->codec_encoded_bits.store(static_cast<std::uint64_t>(encoded_bits),
-                               std::memory_order_relaxed);
+template <typename K>
+void note_query(sort_stats* st, query_kind q) {
+  note_call<K>(st, &sort_stats::query_kind, 1 + static_cast<std::uint64_t>(q));
 }
 
 inline constexpr std::size_t kSelectRadixBits = 8;
@@ -220,19 +216,12 @@ class rank_selector {
   }
 
   // Comparison finish from word w: the remaining words, then the true-key
-  // tie-break — the same (words, then tie) order wide_sort.hpp proves
-  // equal to the true key order. stable_segment_sort keeps equal keys in
-  // their (stable) arrival order.
+  // tie-break (words_then_tie, wide_sort.hpp). stable_segment_sort keeps
+  // equal keys in their (stable) arrival order.
   void finish(std::size_t lo, std::size_t hi, std::size_t w) {
-    const auto less = [&](const Rec& a, const Rec& b) {
-      for (std::size_t j = w; j < word_count_; ++j) {
-        const std::uint64_t wa = word_of_(a, j);
-        const std::uint64_t wb = word_of_(b, j);
-        if (wa != wb) return wa < wb;
-      }
-      return exhaustive_ ? false : tie_(a, b);
-    };
-    stable_segment_sort(all_.subspan(lo, hi - lo), less);
+    stable_segment_sort(
+        all_.subspan(lo, hi - lo),
+        words_then_tie(word_of_, w, word_count_, exhaustive_, tie_));
     base_case_records_ += hi - lo;
   }
 
@@ -616,110 +605,35 @@ class rank_selector {
 // key. Covered segments re-enter the adaptive dispatcher — the rank
 // window threading through dispatch: a segment wholly inside a window is
 // a full sub-sort, and sort_unsigned picks its kernel from the segment's
-// own sketch.
+// own sketch. `opt` comes from a call_scope.
 template <typename Rec, typename EncFn>
 void select_unsigned(std::span<Rec> data, const EncFn& enc,
                      std::span<const rank_window> windows,
-                     const auto_sort_options& opt, sort_workspace& ws) {
+                     const auto_sort_options& opt) {
   const auto word_of = [&enc](const Rec& r, std::size_t) {
     return static_cast<std::uint64_t>(enc(r));
   };
   const auto tie = [](const Rec&, const Rec&) { return false; };
   const auto covered_sort = [&](std::size_t lo, std::size_t hi) {
-    auto_sort_options inner = opt;
-    inner.workspace = &ws;
     sort_unsigned(std::span<Rec>(data.data() + lo, hi - lo),
-                  [&enc](const Rec& r) { return enc(r); }, inner);
+                  [&enc](const Rec& r) { return enc(r); }, opt);
   };
   rank_selector<Rec, decltype(word_of), decltype(tie),
                 decltype(covered_sort)>
       sel(data, 1, true, word_of, tie, windows,
-          opt.policy.select_base_case, ws, opt.stats, covered_sort);
+          opt.policy.select_base_case, *opt.workspace, opt.stats,
+          covered_sort);
   sel.run();
-}
-
-// Encode-once selection: build (encoded key, index) pairs, select on the
-// pairs, then let the caller gather. The pair records inherit the stable
-// arrival order, so equal encoded keys keep increasing indices without a
-// tie-break — same argument as ranked_permutation.
-template <typename PairRec, typename EncOf, typename Emit>
-void selected_permutation_impl(std::size_t n, const EncOf& enc_of,
-                               std::span<const rank_window> windows,
-                               const auto_sort_options& opt,
-                               sort_workspace& ws, const Emit& emit) {
-  sort_workspace::lease pl = ws.acquire(n * sizeof(PairRec), opt.stats);
-  const std::span<PairRec> pairs = pl.template carve<PairRec>(n);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    pairs[i] = PairRec{static_cast<decltype(PairRec::key)>(enc_of(i)),
-                       static_cast<decltype(PairRec::value)>(i)};
-  });
-  select_unsigned(pairs, [](const PairRec& p) { return p.key; }, windows,
-                  opt, ws);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(pairs[i].value));
-  });
-}
-
-template <typename EncOf, typename Emit>
-void selected_permutation(std::size_t n, int encoded_bits,
-                          const EncOf& enc_of,
-                          std::span<const rank_window> windows,
-                          const auto_sort_options& opt, sort_workspace& ws,
-                          const Emit& emit) {
-  if (encoded_bits <= 32 && n <= 0xFFFFFFFFull)
-    selected_permutation_impl<enc_idx32>(n, enc_of, windows, opt, ws, emit);
-  else
-    selected_permutation_impl<enc_idx64>(n, enc_of, windows, opt, ws, emit);
-}
-
-// Wide selection: materialize (all encoded words, index) records exactly
-// like wide_ranked_permutation, select word by word — word 0 prunes most
-// of the input for small windows; only surviving segments ever touch
-// later words — and emit the permutation.
-template <typename K, typename KeyAt, typename Emit>
-void select_wide(std::size_t n, const KeyAt& key_at,
-                 std::span<const rank_window> windows,
-                 const auto_sort_options& opt, sort_workspace& ws,
-                 const Emit& emit) {
-  using WT = wide_key_traits<std::remove_cvref_t<K>>;
-  constexpr std::size_t W = WT::word_count;
-  struct wrec {
-    std::uint64_t word[W];
-    std::uint64_t idx;
-  };
-  std::span<wrec> recs;
-  sort_workspace::lease rl = ws.acquire_array<wrec>(n, recs, opt.stats);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    auto&& k = key_at(i);
-    for (std::size_t w = 0; w < W; ++w) recs[i].word[w] = WT::word(k, w);
-    recs[i].idx = static_cast<std::uint64_t>(i);
-  });
-  const auto word_of = [](const wrec& p, std::size_t w) {
-    return p.word[w];
-  };
-  const auto tie = [&](const wrec& a, const wrec& b) {
-    if constexpr (WT::exhaustive) {
-      (void)a;
-      (void)b;
-      return false;
-    } else {
-      return key_at(static_cast<std::size_t>(a.idx)) <
-             key_at(static_cast<std::size_t>(b.idx));
-    }
-  };
-  rank_selector<wrec, decltype(word_of), decltype(tie)> sel(
-      recs, W, WT::exhaustive, word_of, tie, windows,
-      opt.policy.select_base_case, ws, opt.stats);
-  sel.run();
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(recs[i].idx));
-  });
 }
 
 // The shared orchestrator behind every public query: rearrange `data` so
 // each requested window holds its slice of the stable sorted order.
 // `windows` must be sorted, disjoint, and clipped to [0, data.size()).
-// Branching mirrors dovetail::sort — fused / encode-once / wide.
+// Routing mirrors dovetail::sort — fused, or the encode-once route with
+// the selector as its kernel: single-word records select like the fused
+// path, W-word records select word by word (word 0 prunes most of the
+// input for small windows; only surviving segments ever touch later
+// words).
 template <typename Rec, typename KeyFn>
 void select_by_rank(std::span<Rec> data, const KeyFn& key,
                     std::span<const rank_window> windows,
@@ -729,6 +643,7 @@ void select_by_rank(std::span<Rec> data, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail order-statistics: the key type has no key_codec "
                 "(see core/key_codec.hpp)");
+  using WT = wide_key_traits<K>;
   const std::size_t n = data.size();
   if (windows.empty() || n <= 1) return;
   if (windows.size() == 1 && windows[0].lo == 0 && windows[0].hi >= n) {
@@ -737,68 +652,46 @@ void select_by_rank(std::span<Rec> data, const KeyFn& key,
     dovetail::sort(data, key, opt);
     return;
   }
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
+  const call_scope call(opt);
   if (opt.stats != nullptr)
     opt.stats->effective_workers.store(
         static_cast<std::uint64_t>(par::effective_workers()),
         std::memory_order_relaxed);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  if constexpr (!sortable_key<K>) {
-    // Wide keys: selection over the materialized word records, then one
-    // gather (moves, like the wide sort's encode-once path).
-    scratch_array<Rec> tmp(n, ws, opt.stats);
-    const std::span<Rec> t = tmp.get();
-    select_wide<K>(
-        n, [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-        windows, inner, ws, [&](std::size_t pos, std::size_t src) {
-          t[pos] = std::move(data[src]);
-        });
-    write_back(t, data);
+  if constexpr (std::is_trivially_copyable_v<Rec> && WT::cheap &&
+                WT::single_word) {
+    // Fused: the selection passes scatter the records as-is, encoding per
+    // key access — no extra pass, no extra memory.
+    select_unsigned(
+        data, [&key](const Rec& r) { return WT::word(key(r), 0); }, windows,
+        call.opt());
   } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    if constexpr (std::is_trivially_copyable_v<Rec> && traits::cheap) {
-      // Fused: the selection passes scatter the records as-is, encoding
-      // per key access — no extra pass, no extra memory.
-      if constexpr (traits::identity) {
-        select_unsigned(
-            data,
-            [&key](const Rec& r) {
-              return static_cast<std::uint64_t>(key(r));
-            },
-            windows, inner, ws);
-      } else {
-        select_unsigned(
-            data,
-            [&key](const Rec& r) {
-              return static_cast<std::uint64_t>(codec::encode(key(r)));
-            },
-            windows, inner, ws);
-      }
-    } else {
-      // Encode once, select the (encoded, index) pairs, gather once.
-      scratch_array<Rec> tmp(n, ws, opt.stats);
-      const std::span<Rec> t = tmp.get();
-      selected_permutation(
-          n, traits::encoded_bits,
-          [&](std::size_t i) {
-            return static_cast<std::uint64_t>(codec::encode(key(data[i])));
-          },
-          windows, inner, ws,
-          [&](std::size_t pos, std::size_t src) { t[pos] = data[src]; });
-      write_back(t, data);
-    }
+    // Encode once, select the records, gather once — the sort's
+    // encode-once route with the selector as its kernel.
+    const auto key_at = [&](std::size_t i) -> decltype(auto) {
+      return key(data[i]);
+    };
+    reorder_arrays<K>(
+        data, std::span<Rec>{}, key_at, call.opt(),
+        [&]<typename R>(std::span<R> recs) {
+          if constexpr (WT::single_word) {
+            select_unsigned(recs, [](const R& r) { return r.key; }, windows,
+                            call.opt());
+          } else {
+            const auto word_of = [](const R& r, std::size_t w) {
+              return r.word[w];
+            };
+            const auto key_of = [&key_at](const R& r) -> decltype(auto) {
+              return key_at(static_cast<std::size_t>(r.idx));
+            };
+            const auto tie = true_key_less<WT>(key_of);
+            rank_selector<R, decltype(word_of), decltype(tie)> sel(
+                recs, WT::word_count, WT::exhaustive, word_of, tie, windows,
+                opt.policy.select_base_case, call.ws(), opt.stats);
+            sel.run();
+          }
+        });
   }
 }
-
-// Codec identity of a key type, uniform across narrow and wide keys.
-template <typename K>
-inline constexpr codec_kind query_codec_kind = wide_key_traits<K>::kind;
-template <typename K>
-inline constexpr int query_codec_bits = wide_key_traits<K>::encoded_bits;
 
 }  // namespace detail
 
@@ -825,8 +718,7 @@ std::span<Rec> top_k(std::span<Rec> data, std::size_t k, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::top_k: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query(opt.stats, query_kind::top_k,
-                     detail::query_codec_kind<K>, detail::query_codec_bits<K>);
+  detail::note_query<K>(opt.stats, query_kind::top_k);
   const std::size_t n = data.size();
   k = std::min(k, n);
   if (k > 0) {
@@ -861,8 +753,7 @@ Rec& nth_element(std::span<Rec> data, std::size_t nth, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::nth_element: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query(opt.stats, query_kind::nth_element,
-                     detail::query_codec_kind<K>, detail::query_codec_bits<K>);
+  detail::note_query<K>(opt.stats, query_kind::nth_element);
   if (nth >= data.size())
     throw std::out_of_range("dovetail::nth_element: nth out of range");
   const rank_window w{nth, nth + 1};
@@ -892,8 +783,7 @@ void partial_sort(std::span<Rec> data, std::size_t m, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::partial_sort: the key type has no key_codec "
                 "(see core/key_codec.hpp)");
-  detail::note_query(opt.stats, query_kind::partial_sort,
-                     detail::query_codec_kind<K>, detail::query_codec_bits<K>);
+  detail::note_query<K>(opt.stats, query_kind::partial_sort);
   m = std::min(m, data.size());
   if (m == 0) return;
   const rank_window w{0, m};
@@ -925,8 +815,7 @@ template <typename K>
 std::vector<K> percentiles(std::span<const K> data,
                            std::span<const double> qs,
                            const auto_sort_options& opt = {}) {
-  detail::note_query(opt.stats, query_kind::percentiles,
-                     detail::query_codec_kind<K>, detail::query_codec_bits<K>);
+  detail::note_query<K>(opt.stats, query_kind::percentiles);
   if (qs.empty()) return {};
   if (data.empty())
     throw std::invalid_argument("dovetail::percentiles: empty input");
@@ -954,16 +843,12 @@ std::vector<K> percentiles(std::span<const K> data,
     else
       windows.push_back({r, r + 1});
   }
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  detail::scratch_array<K> tmp(n, ws, opt.stats);
+  const detail::call_scope call(opt);
+  detail::scratch_array<K> tmp(n, call.ws(), opt.stats);
   const std::span<K> t = tmp.get();
   par::parallel_for(0, n, [&](std::size_t i) { t[i] = data[i]; });
   detail::select_by_rank(t, [](const K& v) -> const K& { return v; },
-                         std::span<const rank_window>(windows), inner);
+                         std::span<const rank_window>(windows), call.opt());
   std::vector<K> out;
   out.reserve(qs.size());
   for (const std::size_t r : ranks) out.push_back(t[r]);

@@ -34,7 +34,7 @@ enum class scatter_strategy : std::uint8_t {
 };
 
 // The stability contract a caller demands from the adaptive front door
-// (dispatch_policy::stability_mode in auto_sort.hpp):
+// (dispatch_policy::stability_mode in dispatch.hpp):
 //   strict  — every auto-chosen kernel preserves input order of equal keys
 //             (the default; all five classic kernels qualify).
 //   relaxed — the caller certifies it cannot observe the order of equal

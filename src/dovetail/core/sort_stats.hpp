@@ -58,8 +58,7 @@ struct sort_stats {
   std::atomic<std::uint64_t> scatter_buffered_calls{0};
   std::atomic<std::uint64_t> scatter_unstable_calls{0};
   // In-place permutation passes executed (one per MSD node that ran the
-  // block-permutation or flag kernel — inplace_sort.hpp and the
-  // inplace-legacy baseline both bump it). Cumulative.
+  // block-permutation or flag kernel of inplace_sort.hpp). Cumulative.
   std::atomic<std::uint64_t> inplace_passes{0};
   // High-water mark of workspace bytes simultaneously checked out (leased
   // slabs + the record-buffer arena), sampled at every lease point and
@@ -75,7 +74,7 @@ struct sort_stats {
   // snapshots: each dovetail::sort() call overwrites them, so after a run
   // they describe the most recent dispatch through this stats object.
   // `chosen_kernel` holds 1 + static_cast<int>(sort_kernel) (0 = no
-  // dispatch recorded yet); decode with chosen_kernel_of() in auto_sort.hpp.
+  // dispatch recorded yet); decode with chosen_kernel_of() in dispatch.hpp.
   std::atomic<std::uint64_t> chosen_kernel{0};
   // Sketch summary behind the decision (permille = 0..1000 of the sampled
   // keys / probed pairs; see input_sketch.hpp for the exact definitions).
@@ -110,9 +109,9 @@ struct sort_stats {
   // the deepest key byte any round inspected (offset + stride of the last
   // window). wide_tiebreak_fallbacks counts ABOVE-base-case segments a
   // non-exhaustive codec finished with the true-key comparison sort —
-  // always 0 when the continuation runs (its acceptance property); > 0 on
-  // the dispatch_policy::wide_continuation = false ablation whenever an
-  // equal-prefix segment outgrew wide_segment_base_case.
+  // always 0 when the continuation runs (its acceptance property); > 0
+  // for a codec without the offset form whenever an equal-prefix segment
+  // outgrew wide_segment_base_case.
   std::atomic<std::uint64_t> wide_continuation_rounds{0};
   std::atomic<std::uint64_t> wide_continuation_segments{0};
   std::atomic<std::uint64_t> wide_max_byte_offset{0};

@@ -9,16 +9,17 @@
 // already embodies the per-word half of it — distribute on high digits,
 // recurse within equal groups. This driver stacks that idea one level up:
 //
-//   1. Sort the whole array by word 0 through the EXISTING front door
-//      (detail::sort_unsigned): the input sketch, the dispatch policy and
-//      every kernel apply unchanged, per word.
+//   1. Sort the whole array by word 0 through the EXISTING dispatcher
+//      (detail::sort_unsigned, dispatch.hpp): the input sketch, the
+//      dispatch policy and every kernel apply unchanged, per word.
 //   2. Split into maximal equal-word segments. Only segments with >= 2
 //      records survive; a word-0 pass that separates every key (the common
 //      case for hashed high words) ends the sort right here.
 //   3. Refine each segment on the next word — large segments go back
-//      through the front door one at a time (each call is internally
-//      parallel, and serialising them honours the one-in-flight-sort-per-
-//      workspace contract of record_buffer); segments at or below
+//      through the dispatcher, concurrently when a round has several of
+//      them and several workers (each in-flight sort on its own
+//      workspace_pool arena: one in-flight sort per workspace), else one
+//      at a time through the caller's workspace; segments at or below
 //      dispatch_policy::wide_segment_base_case finish with ONE stable
 //      comparison sort over all remaining words, in parallel across
 //      segments. Repeat per word.
@@ -32,15 +33,12 @@
 //      round), a window where the keys end while equal drops the segment
 //      — and only windows where keys differ re-encode and re-enter the
 //      same refinement, round after round, until every segment
-//      separates, ends, or shrinks to the comparison base case. No comparison sort ever runs
-//      on an above-base-case segment (sort_stats::wide_tiebreak_fallbacks
-//      stays 0). Without the offset form — or under the
-//      dispatch_policy::wide_continuation = false ablation — residual
-//      segments get one stable comparison sort on the TRUE keys each (the
-//      PR-5 tie-break). Both routes yield full lexicographic order, so
-//      dovetail::sort on strings is byte-identical either way; the
-//      continuation just replaces per-key long-prefix comparisons with
-//      distribution passes (the wide-str-lcp bench family measures it).
+//      separates, ends, or shrinks to the comparison base case. No
+//      comparison sort ever runs on an above-base-case segment
+//      (sort_stats::wide_tiebreak_fallbacks stays 0). A non-exhaustive
+//      codec WITHOUT the offset form (a user key_codec) gets one stable
+//      comparison sort on the TRUE keys per residual segment (the
+//      tie-break). Both routes yield full lexicographic order.
 //
 // Stability: every pass is stable and confined to one segment, so the
 // whole sort is stable. Scratch: the segment tables and the encode-once
@@ -51,13 +49,11 @@
 // wide_segments / wide_continuation_* / wide_tiebreak_fallbacks
 // snapshots.
 //
-// This header is included from the bottom of auto_sort.hpp (which forward-
-// declares the entry helpers defined here); including either header gives
-// you both, and dovetail::sort / sort_by_key / rank accept wide keys
-// transparently.
+// Layering: this header sits on the single-word dispatcher (dispatch.hpp)
+// and is included by the typed front door (auto_sort.hpp), which routes
+// every wide key type here — dovetail::sort / sort_by_key / rank accept
+// wide keys transparently.
 #pragma once
-
-#include "dovetail/core/auto_sort.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -71,10 +67,12 @@
 #include <utility>
 #include <vector>
 
+#include "dovetail/core/dispatch.hpp"
 #include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
+#include "dovetail/parallel/primitives.hpp"
 #include "dovetail/util/simd.hpp"
 
 namespace dovetail {
@@ -124,61 +122,63 @@ void stable_segment_sort(std::span<Rec> a, const Less& less) {
 // Append the maximal runs of equal word `w` within [lo, hi) — already
 // sorted by that word — that have >= 2 records to out[nout...]; returns
 // the new count. Cut positions land in the workspace-leased `cut_scratch`
-// (capacity >= hi - lo) via a chunked count-then-emit scan, so the hot
+// (capacity >= hi - lo) through par::run_starts, so the hot
 // zero-refinement case (word 0 separates nearly every key) costs no heap
-// traffic proportional to n; the only per-call allocation is one
-// O(workers) block-count vector.
+// traffic proportional to n.
 template <typename Rec, typename WordOf>
 std::size_t append_word_runs(std::span<const Rec> a, std::size_t lo,
                              std::size_t hi, std::size_t w,
                              const WordOf& word_of,
                              std::span<std::size_t> cut_scratch,
                              std::span<wide_seg> out, std::size_t nout) {
-  const std::size_t n = hi - lo;
-  std::size_t ncuts = 0;
-  if (n >= 2) {
-    const std::size_t nblocks =
-        n <= 8192 ? 1
-                  : std::min<std::size_t>(
-                        8 * static_cast<std::size_t>(par::num_workers()),
-                        (n + 8191) / 8192);
-    const std::size_t bsize = (n + nblocks - 1) / nblocks;
-    const auto block_range = [&](std::size_t b) {
-      return wide_seg{lo + std::max<std::size_t>(1, b * bsize),
-                      lo + std::min(n, (b + 1) * bsize)};
-    };
-    std::vector<std::size_t> counts(nblocks + 1, 0);
-    par::parallel_for(
-        0, nblocks,
-        [&](std::size_t b) {
-          const auto [plo, phi] = block_range(b);
-          std::size_t c = 0;
-          for (std::size_t p = plo; p < phi; ++p)
-            if (word_of(a[p - 1], w) != word_of(a[p], w)) ++c;
-          counts[b + 1] = c;
-        },
-        1);
-    for (std::size_t b = 0; b < nblocks; ++b) counts[b + 1] += counts[b];
-    par::parallel_for(
-        0, nblocks,
-        [&](std::size_t b) {
-          const auto [plo, phi] = block_range(b);
-          std::size_t at = counts[b];
-          for (std::size_t p = plo; p < phi; ++p)
-            if (word_of(a[p - 1], w) != word_of(a[p], w))
-              cut_scratch[at++] = p;
-        },
-        1);
-    ncuts = counts[nblocks];
-  }
+  const std::span<const std::size_t> cuts = par::run_starts(
+      lo, hi,
+      [&](std::size_t p) { return word_of(a[p - 1], w) != word_of(a[p], w); },
+      [&](std::size_t) { return cut_scratch; });
   std::size_t prev = lo;
   const auto flush = [&](std::size_t end) {
     if (end - prev >= 2) out[nout++] = {prev, end};
     prev = end;
   };
-  for (std::size_t i = 0; i < ncuts; ++i) flush(cut_scratch[i]);
+  for (const std::size_t c : cuts) flush(c);
   flush(hi);
   return nout;
+}
+
+// The comparison finish from word `from`: the remaining words, then — for
+// a non-exhaustive codec — the true-key tie. The coarsening contract
+// (key_codec.hpp) makes this order equal to the true key order. Words go
+// first even for prefix codecs: a word read is a cached array access on
+// the encode-once path, while `tie` may chase a pointer into
+// variable-length key storage. Shared by wide_refine's small
+// segments and rank_selector's base case (order_stats.hpp).
+template <typename WordOf, typename TieLess>
+auto words_then_tie(const WordOf& word_of, std::size_t from,
+                    std::size_t word_count, bool exhaustive,
+                    const TieLess& tie) {
+  return [&word_of, &tie, from, word_count, exhaustive](const auto& a,
+                                                        const auto& b) {
+    for (std::size_t j = from; j < word_count; ++j) {
+      const std::uint64_t wa = word_of(a, j);
+      const std::uint64_t wb = word_of(b, j);
+      if (wa != wb) return wa < wb;
+    }
+    return exhaustive ? false : tie(a, b);
+  };
+}
+
+// The true-key order of records whose key is key_of(record) — consulted
+// only by non-exhaustive codecs (an exhaustive codec's equal words already
+// imply equal keys, so the tie never orders anything).
+template <typename WT, typename KeyOf>
+auto true_key_less(const KeyOf& key_of) {
+  return [&key_of]([[maybe_unused]] const auto& a,
+                   [[maybe_unused]] const auto& b) {
+    if constexpr (WT::exhaustive)
+      return false;
+    else
+      return key_of(a) < key_of(b);
+  };
 }
 
 // Continuation probe: what a still-tied segment's keys look like past a
@@ -213,8 +213,8 @@ inline constexpr std::size_t cont_probe_done = static_cast<std::size_t>(-1);
 // round: the probe skips tied words wholesale, so a round only ever
 // sorts a word known to differ). `prefix_bytes` is where the
 // materialized prefix ends, i.e. the first continuation offset. The
-// no_continuation tag keeps exhaustive codecs and the tie-break ablation
-// on the pre-continuation path with zero overhead.
+// no_continuation tag keeps exhaustive codecs and the codecs without the
+// offset form on the pre-continuation path with zero overhead.
 struct no_continuation {};
 
 template <typename Reencode, typename Probe, typename TieFrom>
@@ -351,20 +351,19 @@ std::size_t probe_tied_windows(std::size_t count, std::size_t off,
 // so within an equal-prefix segment tie_less alone is a refinement of
 // every remaining word.
 //
-// `pool` enables concurrent large-segment refinement: when non-null and
-// more than one worker is available, the large segments of a round are
-// sorted in parallel, each in-flight sort on a workspace checked out of
-// the pool (warm after the first round: zero pool-level allocation).
-// nullptr serializes them through the caller's workspace — the pre-pool
-// behaviour, kept for ablation and for 1-worker runs where pool arenas
-// would only duplicate the caller's warm arena.
+// `pool` serves concurrent large-segment refinement: when a round has
+// more than one large segment and more than one worker is available, they
+// are sorted in parallel, each in-flight sort on a workspace checked out
+// of the pool (warm after the first round: zero pool-level allocation).
+// With one worker or one large segment they run serially through the
+// caller's workspace — pool arenas would only duplicate its warm arena.
 template <typename Rec, typename WordOf, typename SortSeg, typename TieLess,
           typename Cont = no_continuation>
 void wide_refine(std::span<Rec> data, std::size_t word_count,
                  bool exhaustive, std::size_t base_case,
                  const WordOf& word_of, const SortSeg& sort_seg,
                  const TieLess& tie_less, sort_workspace& ws,
-                 workspace_pool* pool, sort_stats* stats,
+                 workspace_pool& pool, sort_stats* stats,
                  const Cont& cont = {}) {
   constexpr bool kContinuation =
       !std::is_same_v<std::remove_cvref_t<Cont>, no_continuation>;
@@ -427,7 +426,7 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
   // does not depend on the pool.
   const auto sort_split_large = [&](std::size_t w) {
     std::size_t nnext = 0;
-    if (pool != nullptr && large.size() > 1 && par::effective_workers() > 1) {
+    if (large.size() > 1 && par::effective_workers() > 1) {
       // Concurrent in-flight sorts, one pool workspace each (the caller's
       // `ws` cannot serve them all: one in-flight sort per workspace).
       // Each segment sort still parallelises internally — work stealing
@@ -437,7 +436,7 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
           0, large.size(),
           [&](std::size_t j) {
             const auto [lo, hi] = cur[large[j]];
-            workspace_pool::handle h = pool->checkout();
+            workspace_pool::handle h = pool.checkout();
             sort_seg(data.subspan(lo, hi - lo), w, *h);
           },
           1);
@@ -464,25 +463,15 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
 
   // One refinement round of the current table at word w. Small segments:
   // one stable comparison sort finishes ALL remaining words (and the
-  // true-key tie-break when the codec is a prefix), in parallel across
-  // segments; they never re-enter the refinement. Words are compared
-  // first even for prefix codecs — word reads are a cached array access
-  // on the encode-once path, while tie_less may chase a pointer into
-  // variable-length key storage; the coarsening contract makes (words,
-  // then tie) equal to the true key order. Large segments (at most
-  // n / base_case, so the index list stays small even when the segment
-  // table is huge) go back through the front door.
+  // true-key tie-break when the codec is a prefix; see words_then_tie), in
+  // parallel across segments; they never re-enter the refinement. Large
+  // segments (at most n / base_case, so the index list stays small even
+  // when the segment table is huge) go back through the front door.
   const auto refine_round = [&](std::size_t w) {
     ++rounds;
     segments += ncur;
-    const auto finish_less = [&](const Rec& a, const Rec& b) {
-      for (std::size_t j = w; j < word_count; ++j) {
-        const std::uint64_t wa = word_of(a, j);
-        const std::uint64_t wb = word_of(b, j);
-        if (wa != wb) return wa < wb;
-      }
-      return exhaustive ? false : tie_less(a, b);
-    };
+    const auto finish_less =
+        words_then_tie(word_of, w, word_count, exhaustive, tie_less);
     par::parallel_for(
         0, ncur,
         [&](std::size_t i) {
@@ -600,14 +589,12 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
       offset += cont.stride * ((m == 0 && ndef > 0) ? min_skip : 1);
     }
   } else if (ncur > 0 && !exhaustive) {
-    // The comparison tie-break: segments here share their whole prefix,
-    // so each is one sequential comparison sort — parallel across
-    // segments only. For offset-capable codecs this is now the
-    // dispatch_policy::wide_continuation = false ablation; for other
-    // non-exhaustive codecs it is still the only route. Above-base-case
-    // segments finished here are the degenerate case the continuation
-    // exists to remove — counted so tests and benchmarks can assert the
-    // continuation path reports zero.
+    // The comparison tie-break — the route for non-exhaustive codecs
+    // without the offset form: segments here share their whole prefix, so
+    // each is one sequential comparison sort — parallel across segments
+    // only. Above-base-case segments finished here are the degenerate case
+    // the continuation removes for offset codecs — counted so tests and
+    // benchmarks can tell the two routes apart.
     ++rounds;
     segments += ncur;
     for (std::size_t i = 0; i < ncur; ++i)
@@ -623,9 +610,10 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
   note();
 }
 
-// Run the refine driver with every segment sorted through the adaptive
-// front door (sort_unsigned keyed on word_of), returning the word-0
-// dispatch's kernel — the shared scaffolding of the fused and
+// Run wide_refine on the caller's workspace (opt.workspace, set by
+// the front door's per-call preamble) with every segment sorted through
+// the adaptive dispatcher (sort_unsigned keyed on word_of), returning the
+// word-0 dispatch's kernel — the shared scaffolding of the fused and
 // encode-once paths below.
 template <typename Rec, typename WordOf, typename TieLess,
           typename Cont = no_continuation>
@@ -634,7 +622,6 @@ sort_kernel refine_through_front_door(std::span<Rec> data,
                                       bool exhaustive, const WordOf& word_of,
                                       const TieLess& tie_less,
                                       const auto_sort_options& opt,
-                                      sort_workspace& ws,
                                       const Cont& cont = {}) {
   sort_kernel root = sort_kernel::std_sort;
   bool first = true;
@@ -668,15 +655,12 @@ sort_kernel refine_through_front_door(std::span<Rec> data,
     }
   };
   // Pool for the concurrent large-segment sorts: the caller's, else the
-  // process-wide shared pool; disabled entirely (serial pre-pool path)
-  // when the policy's ablation toggle says so.
-  workspace_pool* pool =
-      opt.policy.parallel_wide_refine
-          ? (opt.pool != nullptr ? opt.pool : &workspace_pool::shared())
-          : nullptr;
+  // process-wide shared pool.
+  workspace_pool& pool =
+      opt.pool != nullptr ? *opt.pool : workspace_pool::shared();
   wide_refine(data, word_count, exhaustive,
               opt.policy.wide_segment_base_case, word_of, sort_seg,
-              tie_less, ws, pool, opt.stats, cont);
+              tie_less, *opt.workspace, pool, opt.stats, cont);
   if (opt.stats != nullptr && !first)
     for (std::size_t f = 0; f < kNumSnap; ++f)
       (opt.stats->*snap_fields[f]).store(snap[f],
@@ -684,143 +668,117 @@ sort_kernel refine_through_front_door(std::span<Rec> data,
   return root;
 }
 
-// ---------------------------------------------------------------------------
-// Entry helpers wired from the public front door (auto_sort.hpp forward-
-// declares these and branches to them for wide key types).
-
-// Stable sorted permutation of [0, n) under the wide keys key_at(i).
-// One workspace-leased array of (ALL encoded words, index) records: every
-// word is materialised up front with one sequential read of each key, so
-// the refine rounds and the word half of every comparison run over a
-// cache-resident array — the true key is touched again only by a prefix
-// codec's tie-break and by the caller's final gather. emit(pos, src)
-// receives the permutation. The shared machinery behind the wide
-// sort_by_key / rank / non-trivially-copyable sort paths.
-template <typename K, typename KeyAt, typename Emit>
-sort_kernel wide_ranked_permutation(std::size_t n, const KeyAt& key_at,
-                                    const auto_sort_options& opt,
-                                    sort_workspace& ws, const Emit& emit) {
-  using WT = wide_key_traits<std::remove_cvref_t<K>>;
-  constexpr std::size_t W = WT::word_count;
-  struct wrec {
-    std::uint64_t word[W];
-    std::uint64_t idx;
-  };
-  std::span<wrec> recs;
-  sort_workspace::lease rl = ws.acquire_array<wrec>(n, recs, opt.stats);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    auto&& k = key_at(i);
-    for (std::size_t w = 0; w < W; ++w) recs[i].word[w] = WT::word(k, w);
-    recs[i].idx = static_cast<std::uint64_t>(i);
-  });
-  const auto word_of = [](const wrec& p, std::size_t w) {
-    return p.word[w];
-  };
-  const auto tie = [&](const wrec& a, const wrec& b) {
-    if constexpr (WT::exhaustive) {
-      (void)a;
-      (void)b;
-      return false;
+// Continuation hooks over records whose true key is key_of(record): the
+// probe walks each key's suffix straight from the true keys (no store) —
+// at memcmp speed when the key reads as raw bytes, via the codec words
+// otherwise — and tie_from compares the suffixes past the verified-tied
+// bytes. `reencode` is the one hook that depends on the record shape (see
+// the two callers below).
+template <typename WT, typename Rec, typename KeyOf, typename Reencode>
+auto continuation_for(const KeyOf& key_of, const Reencode& reencode) {
+  constexpr bool kByteKeys = std::is_convertible_v<
+      std::invoke_result_t<const KeyOf&, const Rec&>, std::string_view>;
+  const auto probe = [&key_of](std::span<const Rec> seg,
+                               std::size_t off) -> std::size_t {
+    if constexpr (kByteKeys) {
+      return probe_tied_bytes(
+          seg.size(), off, WT::continuation_stride,
+          [&](std::size_t i) { return std::string_view(key_of(seg[i])); });
     } else {
-      return key_at(a.idx) < key_at(b.idx);
+      return probe_tied_windows<WT::continuation_words>(
+          seg.size(), off, WT::continuation_stride,
+          [&](std::size_t i) -> decltype(auto) { return key_of(seg[i]); },
+          [](const auto& k, std::size_t w, std::size_t o) {
+            return WT::word_at(k, w, o);
+          },
+          [](std::uint64_t wd) { return WT::word_continues(wd); });
     }
   };
-  sort_kernel root = sort_kernel::std_sort;
-  bool routed = false;
-  if constexpr (WT::offset_encodable) {
-    if (opt.policy.wide_continuation) {
-      // Continuation hooks, encode-once shape: the probe walks each
-      // key's suffix straight from the true keys (no store) — at memcmp
-      // speed when the key reads as raw bytes, via the codec words
-      // otherwise; reencode refreshes the materialized words from the
-      // true keys at the chosen offset (one parallel pass per segment;
-      // every later word read is back to a cache-resident array hit).
-      constexpr bool kByteKeys =
-          std::is_convertible_v<decltype(key_at(std::size_t{0})),
-                                std::string_view>;
-      const auto probe = [&](std::span<const wrec> seg,
-                             std::size_t off) -> std::size_t {
-        if constexpr (kByteKeys) {
-          return probe_tied_bytes(
-              seg.size(), off, WT::continuation_stride, [&](std::size_t i) {
-                return std::string_view(
-                    key_at(static_cast<std::size_t>(seg[i].idx)));
-              });
-        } else {
-          return probe_tied_windows<WT::continuation_words>(
-              seg.size(), off, WT::continuation_stride,
-              [&](std::size_t i) -> decltype(auto) {
-                return key_at(static_cast<std::size_t>(seg[i].idx));
-              },
-              [](const auto& k, std::size_t w, std::size_t o) {
-                return WT::word_at(k, w, o);
-              },
-              [](std::uint64_t wd) { return WT::word_continues(wd); });
-        }
-      };
-      const auto reencode = [&](std::span<wrec> seg, std::size_t off) {
-        par::parallel_for(0, seg.size(), [&](std::size_t i) {
-          auto&& k = key_at(static_cast<std::size_t>(seg[i].idx));
-          for (std::size_t w = 0; w < WT::continuation_words; ++w)
-            seg[i].word[w] = WT::word_at(k, w, off);
-        });
-      };
-      const auto tie_from = [&](const wrec& a, const wrec& b,
-                                std::size_t off) {
-        if constexpr (kByteKeys) {
-          // string_view order IS the codec's true order (char_traits
-          // compares unsigned), restricted to the suffixes past the
-          // verified-tied bytes.
-          std::string_view sa(key_at(static_cast<std::size_t>(a.idx)));
-          std::string_view sb(key_at(static_cast<std::size_t>(b.idx)));
-          sa.remove_prefix(std::min(off, sa.size()));
-          sb.remove_prefix(std::min(off, sb.size()));
-          return sa < sb;
-        } else {
-          return suffix_words_less<WT>(
-              key_at(static_cast<std::size_t>(a.idx)),
-              key_at(static_cast<std::size_t>(b.idx)), off);
-        }
-      };
-      // Materialized prefix bytes: the continuation picks up where the
-      // prefix words end (bytes-per-word x word_count).
-      constexpr std::size_t prefix_bytes =
-          WT::continuation_stride / WT::continuation_words * W;
-      root = refine_through_front_door(
-          recs, W, WT::exhaustive, word_of, tie, opt, ws,
-          continuation_hooks{WT::continuation_stride, WT::continuation_words,
-                             prefix_bytes, reencode, probe, tie_from});
-      routed = true;
+  const auto tie_from = [&key_of](const Rec& a, const Rec& b,
+                                  std::size_t off) {
+    if constexpr (kByteKeys) {
+      // string_view order IS the codec's true order (char_traits compares
+      // unsigned), restricted to the suffixes past the verified-tied
+      // bytes.
+      std::string_view sa(key_of(a));
+      std::string_view sb(key_of(b));
+      sa.remove_prefix(std::min(off, sa.size()));
+      sb.remove_prefix(std::min(off, sb.size()));
+      return sa < sb;
+    } else {
+      return suffix_words_less<WT>(key_of(a), key_of(b), off);
     }
-  }
-  if (!routed)
-    root = refine_through_front_door(recs, W, WT::exhaustive, word_of, tie,
-                                     opt, ws);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(recs[i].idx));
-  });
-  return root;
+  };
+  // Materialized prefix bytes: the continuation picks up where the prefix
+  // words end (bytes-per-word x word_count).
+  constexpr std::size_t prefix_bytes =
+      WT::continuation_stride / WT::continuation_words * WT::word_count;
+  return continuation_hooks{WT::continuation_stride, WT::continuation_words,
+                            prefix_bytes, reencode, probe, tie_from};
 }
 
+// ---------------------------------------------------------------------------
+// Entry points for the typed front door (auto_sort.hpp), which has already
+// installed the per-call preamble: `opt.workspace` is the call's workspace.
+
+// The encode-once record of a W-word key: every word materialized up
+// front with one sequential read of each key, so the refine rounds and
+// the word half of every comparison run over a cache-resident array — the
+// true key is touched again only by a prefix codec's tie-break or
+// continuation and by the caller's final gather. Built by
+// detail::encode_once (auto_sort.hpp), next to the single-word enc_idx
+// records.
+template <std::size_t W>
+struct enc_words {
+  std::uint64_t word[W];
+  std::uint64_t idx;
+};
+
+// Refine-sort encode-once records of key type K; key_at(idx) is the true
+// key of the record with source index idx. Returns the word-0 kernel.
+template <typename K, std::size_t W, typename KeyAt>
+sort_kernel refine_encoded(std::span<enc_words<W>> recs, const KeyAt& key_at,
+                           const auto_sort_options& opt) {
+  using WT = wide_key_traits<K>;
+  using R = enc_words<W>;
+  static_assert(WT::word_count == W);
+  const auto word_of = [](const R& r, std::size_t w) { return r.word[w]; };
+  const auto key_of = [&key_at](const R& r) -> decltype(auto) {
+    return key_at(static_cast<std::size_t>(r.idx));
+  };
+  const auto tie = true_key_less<WT>(key_of);
+  if constexpr (WT::offset_encodable) {
+    // Re-encode refreshes the materialized words from the true keys at
+    // the chosen offset (one parallel pass per segment; every later word
+    // read is back to a cache-resident array hit).
+    const auto reencode = [&key_of](std::span<R> seg, std::size_t off) {
+      par::parallel_for(0, seg.size(), [&](std::size_t i) {
+        auto&& k = key_of(seg[i]);
+        for (std::size_t w = 0; w < WT::continuation_words; ++w)
+          seg[i].word[w] = WT::word_at(k, w, off);
+      });
+    };
+    return refine_through_front_door(
+        recs, W, WT::exhaustive, word_of, tie, opt,
+        continuation_for<WT, R>(key_of, reencode));
+  } else {
+    return refine_through_front_door(recs, W, WT::exhaustive, word_of, tie,
+                                     opt);
+  }
+}
+
+// Fused wide sort — trivially copyable records under a cheap codec: the
+// records are scattered as-is and each word pass re-derives its radix key
+// from the record, with no memory beyond the dispatcher's own scratch.
 template <typename Rec, typename KeyFn>
-sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
-                      const auto_sort_options& opt) {
+sort_kernel refine_fused(std::span<Rec> data, const KeyFn& key,
+                         const auto_sort_options& opt) {
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
   using WT = wide_key_traits<K>;
-  note_entry(opt.stats, sort_entry::sort, WT::kind, WT::encoded_bits);
-  // The per-call cap must wrap the refine driver and the gather passes,
-  // not just the per-segment sort_unsigned calls (which install their own
-  // nested cap): the refine rounds run between those calls and would
-  // otherwise see the full pool even under num_threads == 1.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  if constexpr (std::is_trivially_copyable_v<Rec> && WT::cheap &&
-                WT::offset_encodable) {
-    // Fused, offset-capable (std::string_view records): there are no
+  const auto tie = true_key_less<WT>(key);
+  if constexpr (WT::offset_encodable) {
+    // Offset-capable (std::string_view records): there are no
     // materialized words to refresh, so the continuation offset lives in
     // one shared variable read by every word access. The driver writes it
     // (reencode) strictly between parallel phases — the fork of the next
@@ -831,147 +789,19 @@ sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
     const auto word_of = [&key, &cont_off](const Rec& r, std::size_t w) {
       return WT::word_at(key(r), w, cont_off);
     };
-    const auto tie = [&key](const Rec& a, const Rec& b) {
-      return key(a) < key(b);
+    const auto reencode = [&cont_off](std::span<Rec>, std::size_t off) {
+      cont_off = off;
     };
-    if (inner.policy.wide_continuation) {
-      constexpr bool kByteKeys =
-          std::is_convertible_v<std::invoke_result_t<const KeyFn&,
-                                                     const Rec&>,
-                                std::string_view>;
-      const auto probe = [&key](std::span<const Rec> seg,
-                                std::size_t off) -> std::size_t {
-        if constexpr (kByteKeys) {
-          return probe_tied_bytes(
-              seg.size(), off, WT::continuation_stride,
-              [&](std::size_t i) { return std::string_view(key(seg[i])); });
-        } else {
-          return probe_tied_windows<WT::continuation_words>(
-              seg.size(), off, WT::continuation_stride,
-              [&](std::size_t i) { return key(seg[i]); },
-              [](const auto& k, std::size_t w, std::size_t o) {
-                return WT::word_at(k, w, o);
-              },
-              [](std::uint64_t wd) { return WT::word_continues(wd); });
-        }
-      };
-      const auto reencode = [&cont_off](std::span<Rec>, std::size_t off) {
-        cont_off = off;
-      };
-      const auto tie_from = [&key](const Rec& a, const Rec& b,
-                                   std::size_t off) {
-        if constexpr (kByteKeys) {
-          std::string_view sa(key(a));
-          std::string_view sb(key(b));
-          sa.remove_prefix(std::min(off, sa.size()));
-          sb.remove_prefix(std::min(off, sb.size()));
-          return sa < sb;
-        } else {
-          return suffix_words_less<WT>(key(a), key(b), off);
-        }
-      };
-      constexpr std::size_t prefix_bytes = WT::continuation_stride /
-                                           WT::continuation_words *
-                                           WT::word_count;
-      return refine_through_front_door(
-          data, WT::word_count, WT::exhaustive, word_of, tie, inner, ws,
-          continuation_hooks{WT::continuation_stride, WT::continuation_words,
-                             prefix_bytes, reencode, probe, tie_from});
-    }
-    return refine_through_front_door(data, WT::word_count, WT::exhaustive,
-                                     word_of, tie, inner, ws);
-  } else if constexpr (std::is_trivially_copyable_v<Rec> && WT::cheap) {
-    // Fused: records are scattered as-is, each word pass re-derives its
-    // radix key from the record — no extra memory beyond the front door's
-    // own scratch.
+    return refine_through_front_door(
+        data, WT::word_count, WT::exhaustive, word_of, tie, opt,
+        continuation_for<WT, Rec>(key, reencode));
+  } else {
     const auto word_of = [&key](const Rec& r, std::size_t w) {
       return WT::word(key(r), w);
     };
-    const auto tie = [&key](const Rec& a, const Rec& b) {
-      if constexpr (WT::exhaustive) {
-        (void)a;
-        (void)b;
-        return false;
-      } else {
-        return key(a) < key(b);
-      }
-    };
     return refine_through_front_door(data, WT::word_count, WT::exhaustive,
-                                     word_of, tie, inner, ws);
-  } else {
-    // Encode-once shape: sort (encoded words, index) records, then gather
-    // once — the only route for non-trivially-copyable records
-    // (std::string and friends). The gather MOVES each record (emit is a
-    // permutation, so every source is consumed exactly once, and
-    // write_back overwrites every slot afterwards) — a string never pays
-    // a heap copy for being sorted.
-    const std::size_t n = data.size();
-    scratch_array<Rec> tmp(n, ws, opt.stats);
-    const std::span<Rec> t = tmp.get();
-    const sort_kernel k = wide_ranked_permutation<K>(
-        n,
-        [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-        inner, ws, [&](std::size_t pos, std::size_t src) {
-          t[pos] = std::move(data[src]);
-        });
-    write_back(t, data);
-    return k;
+                                     word_of, tie, opt);
   }
-}
-
-template <typename K, typename V>
-sort_kernel sort_by_key_wide(std::span<K> keys, std::span<V> values,
-                             const auto_sort_options& opt) {
-  using traits = wide_key_traits<K>;
-  const std::size_t n = keys.size();
-  note_entry(opt.stats, sort_entry::sort_by_key, traits::kind,
-             traits::encoded_bits);
-  // Same scope rationale as sort_wide: cover refine + gathers, not just
-  // the nested sort_unsigned calls.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  scratch_array<K> tk(n, ws, opt.stats);
-  scratch_array<V> tv(n, ws, opt.stats);
-  const std::span<K> sk = tk.get();
-  const std::span<V> sv = tv.get();
-  // The gather moves (see sort_wide): each source index is consumed once
-  // and both arrays are fully overwritten by the write_back below.
-  const sort_kernel k = wide_ranked_permutation<K>(
-      n, [&](std::size_t i) -> const K& { return keys[i]; }, inner, ws,
-      [&](std::size_t pos, std::size_t src) {
-        sk[pos] = std::move(keys[src]);
-        sv[pos] = std::move(values[src]);
-      });
-  write_back(sk, keys);
-  write_back(sv, values);
-  return k;
-}
-
-template <typename Rec, typename KeyFn>
-std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
-                               const auto_sort_options& opt) {
-  using R = std::remove_const_t<Rec>;
-  using K =
-      std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const R&>>;
-  using traits = wide_key_traits<K>;
-  const std::size_t n = data.size();
-  note_entry(opt.stats, sort_entry::rank, traits::kind,
-             traits::encoded_bits);
-  // Same scope rationale as sort_wide: cover refine + gathers, not just
-  // the nested sort_unsigned calls.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  std::vector<index_t> out(n);
-  wide_ranked_permutation<K>(
-      n, [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-      inner, ws, [&](std::size_t pos, std::size_t src) { out[pos] = src; });
-  return out;
 }
 
 }  // namespace detail

@@ -20,9 +20,11 @@
 #include "dovetail/core/group_by.hpp"
 #include "dovetail/core/order_stats.hpp"
 
-// Layer 4 — adaptive front door + typed keys (wide multi-word keys
-// included; wide_sort.hpp rides in with auto_sort.hpp).
+// Layer 4 — adaptive front door + typed keys (auto_sort.hpp), over the
+// wide-key refinement (wide_sort.hpp) and the single-word dispatcher
+// (dispatch.hpp).
 #include "dovetail/core/auto_sort.hpp"
+#include "dovetail/core/dispatch.hpp"
 #include "dovetail/core/input_sketch.hpp"
 #include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/wide_sort.hpp"
@@ -30,12 +32,12 @@
 // Layer 3 — core algorithms.
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/core/semisort.hpp"
 #include "dovetail/core/unstable_counting_sort.hpp"
 
 // Layer 3 — paper-baseline sorters (Tab 2 roles).
 #include "dovetail/baselines/buffered_lsd_radix_sort.hpp"
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/lsd_radix_sort.hpp"
 #include "dovetail/baselines/msd_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"

@@ -3,6 +3,7 @@
 // builds on; all are deterministic and race-free.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -141,6 +142,72 @@ std::vector<T> filter(std::span<const T> a, const Pred& pred) {
       },
       1);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// run_starts: the positions p in (lo, hi) where `starts_run(p)` holds —
+// element p differs from element p-1 — in increasing order. Count-then-
+// emit over blocks of >= 8192 positions: one pass counts each block's
+// positions, `storage(count)` hands back room for all of them (a leased
+// table, a result vector) and a second pass writes them, so the scan
+// itself allocates only the O(workers) block-count vector. Returns the
+// filled span.
+template <typename StartsRun, typename Storage>
+std::span<std::size_t> run_starts(std::size_t lo, std::size_t hi,
+                                  const StartsRun& starts_run,
+                                  const Storage& storage) {
+  const std::size_t n = hi - lo;
+  const std::size_t nblocks =
+      n <= 8192 ? 1
+                : std::min<std::size_t>(
+                      8 * static_cast<std::size_t>(num_workers()),
+                      (n + 8191) / 8192);
+  const std::size_t bsize = (n + nblocks - 1) / nblocks;
+  const auto block_lo = [&](std::size_t b) {
+    return lo + std::max<std::size_t>(1, b * bsize);
+  };
+  const auto block_hi = [&](std::size_t b) {
+    return lo + std::min(n, (b + 1) * bsize);
+  };
+  std::vector<std::size_t> counts(nblocks + 1, 0);
+  parallel_for(
+      0, nblocks,
+      [&](std::size_t b) {
+        std::size_t c = 0;
+        for (std::size_t p = block_lo(b); p < block_hi(b); ++p)
+          c += starts_run(p) ? 1 : 0;
+        counts[b + 1] = c;
+      },
+      1);
+  for (std::size_t b = 0; b < nblocks; ++b) counts[b + 1] += counts[b];
+  const std::span<std::size_t> out =
+      std::span<std::size_t>(storage(counts[nblocks])).first(counts[nblocks]);
+  if (!out.empty()) {
+    parallel_for(
+        0, nblocks,
+        [&](std::size_t b) {
+          std::size_t at = counts[b];
+          for (std::size_t p = block_lo(b); p < block_hi(b); ++p)
+            if (starts_run(p)) out[at++] = p;
+        },
+        1);
+  }
+  return out;
+}
+
+// {0, every run start in (0, n), n}: the bracketed boundary list of the
+// maximal runs of [0, n) under run_starts' predicate ({0, 0} for n = 0).
+template <typename StartsRun>
+std::vector<std::size_t> run_bounds(std::size_t n,
+                                    const StartsRun& starts_run) {
+  std::vector<std::size_t> bounds;
+  run_starts(0, n, starts_run, [&](std::size_t count) {
+    bounds.resize(count + 2);
+    return std::span<std::size_t>(bounds).subspan(1, count);
+  });
+  bounds.front() = 0;
+  bounds.back() = n;
+  return bounds;
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //
 //   dtsort      — DovetailSort (Ours)
 //   plis        — plain stable MSD radix (ParlayLib integer sort stand-in)
-//   ips2ra      — in-place unstable MSD radix (IPS2Ra / RegionsSort role)
+//   ips2ra      — in-place unstable MSD radix with block permutation
+//                 (IPS2Ra / RegionsSort role; core/inplace_sort.hpp)
 //   lsd         — classic stable LSD radix
 //   rd          — buffered LSD radix (RADULS role; paper runs it 64-bit
 //                 only, we run it everywhere)
@@ -22,11 +23,11 @@
 #include <vector>
 
 #include "dovetail/baselines/buffered_lsd_radix_sort.hpp"
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/lsd_radix_sort.hpp"
 #include "dovetail/baselines/msd_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 
 namespace dovetail {
 
@@ -101,10 +102,10 @@ void run_sorter(algo a, std::span<Rec> data, const KeyFn& key,
       return;
     }
     case algo::ips2ra: {
-      baseline::inplace_radix_options opt;
+      inplace_sort_options opt;
       opt.workspace = ctx.workspace;
       opt.stats = ctx.stats;
-      baseline::inplace_radix_sort(data, key, opt);
+      inplace_sort(data, key, opt);
       return;
     }
     case algo::lsd: {

@@ -7,10 +7,10 @@
 #include <span>
 #include <vector>
 
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/lsd_radix_sort.hpp"
 #include "dovetail/baselines/msd_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/util/record.hpp"
 #include "test_util.hpp"
@@ -137,7 +137,7 @@ TEST(InplaceRadixSort, CorrectOnAllDistributions32) {
   for (const auto& d : kCases)
     check_unstable_sorter<kv32>(
         [](std::span<kv32> s, auto key) {
-          baseline::inplace_radix_sort(s, key);
+          inplace_sort(s, key);
         },
         d, 120000, 48);
 }
@@ -146,7 +146,7 @@ TEST(InplaceRadixSort, CorrectOnAllDistributions64) {
   for (const auto& d : kCases)
     check_unstable_sorter<kv64>(
         [](std::span<kv64> s, auto key) {
-          baseline::inplace_radix_sort(s, key);
+          inplace_sort(s, key);
         },
         d, 80000, 49);
 }
@@ -156,7 +156,7 @@ TEST(InplaceRadixSort, UsesNoExtraBufferForRecords) {
   // (by definition of the API); just verify the permutation property.
   check_unstable_sorter<kv32>(
       [](std::span<kv32> s, auto key) {
-        baseline::inplace_radix_sort(s, key, {.gamma = 4, .base_case = 32});
+        inplace_sort(s, key, {.gamma = 4, .base_case = 32});
       },
       kCases[4], 60000, 50);
 }

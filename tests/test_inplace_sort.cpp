@@ -1,5 +1,5 @@
 // Tests for the in-place block-permutation kernel (core/inplace_sort.hpp)
-// and its dispatcher integration (auto_sort.hpp):
+// and its dispatcher integration (dispatch.hpp):
 //
 //   * correctness across the paper's distribution families, awkward sizes
 //     (network-sort-sized children, tails not a multiple of the staging
@@ -11,9 +11,7 @@
 //     payload-carrying records unless the caller signs stability::relaxed,
 //     and policy::always(inplace) on such records throws without it;
 //   * the SIMD pin: forced-scalar and AVX2 runs produce byte-identical
-//     output;
-//   * the legacy baseline (baselines/inplace_radix_sort.hpp) reports
-//     through the same engine counters.
+//     output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +22,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/core/auto_sort.hpp"
 #include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
@@ -303,31 +300,6 @@ TEST(InplaceSimd, ScalarAndVectorPathsMatch) {
         << "n=" << n;
     EXPECT_TRUE(std::is_sorted(vec.begin(), vec.end()));
   }
-}
-
-// --- legacy baseline -------------------------------------------------------
-
-// The seed-era American-flag baseline stays registered as the
-// `inplace-legacy` ablation and reports through the shared engine stats.
-TEST(InplaceLegacy, BaselineReportsEngineStats) {
-  const auto unif = *dovetail::gen::find_distribution("Unif-1e9");
-  std::vector<std::uint32_t> v =
-      dovetail::gen::generate_keys<std::uint32_t>(unif, 100000, 37);
-  std::vector<std::uint32_t> want = v;
-  std::sort(want.begin(), want.end());
-
-  dovetail::sort_workspace ws;
-  dovetail::sort_stats st;
-  dovetail::baseline::inplace_radix_options opt;
-  opt.workspace = &ws;
-  opt.stats = &st;
-  dovetail::baseline::inplace_radix_sort(std::span<std::uint32_t>(v), opt);
-  EXPECT_EQ(v, want);
-  EXPECT_GT(st.inplace_passes.load(), 0u);
-  EXPECT_GT(st.num_distributions.load(), 0u);
-  EXPECT_GE(st.distributed_records.load(), 100000u);
-  EXPECT_GT(st.base_case_records.load(), 0u);
-  EXPECT_GT(st.peak_workspace(), 0u);
 }
 
 }  // namespace

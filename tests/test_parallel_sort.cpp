@@ -14,22 +14,31 @@
 //     and a second warm round performs zero pool creations (the
 //     zero-steady-state-allocation property);
 //   * determinism — byte-identical outputs across num_threads ∈ {1, 2, 4}
-//     and across parallel_wide_refine on/off, for flat and wide keys;
+//     for flat keys, and between the serial and the pool-backed wide
+//     refine;
+//   * the per-call cap — num_threads = 1 keeps every pass of the
+//     encode-once routes (rank, sort_by_key, group_by(fingerprint), sort of
+//     non-trivially-copyable records, top_k) on the calling thread;
 //   * the dispatch record — sort_stats.chosen_parallelism/effective_workers
 //     mirror the decision: 1 below parallel_crossover_n or under a
-//     num_threads=1 cap, the worker count above it.
+//     num_threads=1 cap, the worker count above it, the per-call cap in
+//     between.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/group_by.hpp"
+#include "dovetail/core/order_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/scheduler.hpp"
@@ -316,30 +325,35 @@ TEST(Determinism, WideRefinePoolAndSerialAgree) {
   worker_count_guard guard;
   par::scheduler::set_num_workers(4);
   // 4 entropy bits in word 0: 16 fat segments, all larger than the shrunken
-  // base case below — every one takes the refine path.
+  // base case below — every one takes the refine path. One worker refines
+  // them one at a time through the caller's workspace; four sort them
+  // concurrently on pool arenas.
   const auto input =
       gen::generate_wide_records<u128>(zipf_dist(), 40'000, 3, 4);
 
   workspace_pool pool(4);
   std::vector<std::vector<tkv<u128>>> outs;
-  for (const bool pooled : {true, false}) {
+  std::vector<std::uint64_t> checkouts;
+  for (const int p : {4, 1}) {
     std::vector<tkv<u128>> work = input;
     sort_workspace ws;
     auto_sort_options opt;
     opt.workspace = &ws;
     opt.pool = &pool;
+    opt.num_threads = p;
     opt.policy.wide_segment_base_case = 512;
-    opt.policy.parallel_wide_refine = pooled;
+    const std::uint64_t before = pool.checkouts();
     dovetail::sort(std::span<tkv<u128>>(work), key_of_tkv<u128>, opt);
+    checkouts.push_back(pool.checkouts() - before);
     outs.push_back(std::move(work));
   }
   EXPECT_EQ(outs[0], outs[1])
       << "pool-backed refine must reproduce the serial refine exactly";
   EXPECT_TRUE(dtt::stable_by_index_value(std::span<const tkv<u128>>(outs[0]),
                                          key_of_tkv<u128>));
-  // With more than one worker the pooled pass must actually have leased
+  // With more than one worker the concurrent pass must actually have leased
   // segment arenas from the explicit pool.
-  EXPECT_GT(pool.checkouts(), 0u);
+  EXPECT_GT(checkouts[0], 0u);
 }
 
 TEST(Determinism, WideNumThreadsOneNeverTouchesThePool) {
@@ -401,12 +415,158 @@ TEST(DispatchRecord, SerialBelowCrossoverParallelAbove) {
   EXPECT_EQ(st.effective_workers.load(), 1u);
 }
 
-TEST(DispatchRecord, PolicyNumThreadsCapsThePlan) {
+TEST(DispatchRecord, PerCallCapBoundsThePlan) {
   worker_count_guard guard;
   par::scheduler::set_num_workers(4);
   dispatch_policy policy;
   EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n), 1);
   EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n + 1), 4);
-  policy.num_threads = 2;
-  EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n + 1), 2);
+  {
+    // The per-call cap is a scoped worker limit, which the plan reads.
+    par::scoped_worker_limit cap(2);
+    EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n + 1), 2);
+  }
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  opt.num_threads = 2;
+  auto input = gen::generate_records<kv64>(
+      unif_dist(), opt.policy.parallel_crossover_n * 4, 24);
+  dovetail::sort(std::span<kv64>(input), key_of_kv64, opt);
+  EXPECT_EQ(st.chosen_parallelism.load(), 2u);
+  EXPECT_EQ(st.effective_workers.load(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The per-call cap covers every pass of the encode-once routes: the key
+// encode and the permutation gather as well as the kernel.
+
+namespace {
+
+// Calls observed on a thread other than the one that started the sort.
+std::thread::id g_caller;
+std::atomic<std::size_t> g_foreign{0};
+
+void note_thread() {
+  if (std::this_thread::get_id() != g_caller)
+    g_foreign.fetch_add(1, std::memory_order_relaxed);
+}
+
+// A payload that is not trivially copyable and notes the thread of every
+// copy and move, so the gather passes are observed too.
+struct thread_probe {
+  std::uint32_t v = 0;
+  thread_probe() = default;
+  explicit thread_probe(std::uint32_t x) : v(x) {}
+  thread_probe(const thread_probe& o) : v(o.v) { note_thread(); }
+  thread_probe(thread_probe&& o) noexcept : v(o.v) { note_thread(); }
+  thread_probe& operator=(const thread_probe& o) {
+    v = o.v;
+    note_thread();
+    return *this;
+  }
+  thread_probe& operator=(thread_probe&& o) noexcept {
+    v = o.v;
+    note_thread();
+    return *this;
+  }
+};
+
+// Runs `call` on a 4-worker pool and returns how many probed accesses ran
+// off the calling thread.
+template <typename Call>
+std::size_t foreign_calls(const Call& call) {
+  g_caller = std::this_thread::get_id();
+  g_foreign.store(0);
+  call();
+  return g_foreign.load();
+}
+
+}  // namespace
+
+TEST(PerCallCap, NumThreadsOneKeepsEncodeOnceRoutesOnTheCaller) {
+  worker_count_guard guard;
+  par::scheduler::set_num_workers(4);
+  constexpr std::size_t kN = std::size_t{1} << 17;
+  const auto input = gen::generate_records<kv64>(zipf_dist(), kN, 31);
+  auto_sort_options opt;
+  opt.num_threads = 1;
+
+  // std::pair records are not trivially copyable under libstdc++: sort and
+  // rank take the encode-once route.
+  std::vector<std::pair<std::int32_t, std::uint32_t>> pairs(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    pairs[i] = {static_cast<std::int32_t>(input[i].key % 100'000) - 50'000,
+                static_cast<std::uint32_t>(i)};
+  const auto pair_key = [](const std::pair<std::int32_t, std::uint32_t>& r) {
+    note_thread();
+    return r.first;
+  };
+  const auto fresh_keys = [&] {
+    std::vector<std::int32_t> k(kN);
+    for (std::size_t i = 0; i < kN; ++i) k[i] = pairs[i].first;
+    return k;
+  };
+  const auto fresh_values = [&] {
+    std::vector<thread_probe> v;
+    v.reserve(kN);
+    for (std::size_t i = 0; i < kN; ++i)
+      v.emplace_back(static_cast<std::uint32_t>(i));
+    return v;
+  };
+
+  EXPECT_EQ(foreign_calls([&] {
+              dovetail::rank(
+                  std::span<const std::pair<std::int32_t, std::uint32_t>>(
+                      pairs),
+                  pair_key, opt);
+            }),
+            0u)
+      << "rank";
+  {
+    auto work = pairs;
+    EXPECT_EQ(foreign_calls([&] {
+                dovetail::sort(
+                    std::span<std::pair<std::int32_t, std::uint32_t>>(work),
+                    pair_key, opt);
+              }),
+              0u)
+        << "sort of non-trivially-copyable records";
+    EXPECT_TRUE(std::is_sorted(work.begin(), work.end()));
+  }
+  {
+    auto work = pairs;
+    EXPECT_EQ(foreign_calls([&] {
+                dovetail::top_k(
+                    std::span<std::pair<std::int32_t, std::uint32_t>>(work),
+                    1000, pair_key, rank_side::smallest, opt);
+              }),
+              0u)
+        << "top_k";
+  }
+  {
+    auto keys = fresh_keys();
+    auto values = fresh_values();
+    EXPECT_EQ(foreign_calls([&] {
+                dovetail::sort_by_key(std::span<std::int32_t>(keys),
+                                      std::span<thread_probe>(values), opt);
+              }),
+              0u)
+        << "sort_by_key";
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  }
+  {
+    auto keys = fresh_keys();
+    auto values = fresh_values();
+    std::size_t groups = 0;
+    EXPECT_EQ(foreign_calls([&] {
+                groups = dovetail::group_by(std::span<std::int32_t>(keys),
+                                            std::span<thread_probe>(values),
+                                            opt, group_order::fingerprint)
+                             .num_groups();
+              }),
+              0u)
+        << "group_by(fingerprint)";
+    EXPECT_GT(groups, 1u);
+  }
 }

@@ -11,9 +11,9 @@
 #include <span>
 #include <vector>
 
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/scheduler.hpp"
@@ -127,8 +127,8 @@ TEST(Robustness, InplaceRadixGammaSweep) {
   const auto fp = dtt::multiset_hash(std::span<const kv32>(base), key);
   for (int gamma : {2, 6, 8, 11}) {
     auto v = base;
-    baseline::inplace_radix_sort(std::span<kv32>(v), key,
-                                 {.gamma = gamma, .base_case = 128});
+    inplace_sort(std::span<kv32>(v), key,
+                 {.gamma = gamma, .base_case = 128});
     ASSERT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key));
     ASSERT_EQ(dtt::multiset_hash(std::span<const kv32>(v), key), fp);
   }

@@ -8,13 +8,17 @@
 //     segments engineered to recurse >= 3 continuation rounds — each
 //     checked byte-identical to std::stable_sort with
 //     std::less<std::string>, plus stability on duplicates via rank;
-//   * the continuation property — continuation and the PR-5 tie-break
-//     ablation (dispatch_policy::wide_continuation = false) produce
-//     byte-identical output across dispatch sizes x {serial,
-//     num_threads = 4} x {cold, warm pool};
+//   * the continuation property — byte-identical to std::stable_sort
+//     across dispatch sizes x {serial, num_threads = 4} x {cold, warm
+//     pool};
 //   * the no-fallback guarantee — sort_stats::wide_tiebreak_fallbacks is
 //     0 whenever the continuation runs, even when equal-prefix segments
-//     dwarf wide_segment_base_case.
+//     dwarf wide_segment_base_case;
+//   * the comparison tie-break — the route for a non-exhaustive multi-word
+//     key_codec WITHOUT the offset form (a user customization point):
+//     dovetail::sort, top_k and stream_sorter over such a codec match
+//     std::stable_sort byte for byte, and the two sorts count the
+//     above-base-case segments it finishes in wide_tiebreak_fallbacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,9 +26,12 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
+#include "dovetail/core/order_stats.hpp"
+#include "dovetail/core/stream_sort.hpp"
 #include "dovetail/core/wide_sort.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
@@ -200,22 +207,14 @@ TEST(StringEngine, DeepContinuationRecursion) {
   EXPECT_GE(st.wide_continuation_segments.load(), 3u);
   EXPECT_GE(st.wide_max_byte_offset.load(), 56u);
   EXPECT_EQ(st.wide_tiebreak_fallbacks.load(), 0u);
-  // The ablation on the same input: identical bytes, and the fallback
-  // counter now reports the above-base-case comparison sorts the
-  // continuation engine is there to remove.
-  opt.policy.wide_continuation = false;
-  auto w = input;
-  dovetail::sort(std::span<std::string>(w), opt);
-  ASSERT_EQ(w, ref);
-  EXPECT_GE(st.wide_tiebreak_fallbacks.load(), 1u);
 }
 
-TEST(StringEngine, ContinuationMatchesTieBreakAblation) {
-  // The continuation property: byte-identical output vs the tie-break
-  // ablation (and the std::stable_sort reference) across dispatch sizes
-  // x {serial, num_threads = 4} x {cold, warm pool}. The pool loop runs
-  // each configuration twice on the same workspace_pool — first pass
-  // cold (arenas constructed), second warm (pure reuse).
+TEST(StringEngine, ContinuationMatchesStableSort) {
+  // The continuation property: byte-identical output vs the
+  // std::stable_sort reference across dispatch sizes x {serial,
+  // num_threads = 4} x {cold, warm pool}. The pool loop runs each
+  // configuration twice on the same workspace_pool — first pass cold
+  // (arenas constructed), second warm (pure reuse).
   const gen::distribution d{gen::dist_kind::exponential, 7, "Exp-7"};
   const std::size_t sizes[] = {0, 1, 2, 5, 100, 513, 4096, 20000};
   for (const std::size_t n : sizes) {
@@ -232,15 +231,9 @@ TEST(StringEngine, ContinuationMatchesTieBreakAblation) {
         opt.num_threads = threads;
         opt.policy.wide_segment_base_case = 256;
         auto cont = input;
-        opt.policy.wide_continuation = true;
         dovetail::sort(std::span<std::string>(cont), opt);
-        auto abl = input;
-        opt.policy.wide_continuation = false;
-        dovetail::sort(std::span<std::string>(abl), opt);
         ASSERT_EQ(cont, ref) << "continuation n=" << n << " threads="
                              << threads << " warm=" << warm;
-        ASSERT_EQ(abl, ref) << "ablation n=" << n << " threads=" << threads
-                            << " warm=" << warm;
       }
     }
   }
@@ -274,4 +267,93 @@ TEST(StringEngine, SortByKeyRoutesThroughContinuation) {
   }
   EXPECT_EQ(st.wide_tiebreak_fallbacks.load(), 0u);
   EXPECT_GE(st.wide_continuation_rounds.load(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The comparison tie-break route.
+
+namespace {
+
+// A three-word key whose codec materializes only the two high words and
+// has no offset form: equal-prefix segments can only be finished by the
+// stable comparison sort on the true keys.
+struct tail_key {
+  std::uint64_t hi;
+  std::uint64_t mid;
+  std::uint64_t lo;
+  friend bool operator<(const tail_key& a, const tail_key& b) {
+    return std::tie(a.hi, a.mid, a.lo) < std::tie(b.hi, b.mid, b.lo);
+  }
+  friend bool operator==(const tail_key&, const tail_key&) = default;
+};
+
+struct tail_rec {
+  tail_key key;
+  std::uint32_t value;
+  friend bool operator==(const tail_rec&, const tail_rec&) = default;
+};
+
+constexpr auto key_of_tail = [](const tail_rec& r) { return r.key; };
+
+}  // namespace
+
+template <>
+struct dovetail::key_codec<tail_key> {
+  static constexpr std::size_t encoded_words = 2;
+  static constexpr bool exhaustive = false;
+  static constexpr bool cheap = true;
+  static std::uint64_t encode_word(const tail_key& k, std::size_t w) {
+    return w == 0 ? k.hi : k.mid;
+  }
+};
+
+TEST(StringEngine, PrefixCodecWithoutOffsetFormTieBreaks) {
+  // 4 x 3 equal-prefix segments of ~1700 records each, far above the
+  // base case, ordered only by the unmaterialized low word (with
+  // duplicates, so stability is visible through `value`).
+  constexpr std::size_t kN = 20000;
+  std::vector<tail_rec> input(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    input[i] = {{rnd(i) % 4, rnd(i + kN) % 3, rnd(i + 2 * kN) % 5000},
+                static_cast<std::uint32_t>(i)};
+  auto ref = input;
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const tail_rec& a, const tail_rec& b) {
+                     return a.key < b.key;
+                   });
+  dispatch_policy policy;
+  policy.wide_segment_base_case = 64;
+
+  for (const int threads : {1, 4}) {
+    sort_stats st;
+    auto_sort_options opt;
+    opt.policy = policy;
+    opt.num_threads = threads;
+    opt.stats = &st;
+    auto v = input;
+    dovetail::sort(std::span<tail_rec>(v), key_of_tail, opt);
+    ASSERT_EQ(v, ref) << "sort threads=" << threads;
+    EXPECT_GE(st.wide_tiebreak_fallbacks.load(), 1u);
+    EXPECT_EQ(st.wide_continuation_rounds.load(), 0u);
+
+    for (const std::size_t k : {std::size_t{1}, std::size_t{700}, kN / 2}) {
+      auto t = input;
+      const auto got = dovetail::top_k(std::span<tail_rec>(t), k, key_of_tail,
+                                       rank_side::smallest, opt);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin()))
+          << "top_k k=" << k << " threads=" << threads;
+    }
+
+    sort_stats sst;
+    stream_options sopt;
+    sopt.policy = policy;
+    sopt.num_threads = threads;
+    sopt.stats = &sst;
+    stream_sorter<tail_rec, decltype(key_of_tail)> s(sopt, key_of_tail);
+    for (std::size_t lo = 0; lo < kN; lo += 7000)
+      s.push(std::span<const tail_rec>(input.data() + lo,
+                                       std::min(kN, lo + 7000) - lo));
+    ASSERT_EQ(s.finish(), ref) << "stream_sorter threads=" << threads;
+    EXPECT_GE(sst.wide_tiebreak_fallbacks.load(), 1u);
+  }
 }

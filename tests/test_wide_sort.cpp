@@ -520,10 +520,11 @@ TEST(WideSort, ZeroAllocWarmReuse) {
       << "warm string sort allocated workspace slabs";
   // The continuation recursion too: a long-common-prefix corpus with a
   // tiny base case drives several re-encode rounds through the same
-  // leased tables (serial refine keeps every lease on this workspace, so
-  // the count is deterministic), and a warm repeat must add nothing.
+  // leased tables (one worker refines serially, keeping every lease on
+  // this workspace, so the count is deterministic), and a warm repeat must
+  // add nothing.
   opt.policy.wide_segment_base_case = 64;
-  opt.policy.parallel_wide_refine = false;
+  opt.num_threads = 1;
   const auto lp = gen::generate_lcp_string_keys(d, 20000, 13, 64);
   s = lp;
   dovetail::sort(std::span<std::string>(s), opt);  // warm-up for this shape
