@@ -3,24 +3,25 @@
 // (key_codec.hpp).
 //
 // The kernels, the input sketch and the routing policy live in the
-// single-word dispatcher (dispatch.hpp); multi-word keys go through the
-// segmented-MSD refinement (wide_sort.hpp). This header decides how a typed
-// key reaches them:
+// single-word dispatcher (dispatch.hpp); word-by-word work — wide keys and
+// every rank-window query — goes through the MSD segment driver
+// (wide_sort.hpp). This header decides how a typed key reaches them, in
+// ONE router (detail::sort_windows) shared by dovetail::sort and the
+// queries of order_stats.hpp, which pass their rank windows where a sort
+// passes [0, n):
 //   * cheap single-word codecs (all built-ins) on trivially copyable
 //     records FUSE the encode into the key function, so every kernel, the
 //     sketch and the dispatch operate on encoded keys with no extra pass
 //     and no extra memory — records are scattered as-is and never decoded;
-//     cheap WIDE codecs fuse the same way into wide_refine;
+//     cheap WIDE codecs fuse the same way into the segment driver;
 //   * everything else — expensive codecs, records that are not trivially
 //     copyable (e.g. a std::span<std::pair<...>> under libstdc++, or
 //     std::string), and the SoA / argsort entry points — takes the ONE
 //     encode-once route (detail::encode_once): materialize each key once
-//     as a workspace-leased (encoded words, index) record, run a kernel
-//     on those records (the dispatcher for single-word keys, the refine
-//     loop for wide ones, the rank-window selector for the queries in
-//     order_stats.hpp), and gather the resulting stable permutation back
-//     into the caller's arrays.
-// Every route but the fused single-word one opens with the same per-call
+//     as a workspace-leased (encoded words, index) record, run the segment
+//     driver on those records as the one record kernel, and gather the
+//     resulting stable permutation back into the caller's arrays.
+// Every route but the fused single-word sort opens with the same per-call
 // preamble (detail::call_scope): the caller's worker cap for the whole
 // call, encode and gather passes included, and the workspace every
 // scratch lease comes from. The encode-once route is also what powers the
@@ -118,15 +119,20 @@ void note_entry(sort_stats* st, sort_entry entry) {
 // The per-call preamble of every typed entry point except the fused
 // single-word sort (whose dispatcher installs the same cap itself): the
 // caller's worker cap for the WHOLE call — encode, kernel and gather
-// passes alike, not just the nested sort_unsigned calls — and the
-// workspace every scratch lease comes from (the caller's, else one local
-// to the call). opt() is the caller's options with that workspace filled
-// in; everything below the entry points reads its workspace from there.
+// passes alike, not just the nested sort_unsigned calls — recorded in
+// sort_stats::effective_workers, and the workspace every scratch lease
+// comes from (the caller's, else one local to the call). opt() is the
+// caller's options with that workspace filled in; everything below the
+// entry points reads its workspace from there.
 class call_scope {
  public:
   explicit call_scope(const auto_sort_options& opt)
       : cap_(opt.num_threads), opt_(opt) {
     if (opt_.workspace == nullptr) opt_.workspace = &local_ws_;
+    if (opt.stats != nullptr)
+      opt.stats->effective_workers.store(
+          static_cast<std::uint64_t>(par::effective_workers()),
+          std::memory_order_relaxed);
   }
   call_scope(const call_scope&) = delete;
   call_scope& operator=(const call_scope&) = delete;
@@ -144,28 +150,16 @@ class call_scope {
   auto_sort_options opt_;
 };
 
-// (encoded key, source index) records of single-word keys on the
-// encode-once route. The narrow record is used whenever the encoded key
-// and the index both fit 32 bits — half the bytes per scatter pass. Wide
-// keys use enc_words<W> (wide_sort.hpp).
-struct enc_idx32 {
-  std::uint32_t key;
-  std::uint32_t idx;
-};
-struct enc_idx64 {
-  std::uint64_t key;
-  std::uint64_t idx;
-};
-
 // The encode-once route, the only place a typed key is materialized:
 // encode key_at(0..n) ONCE into workspace-leased (encoded words, index)
 // records — enc_idx32 / enc_idx64 for single-word keys of type K,
-// enc_words<W> for W-word keys — run `kernel(records)`, which reorders
-// them (a sort, or a selection that settles the requested rank windows),
-// then emit(pos, src) the resulting permutation, in parallel. The records
-// arrive at the kernel in input order, so a stable kernel keeps equal
-// keys in increasing index order — the stable permutation, with no
-// tie-break on the index. Warm calls lease without allocating.
+// enc_words<W> for W-word keys (wide_sort.hpp) — run `kernel(records)`,
+// which reorders them (a sort, or a selection that settles the requested
+// rank windows), then emit(pos, src) the resulting permutation, in
+// parallel. The records arrive at the kernel in input order, so a stable
+// kernel keeps equal keys in increasing index order — the stable
+// permutation, with no tie-break on the index. Warm calls lease without
+// allocating.
 template <typename K, typename KeyAt, typename Kernel, typename Emit>
 void encode_once(std::size_t n, const KeyAt& key_at, sort_workspace& ws,
                  sort_stats* st, const Kernel& kernel, const Emit& emit) {
@@ -197,20 +191,18 @@ void encode_once(std::size_t n, const KeyAt& key_at, sort_workspace& ws,
     run(std::type_identity<enc_idx64>{});
 }
 
-// The sort kernel of the encode-once route, for encode_once's `kernel`:
-// single-word records go straight to the dispatcher — presorted /
-// tiny-range / tiny-n inputs keep their cheap kernels — and W-word records
-// through wide_refine, which reads the true keys back through key_at for a
-// prefix codec's tie-break and continuation. `opt` comes from a
-// call_scope; the (word-0) kernel that ran lands in `k`.
+// The record kernel of the encode-once route, for encode_once's `kernel`:
+// the segment driver over the encoded records and `windows` — the
+// dispatcher alone for a single-word sort (presorted / tiny-range / tiny-n
+// inputs keep their cheap kernels), the rank selector for a single-word
+// query, and for W-word records the word rounds, which read the true keys
+// back through key_at for a prefix codec's tie-break and continuation.
+// `opt` comes from a call_scope; the root kernel that ran lands in `k`.
 template <typename K, typename KeyAt>
-auto record_sorter(const KeyAt& key_at, const auto_sort_options& opt,
-                   sort_kernel& k) {
-  return [&key_at, &opt, &k]<typename R>(std::span<R> recs) {
-    if constexpr (wide_key_traits<K>::single_word)
-      k = sort_unsigned(recs, [](const R& r) { return r.key; }, opt);
-    else
-      k = refine_encoded<K>(recs, key_at, opt);
+auto record_kernel(const KeyAt& key_at, std::span<const rank_window> windows,
+                   const auto_sort_options& opt, sort_kernel& k) {
+  return [&key_at, windows, &opt, &k]<typename R>(std::span<R> recs) {
+    k = refine_encoded<K>(recs, key_at, windows, opt);
   };
 }
 
@@ -238,18 +230,6 @@ class scratch_array {
   std::span<T> span_;
 };
 
-// Copy (or move, for non-trivially-copyable types) scratch back into the
-// caller's array.
-template <typename T>
-void write_back(std::span<T> from, std::span<T> to) {
-  if constexpr (std::is_trivially_copyable_v<T>) {
-    par::copy(std::span<const T>(from.data(), from.size()), to);
-  } else {
-    par::parallel_for(0, from.size(),
-                      [&](std::size_t i) { to[i] = std::move(from[i]); });
-  }
-}
-
 // The gather half of the encode-once route: reorder `a` — and the
 // parallel array `b` with it, unless `b` is empty — by the permutation
 // `kernel` leaves on the encoded records of the keys key_at(i). Each
@@ -273,15 +253,69 @@ void reorder_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
   write_back(sb, b);
 }
 
-// Stably sort `a` (and `b`) by the keys key_at(i): dovetail::sort's
-// encode-once records, sort_by_key and group_by's fingerprint route.
+// Stably order the rank `windows` of `a` (and `b`) by the keys
+// key_at(i): the encode-once route of the router below, sort_by_key and
+// group_by's fingerprint route.
 template <typename A, typename B, typename KeyAt>
 sort_kernel sort_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
+                        std::span<const rank_window> windows,
                         const auto_sort_options& opt) {
   using K = std::remove_cvref_t<decltype(key_at(std::size_t{0}))>;
   sort_kernel k = sort_kernel::std_sort;
-  reorder_arrays<K>(a, b, key_at, opt, record_sorter<K>(key_at, opt, k));
+  reorder_arrays<K>(a, b, key_at, opt,
+                    record_kernel<K>(key_at, windows, opt, k));
   return k;
+}
+
+// The one router behind dovetail::sort and every order-statistics query
+// (order_stats.hpp): rearrange `data` so each of the `windows` (sorted,
+// disjoint, clipped to [0, n); the single window [0, n) for a sort) holds
+// its slice of the stable order by key(record). Returns the root kernel.
+//   * Fused single-word — cheap single-word codecs on trivially copyable
+//     records: a sort hands the caller's functor (or its encoded_key_fn
+//     wrapper) straight to the dispatcher, with no added pass, lease or
+//     allocation — the functor type is what marks pure-key spans for the
+//     in-place kernel; a query runs the driver's one-word case, the rank
+//     selector on word 0.
+//   * Fused wide — cheap wide codecs on trivially copyable records: the
+//     segment driver re-derives each word from the records.
+//   * Everything else takes the encode-once route with one record kernel.
+template <typename Rec, typename KeyFn>
+sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
+                         std::span<const rank_window> windows,
+                         const auto_sort_options& opt) {
+  using K =
+      std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
+  using WT = wide_key_traits<K>;
+  constexpr bool fused = std::is_trivially_copyable_v<Rec> && WT::cheap;
+  if constexpr (fused && WT::single_word) {
+    if (covers_all(windows, data.size())) {
+      // Kernels, sketch and dispatch all see encoded keys; records are
+      // scattered as-is and never decoded. Identity codecs (unsigned keys)
+      // skip even the encode wrapper. The named wrapper (not a lambda)
+      // keeps the purity of the inner functor visible to the dispatcher:
+      // encoded_key_fn over a pure-key functor is itself pure-key
+      // (is_pure_key_fn_v), which is what lets plain signed/float spans
+      // use the in-place kernel.
+      if constexpr (codec_traits<K>::identity)
+        return sort_unsigned(data, key, opt);
+      else
+        return sort_unsigned(
+            data, encoded_key_fn<typename codec_traits<K>::codec, KeyFn>{key},
+            opt);
+    }
+  }
+  const call_scope call(opt);
+  if constexpr (fused) {
+    return refine_fused(data, key, windows, call.opt());
+  } else {
+    // Also the route for non-trivially-copyable records regardless of key
+    // type (the radix kernels cannot scatter them).
+    return sort_arrays(
+        data, std::span<Rec>{},
+        [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
+        windows, call.opt());
+  }
 }
 
 }  // namespace detail
@@ -330,40 +364,9 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
       "unsigned/signed integer, float/double, a pair/tuple of those (any "
       "packed width), a 128-bit integer, std::string/string_view, or "
       "specialize dovetail::key_codec<K> (see core/key_codec.hpp)");
-  using WT = wide_key_traits<K>;
   detail::note_entry<K>(opt.stats, sort_entry::sort);
-  constexpr bool fused = std::is_trivially_copyable_v<Rec> && WT::cheap;
-  if constexpr (fused && WT::single_word) {
-    // Fused: kernels, sketch and dispatch all see encoded keys; records
-    // are scattered as-is and never decoded. Identity codecs (unsigned
-    // keys) skip even the encode wrapper.
-    using codec = typename codec_traits<K>::codec;
-    if constexpr (codec_traits<K>::identity) {
-      return detail::sort_unsigned(data, key, opt);
-    } else {
-      // The named wrapper (not a lambda) keeps the purity of the inner
-      // functor visible to the dispatcher: encoded_key_fn over a
-      // pure-key functor is itself pure-key (is_pure_key_fn_v), which is
-      // what lets plain signed/float spans use the in-place kernel.
-      return detail::sort_unsigned(
-          data, encoded_key_fn<codec, KeyFn>{key}, opt);
-    }
-  } else {
-    const detail::call_scope call(opt);
-    if constexpr (fused) {
-      // Fused wide: wide_refine re-derives each word from the
-      // records (wide_sort.hpp).
-      return detail::refine_fused(data, key, call.opt());
-    } else {
-      // Encode once, sort the (encoded, index) records, gather the
-      // records — also the route for non-trivially-copyable records
-      // regardless of key type (the radix kernels cannot scatter them).
-      return detail::sort_arrays(
-          data, std::span<Rec>{},
-          [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-          call.opt());
-    }
-  }
+  const rank_window all{0, data.size()};
+  return detail::sort_windows(data, key, {&all, 1}, opt);
 }
 
 // Convenience overload for spans of plain keys — unsigned (as before) or
@@ -404,9 +407,10 @@ sort_kernel sort_by_key(std::span<K> keys, std::span<V> values,
         "dovetail::sort_by_key: keys and values differ in size");
   detail::note_entry<K>(opt.stats, sort_entry::sort_by_key);
   const detail::call_scope call(opt);
+  const rank_window all{0, keys.size()};
   return detail::sort_arrays(
       keys, values, [&](std::size_t i) -> const K& { return keys[i]; },
-      call.opt());
+      {&all, 1}, call.opt());
 }
 
 // Stable argsort: the permutation p with data[p[0]], data[p[1]], ... in
@@ -433,9 +437,10 @@ std::vector<index_t> rank(std::span<Rec> data, const KeyFn& key,
     return key(data[i]);
   };
   sort_kernel k = sort_kernel::std_sort;
+  const rank_window all{0, data.size()};
   detail::encode_once<K>(
       data.size(), key_at, call.ws(), opt.stats,
-      detail::record_sorter<K>(key_at, call.opt(), k),
+      detail::record_kernel<K>(key_at, {&all, 1}, call.opt(), k),
       [&](std::size_t pos, std::size_t src) { out[pos] = src; });
   return out;
 }

@@ -36,10 +36,10 @@
 // the dispatcher against every hand-picked kernel.
 //
 // This is the single-word layer every other entry point builds on: the
-// wide refinement (wide_sort.hpp) hands it one key word at a time,
-// and the typed front door (auto_sort.hpp) and the order-statistics
-// queries reach it through the encode-once route. `key` here always
-// returns an unsigned integer.
+// MSD segment driver (wide_sort.hpp) and its rank selector
+// (rank_select.hpp) hand it one key word at a time, and the typed front
+// door (auto_sort.hpp) reaches it directly for fused single-word sorts.
+// `key` here always returns an unsigned integer.
 #pragma once
 
 #include <algorithm>
@@ -191,23 +191,26 @@ struct dispatch_policy {
   // re-derivation recipe and the evidence); the serial/parallel decision
   // lands in sort_stats::chosen_parallelism, the kernel's twin snapshot.
   std::size_t parallel_crossover_n = std::size_t{1} << 15;
-  // Wide (multi-word) keys only: equal-prefix segments at or below this
-  // size finish with one stable comparison sort over the remaining words
+  // Wide (multi-word) keys, sorts and queries alike: the segment driver's
+  // per-segment base case — equal-prefix segments at or below this size
+  // finish with one stable comparison sort over the remaining words
   // instead of re-entering the radix front door (wide_sort.hpp). A
   // segment must amortise a full dispatch + distribution pass to be worth
   // radixing again; below ~2^15 records the comparison sort — run in
   // parallel ACROSS segments — wins on every wide BENCH_wide.json
   // instance.
   std::size_t wide_segment_base_case = std::size_t{1} << 15;
-  // Order-statistics queries (core/order_stats.hpp) only: a rank-window
-  // segment at or below this size finishes with one stable comparison
-  // sort instead of another pruned distribution pass. Smaller than
-  // wide_segment_base_case on purpose: a selection segment that recurses
-  // gets to PRUNE most of its buckets (the next pass touches only the
-  // window straddlers), so another distribution pass stays profitable on
-  // segments far below the size where a full-sort refinement would give
-  // up — the query-topk bench family is the evidence, same recipe as
-  // every threshold here (docs/TUNING.md).
+  // Order-statistics queries (core/order_stats.hpp) only: the rank
+  // selector's base case within one word (core/rank_select.hpp) — a
+  // window-straddling bucket at or below this size finishes with one
+  // stable comparison sort on the word instead of another pruned
+  // distribution pass. Smaller than wide_segment_base_case on purpose: a
+  // selection segment that recurses gets to PRUNE most of its buckets
+  // (the next pass touches only the window straddlers), so another
+  // distribution pass stays profitable on segments far below the size
+  // where a full-sort refinement would give up — the query-topk bench
+  // family is the evidence, same recipe as every threshold here
+  // (docs/TUNING.md).
   std::size_t select_base_case = std::size_t{1} << 11;
 
   // The decision tree. `disallow` is a bitmask of sort_kernel values the
@@ -350,16 +353,27 @@ namespace detail {
 // Hard feasibility cap for a forced counting kernel (policy::always).
 inline constexpr std::uint64_t kCountingHardCap = std::uint64_t{1} << 20;
 
-// Bottom-up pairwise merging of the runs delimited by `bounds`, ping-pong
-// between `a` and scratch `t`; the sorted result always ends in `a`.
-template <typename Rec, typename KeyFn>
-void merge_runs(std::span<Rec> a, const KeyFn& key, std::span<Rec> t,
-                std::vector<std::size_t> bounds) {
-  const auto comp = [&](const Rec& x, const Rec& y) {
-    return static_cast<std::uint64_t>(key(x)) <
-           static_cast<std::uint64_t>(key(y));
-  };
+// Copy (or move, for non-trivially-copyable types) records into `to`.
+template <typename T>
+void write_back(std::span<T> from, std::span<T> to) {
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    par::copy(std::span<const T>(from.data(), from.size()), to);
+  } else {
+    par::parallel_for(0, from.size(),
+                      [&](std::size_t i) { to[i] = std::move(from[i]); });
+  }
+}
+
+// Bottom-up pairwise merging of the runs delimited by `bounds` under the
+// stable `less`, ping-pong between `a` and scratch `t` (an odd run out is
+// carried over unchanged); the sorted result always ends in `a`. Returns
+// the number of records that went through a merge. The run_merge kernel
+// and stream_sorter::finish (stream_sort.hpp).
+template <typename Rec, typename Less>
+std::uint64_t merge_runs(std::span<Rec> a, std::span<Rec> t,
+                         std::vector<std::size_t> bounds, const Less& less) {
   std::span<Rec> src = a, dst = t;
+  std::uint64_t merged = 0;
   while (bounds.size() > 2) {
     const std::size_t nr = bounds.size() - 1;
     par::parallel_for(
@@ -369,14 +383,14 @@ void merge_runs(std::span<Rec> a, const KeyFn& key, std::span<Rec> t,
                             hi = bounds[2 * i + 2];
           par::merge(std::span<const Rec>(src.data() + lo, mid - lo),
                      std::span<const Rec>(src.data() + mid, hi - mid),
-                     dst.subspan(lo, hi - lo), comp);
+                     dst.subspan(lo, hi - lo), less);
         },
         1);
     if (nr % 2 != 0) {  // odd run out: carry it over unchanged
       const std::size_t lo = bounds[nr - 1], hi = bounds[nr];
-      par::copy(std::span<const Rec>(src.data() + lo, hi - lo),
-                dst.subspan(lo, hi - lo));
+      write_back(src.subspan(lo, hi - lo), dst.subspan(lo, hi - lo));
     }
+    merged += bounds[nr - nr % 2] - bounds[0];
     std::vector<std::size_t> next;
     next.reserve(nr / 2 + 2);
     for (std::size_t i = 0; i < bounds.size(); i += 2) next.push_back(bounds[i]);
@@ -384,8 +398,8 @@ void merge_runs(std::span<Rec> a, const KeyFn& key, std::span<Rec> t,
     bounds = std::move(next);
     std::swap(src, dst);
   }
-  if (src.data() != a.data())
-    par::copy(std::span<const Rec>(src.data(), a.size()), a);
+  if (src.data() != a.data()) write_back(src, a);
+  return merged;
 }
 
 // One stable counting-sort pass over the exact key range [min_key, max_key].
@@ -494,6 +508,10 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
     }
   };
 
+  const auto key_less = [&](const Rec& x, const Rec& y) {
+    return static_cast<std::uint64_t>(key(x)) <
+           static_cast<std::uint64_t>(key(y));
+  };
   unsigned disallow = 0;
   for (;;) {
     kernel_plan plan;
@@ -511,11 +529,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
     switch (plan.kernel) {
       case sort_kernel::std_sort: {
         record_choice(plan);
-        std::stable_sort(data.begin(), data.end(),
-                         [&](const Rec& x, const Rec& y) {
-                           return static_cast<std::uint64_t>(key(x)) <
-                                  static_cast<std::uint64_t>(key(y));
-                         });
+        std::stable_sort(data.begin(), data.end(), key_less);
         return plan.kernel;
       }
 
@@ -546,7 +560,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
         record_choice(plan);
         if (runs > 1) {
           std::span<Rec> t = ws.template record_buffer<Rec>(n, st);
-          detail::merge_runs(data, key, t, std::move(bounds));
+          detail::merge_runs(data, t, std::move(bounds), key_less);
         }
         return plan.kernel;
       }

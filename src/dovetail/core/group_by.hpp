@@ -110,12 +110,13 @@ bool group_by_fingerprint(std::span<K> keys, std::span<V> values,
   if constexpr (std::integral<std::remove_cvref_t<K>>) {
     if (order == group_order::fingerprint) {
       const call_scope call(opt);
+      const rank_window all{0, keys.size()};
       sort_arrays(
           keys, values,
           [&](std::size_t i) {
             return par::hash64(static_cast<std::uint64_t>(keys[i]));
           },
-          call.opt());
+          {&all, 1}, call.opt());
       return true;
     }
   }

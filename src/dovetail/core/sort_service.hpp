@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
+#include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
@@ -41,15 +42,6 @@
 #include "dovetail/util/timer.hpp"
 
 namespace dovetail {
-
-// Key functor for spans of raw codec-covered keys (the default when a
-// request sorts keys rather than records).
-struct identity_key {
-  template <typename K>
-  const K& operator()(const K& k) const noexcept {
-    return k;
-  }
-};
 
 // Per-request outcome, filled by sort_batch.
 struct request_result {
@@ -61,7 +53,9 @@ struct request_result {
 
 // One batched sort request: a typed span plus per-request knobs. The span
 // is sorted in place; `result` (and `stats`, when supplied) report how.
-template <typename Rec, typename KeyFn = identity_key>
+// The default key functor, self_key (key_codec.hpp), sorts spans of raw
+// codec-covered keys and marks them pure-key for the dispatcher.
+template <typename Rec, typename KeyFn = self_key>
 struct sort_request {
   std::span<Rec> data{};
   KeyFn key{};

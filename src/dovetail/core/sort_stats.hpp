@@ -121,7 +121,7 @@ struct sort_stats {
   // the last query entry point that ran through this stats object (0 = no
   // query recorded; decode with query_kind_of() in order_stats.hpp).
   // buckets_pruned / records_pruned are CUMULATIVE, like the engine
-  // counters: buckets the rank-window selection driver proved wholly
+  // counters: buckets the rank selector (rank_select.hpp) proved wholly
   // outside every requested window after a distribution pass — and the
   // records inside them — which therefore skipped all further refinement.
   // A full sort never bumps them; a top-k with k << n prunes almost

@@ -10,7 +10,9 @@
 //     workspace_pool so repeated pushes hit warm arenas (zero steady-state
 //     allocation inside the engine);
 //   * finish() merges the k sorted runs with a pairwise TREE merge built
-//     on par::merge — runs merge in arrival order, level by level, so the
+//     on par::merge — the run_merge kernel's bottom-up merger
+//     (detail::merge_runs, dispatch.hpp) under the codec order: runs
+//     merge in arrival order, level by level, so the
 //     total merge work is n * ceil(log2 k) with every level a stable
 //     parallel two-way merge. (A losers tree does the same work serially
 //     per element; the pairwise tree keeps each level a bulk par::merge.)
@@ -43,13 +45,12 @@
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
+#include "dovetail/core/dispatch.hpp"
 #include "dovetail/core/key_codec.hpp"
-#include "dovetail/core/sort_service.hpp"
 #include "dovetail/core/sort_stats.hpp"
+#include "dovetail/core/wide_sort.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/merge.hpp"
-#include "dovetail/parallel/parallel_for.hpp"
-#include "dovetail/parallel/primitives.hpp"
 #include "dovetail/parallel/scheduler.hpp"
 
 namespace dovetail {
@@ -58,29 +59,25 @@ namespace detail {
 
 // The front door's total preorder on records, reconstructed for merging:
 // codec words most-significant first (single-word codecs are one word —
-// their zero-extended encoding), then the true-key comparison that
-// wide_sort.hpp's refine driver applies when a non-exhaustive codec
-// (string prefix) leaves equal word sequences unresolved. Records that
-// compare equivalent here are tie-broken by merge stability, matching the
-// front door's stable order.
+// their zero-extended encoding), then the true-key comparison that the
+// segment driver (wide_sort.hpp) applies when a non-exhaustive codec
+// (string prefix) leaves equal word sequences unresolved — the driver's
+// own words_then_tie finish. Records that compare equivalent here are
+// tie-broken by merge stability, matching the front door's stable order.
 template <typename KeyFn>
 struct codec_order_less {
   KeyFn key{};
 
   template <typename Rec>
   bool operator()(const Rec& a, const Rec& b) const {
-    using K = std::remove_cvref_t<
-        std::invoke_result_t<const KeyFn&, const Rec&>>;
-    using WT = wide_key_traits<K>;
-    decltype(auto) ka = key(a);
-    decltype(auto) kb = key(b);
-    for (std::size_t w = 0; w < WT::word_count; ++w) {
-      const std::uint64_t wa = WT::word(ka, w);
-      const std::uint64_t wb = WT::word(kb, w);
-      if (wa != wb) return wa < wb;
-    }
-    if constexpr (!WT::exhaustive) return ka < kb;
-    return false;
+    using WT = wide_key_traits<std::remove_cvref_t<
+        std::invoke_result_t<const KeyFn&, const Rec&>>>;
+    const auto word_of = [this](const Rec& r, std::size_t w) {
+      return WT::word(key(r), w);
+    };
+    const auto tie = true_key_less<WT>(key);
+    return words_then_tie(word_of, 0, WT::word_count, WT::exhaustive,
+                          tie)(a, b);
   }
 };
 
@@ -110,7 +107,7 @@ struct stream_options {
 // sequence, overlapping per-chunk sorting with ingestion. One in-flight
 // stream per instance (not thread-safe); after finish() the instance is
 // empty and reusable.
-template <typename Rec, typename KeyFn = identity_key>
+template <typename Rec, typename KeyFn = self_key>
 class stream_sorter {
   static_assert(std::is_copy_constructible_v<Rec>,
                 "stream_sorter copies each pushed chunk");
@@ -163,50 +160,15 @@ class stream_sorter {
     if (bounds.size() <= 2) return out;  // 0 or 1 run: already sorted
 
     const par::scoped_worker_limit cap(opt_.num_threads);
-    workspace_pool& p = pool();
-    workspace_pool::handle ws = p.checkout();
+    workspace_pool::handle ws = pool().checkout();
     // Merge scratch: an n-record slab from the leased workspace when Rec
     // is trivially copyable (warm after the first stream), else a plain
     // vector (e.g. std::string records).
-    std::vector<Rec> scratch_vec;
-    std::span<Rec> scratch;
-    sort_workspace::lease scratch_lease;
-    if constexpr (std::is_trivially_copyable_v<Rec> &&
-                  alignof(Rec) <= detail::kSlabAlign) {
-      scratch_lease = ws->acquire_array<Rec>(n, scratch, opt_.stats);
-    } else {
-      scratch_vec.resize(n);
-      scratch = std::span<Rec>(scratch_vec);
-    }
-
-    const detail::codec_order_less<KeyFn> comp{key_};
-    std::span<Rec> src(out);
-    std::span<Rec> dst = scratch;
-    std::uint64_t merged = 0;
-    while (bounds.size() > 2) {
-      std::vector<std::size_t> next;
-      next.reserve(bounds.size() / 2 + 2);
-      next.push_back(0);
-      std::size_t r = 0;
-      for (; r + 2 < bounds.size(); r += 2) {
-        const std::size_t lo = bounds[r], mid = bounds[r + 1],
-                          hi = bounds[r + 2];
-        par::merge(std::span<const Rec>(src.subspan(lo, mid - lo)),
-                   std::span<const Rec>(src.subspan(mid, hi - mid)),
-                   dst.subspan(lo, hi - lo), comp);
-        merged += hi - lo;
-        next.push_back(hi);
-      }
-      if (r + 2 == bounds.size()) {  // odd run count: carry the tail over
-        const std::size_t lo = bounds[r], hi = bounds[r + 1];
-        copy_records(src.subspan(lo, hi - lo), dst.subspan(lo, hi - lo));
-        next.push_back(hi);
-      }
-      bounds = std::move(next);
-      std::swap(src, dst);
-    }
-    if (src.data() != out.data())
-      copy_records(src, std::span<Rec>(out));
+    detail::scratch_array<Rec> scratch(n, *ws, opt_.stats);
+    const std::uint64_t merged =
+        detail::merge_runs(std::span<Rec>(out), scratch.get(),
+                           std::move(bounds),
+                           detail::codec_order_less<KeyFn>{key_});
     if (opt_.stats != nullptr)
       opt_.stats->stream_merge_records.fetch_add(merged,
                                                  std::memory_order_relaxed);
@@ -258,15 +220,6 @@ class stream_sorter {
           merged.size(), std::memory_order_relaxed);
     a = std::move(merged);
     runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(best) + 1);
-  }
-
-  static void copy_records(std::span<Rec> from, std::span<Rec> to) {
-    if constexpr (std::is_trivially_copyable_v<Rec>) {
-      par::copy(std::span<const Rec>(from.data(), from.size()), to);
-    } else {
-      par::parallel_for(0, from.size(),
-                        [&](std::size_t i) { to[i] = std::move(from[i]); });
-    }
   }
 
   stream_options opt_{};

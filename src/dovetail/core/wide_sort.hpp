@@ -1,5 +1,6 @@
-// Segmented-MSD refine driver for wide (multi-word) keys — the layer that
-// lifts the front door's 64-bit encoded-key ceiling.
+// The MSD segment driver: one word-by-word loop behind every sort and
+// every rank-window query, and the layer that lifts the front door's
+// 64-bit encoded-key ceiling.
 //
 // A key wider than one radix word (key_codec.hpp's multi-word form:
 // pair<u64, u64>, __int128, fixed-prefix strings, >64-bit composites) is a
@@ -7,21 +8,27 @@
 // words is the classic answer in the multicore integer-sorting literature
 // (Gerbessiotis, "Integer sorting on multicores"); the paper's DTSort
 // already embodies the per-word half of it — distribute on high digits,
-// recurse within equal groups. This driver stacks that idea one level up:
+// recurse within equal groups. This driver stacks that idea one level up,
+// with a rank-window predicate deciding which segments recurse (all of
+// them for a sort, the window straddlers and insiders for a query; see
+// rank_select.hpp):
 //
-//   1. Sort the whole array by word 0 through the EXISTING dispatcher
-//      (detail::sort_unsigned, dispatch.hpp): the input sketch, the
-//      dispatch policy and every kernel apply unchanged, per word.
+//   1. Word 0 of the whole array: a sort runs it through the EXISTING
+//      dispatcher (detail::sort_unsigned, dispatch.hpp) — the input
+//      sketch, the dispatch policy and every kernel apply unchanged, per
+//      word; a query prunes it with the rank_selector, which sorts only
+//      the buckets inside a window with that same step.
 //   2. Split into maximal equal-word segments. Only segments with >= 2
 //      records survive; a word-0 pass that separates every key (the common
 //      case for hashed high words) ends the sort right here.
-//   3. Refine each segment on the next word — large segments go back
-//      through the dispatcher, concurrently when a round has several of
-//      them and several workers (each in-flight sort on its own
+//   3. Refine each segment on the next word — segments inside a window go
+//      back through the dispatcher, concurrently when a round has several
+//      of them and several workers (each in-flight sort on its own
 //      workspace_pool arena: one in-flight sort per workspace), else one
-//      at a time through the caller's workspace; segments at or below
-//      dispatch_policy::wide_segment_base_case finish with ONE stable
-//      comparison sort over all remaining words, in parallel across
+//      at a time through the caller's workspace; straddlers are pruned by
+//      the selector; segments outside every window are dropped; segments
+//      at or below dispatch_policy::wide_segment_base_case finish with ONE
+//      stable comparison sort over all remaining words, in parallel across
 //      segments. Repeat per word.
 //   4. Non-exhaustive codecs still owe the order beyond the words. An
 //      OFFSET-capable codec (key_codec.hpp's continuation form — the
@@ -35,13 +42,15 @@
 //      same refinement, round after round, until every segment
 //      separates, ends, or shrinks to the comparison base case. No
 //      comparison sort ever runs on an above-base-case segment
-//      (sort_stats::wide_tiebreak_fallbacks stays 0). A non-exhaustive
-//      codec WITHOUT the offset form (a user key_codec) gets one stable
-//      comparison sort on the TRUE keys per residual segment (the
-//      tie-break). Both routes yield full lexicographic order.
+//      (sort_stats::wide_tiebreak_fallbacks stays 0) — for queries over
+//      string keys exactly as for sorts. A non-exhaustive codec WITHOUT
+//      the offset form (a user key_codec) gets one stable comparison sort
+//      on the TRUE keys per residual segment (the tie-break). Both routes
+//      yield full lexicographic order.
 //
 // Stability: every pass is stable and confined to one segment, so the
-// whole sort is stable. Scratch: the segment tables and the encode-once
+// whole sort is stable and every query window holds its slice of the
+// stable order. Scratch: the segment tables and the encode-once
 // (encoded words, index) record array lease workspace slabs — warm calls
 // allocate nothing from the workspace, continuation rounds included (they
 // reuse the same tables and, on the encode-once path, rewrite the word
@@ -50,12 +59,14 @@
 // snapshots.
 //
 // Layering: this header sits on the single-word dispatcher (dispatch.hpp)
-// and is included by the typed front door (auto_sort.hpp), which routes
-// every wide key type here — dovetail::sort / sort_by_key / rank accept
-// wide keys transparently.
+// and the rank-window selector (rank_select.hpp), and is included by the
+// typed front door (auto_sort.hpp), whose one router sends every sort and
+// every query (order_stats.hpp) here — dovetail::sort / sort_by_key / rank
+// and the queries accept wide keys transparently.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -69,11 +80,11 @@
 
 #include "dovetail/core/dispatch.hpp"
 #include "dovetail/core/key_codec.hpp"
+#include "dovetail/core/rank_select.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/primitives.hpp"
-#include "dovetail/util/simd.hpp"
 
 namespace dovetail {
 
@@ -86,38 +97,6 @@ struct wide_seg {
   std::size_t lo;
   std::size_t hi;
 };
-
-// Stable sort for the comparison-finished segments: insertion sort below
-// the allocation-free threshold (thousands of tiny segments finish per
-// round; std::stable_sort's temporary buffer would be malloc churn),
-// std::stable_sort above it — preceded by one linear sortedness scan,
-// because the large residual segments of duplicate-heavy inputs are
-// usually runs of EQUAL keys, already in stable order, and n comparisons
-// beat n log n comparisons that all answer "false".
-template <typename Rec, typename Less>
-void stable_segment_sort(std::span<Rec> a, const Less& less) {
-  if (a.size() <= 32) {
-    // Tiniest segments first try the branchless fixed-comparator network
-    // (util/simd.hpp): same stable permutation as the insertion sort,
-    // byte-identical output, no data-dependent branches.
-    if constexpr (std::is_trivially_copyable_v<Rec>) {
-      if (simd::stable_network_sort(a, less)) return;
-    }
-    for (std::size_t i = 1; i < a.size(); ++i) {
-      Rec x = std::move(a[i]);
-      std::size_t j = i;
-      for (; j > 0 && less(x, a[j - 1]); --j) a[j] = std::move(a[j - 1]);
-      a[j] = std::move(x);
-    }
-  } else {
-    for (std::size_t i = 1; i < a.size(); ++i) {
-      if (less(a[i], a[i - 1])) {
-        std::stable_sort(a.begin(), a.end(), less);
-        return;
-      }
-    }
-  }
-}
 
 // Append the maximal runs of equal word `w` within [lo, hi) — already
 // sorted by that word — that have >= 2 records to out[nout...]; returns
@@ -151,7 +130,7 @@ std::size_t append_word_runs(std::span<const Rec> a, std::size_t lo,
 // first even for prefix codecs: a word read is a cached array access on
 // the encode-once path, while `tie` may chase a pointer into
 // variable-length key storage. Shared by wide_refine's small
-// segments and rank_selector's base case (order_stats.hpp).
+// segments and the stream merger's codec order (stream_sort.hpp).
 template <typename WordOf, typename TieLess>
 auto words_then_tie(const WordOf& word_of, std::size_t from,
                     std::size_t word_count, bool exhaustive,
@@ -342,90 +321,168 @@ std::size_t probe_tied_windows(std::size_t count, std::size_t off,
   return min_f == cont_probe_done ? cont_probe_done : min_f / W;
 }
 
-// The driver core. `word_of(rec, w)` yields word w of a record's key;
-// `sort_seg(subspan, w, ws)` stably sorts a segment by word w through the
-// front door using workspace `ws` (one in-flight sort per workspace, so
-// concurrent segment sorts each get their own); `tie_less` is the true-key
-// order, consulted only when `exhaustive` is false. Precondition of the
-// codec contract: key order implies lexicographic word order (coarsening),
-// so within an equal-prefix segment tie_less alone is a refinement of
-// every remaining word.
+// The MSD segment driver — the one word-by-word loop behind every sort and
+// every rank-window query. `word_of(rec, w)` yields word w of a record's
+// key; `tie_less` is the true-key order, consulted only when `exhaustive`
+// is false. Precondition of the codec contract: key order implies
+// lexicographic word order (coarsening), so within an equal-prefix segment
+// tie_less alone is a refinement of every remaining word.
 //
-// `pool` serves concurrent large-segment refinement: when a round has
-// more than one large segment and more than one worker is available, they
-// are sorted in parallel, each in-flight sort on a workspace checked out
-// of the pool (warm after the first round: zero pool-level allocation).
-// With one worker or one large segment they run serially through the
-// caller's workspace — pool arenas would only duplicate its warm arena.
-template <typename Rec, typename WordOf, typename SortSeg, typename TieLess,
+// `windows` (sorted, disjoint; window_fate in rank_select.hpp) say which
+// segments recurse: every round decides per segment — wholly inside a
+// window, sort it on word w through the adaptive dispatcher
+// (sort_unsigned, one in-flight sort per workspace) and split it into
+// equal-word runs; straddling a window boundary, prune it on word w with
+// the rank_selector, which sorts its covered buckets with that same step
+// and hands back the buckets still tied on w; outside every window, drop
+// it. A sort passes the single window [0, n), so every segment is inside.
+// Single-word keys are the one-word case: the root step alone.
+//
+// Large segments of a round are sorted in parallel when there are several
+// and more than one worker, each in-flight sort on a workspace checked out
+// of opt.pool (warm after the first round: zero pool-level allocation);
+// otherwise serially through the caller's workspace — pool arenas would
+// only duplicate its warm arena. Returns the kernel of the root (word-0,
+// whole-input) sort, or std_sort when the root was a selection.
+template <typename Rec, typename WordOf, typename TieLess,
           typename Cont = no_continuation>
-void wide_refine(std::span<Rec> data, std::size_t word_count,
-                 bool exhaustive, std::size_t base_case,
-                 const WordOf& word_of, const SortSeg& sort_seg,
-                 const TieLess& tie_less, sort_workspace& ws,
-                 workspace_pool& pool, sort_stats* stats,
-                 const Cont& cont = {}) {
+sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
+                        bool exhaustive, const WordOf& word_of,
+                        const TieLess& tie_less,
+                        std::span<const rank_window> windows,
+                        const auto_sort_options& opt, const Cont& cont = {}) {
   constexpr bool kContinuation =
       !std::is_same_v<std::remove_cvref_t<Cont>, no_continuation>;
   const std::size_t n = data.size();
+  const std::size_t base_case = opt.policy.wide_segment_base_case;
+  sort_workspace& ws = *opt.workspace;
+  sort_stats* const stats = opt.stats;
+  // Pool for the concurrent large-segment sorts: the caller's, else the
+  // process-wide shared pool.
+  workspace_pool& pool =
+      opt.pool != nullptr ? *opt.pool : workspace_pool::shared();
   std::uint64_t rounds = 0;
   std::uint64_t segments = 0;
   std::uint64_t cont_rounds = 0;
   std::uint64_t cont_segments = 0;
   std::uint64_t max_offset = 0;
   std::uint64_t tiebreak_fallbacks = 0;
-  const auto note = [&] {
-    if (stats != nullptr) {
-      stats->refine_rounds.store(rounds, std::memory_order_relaxed);
-      stats->wide_segments.store(segments, std::memory_order_relaxed);
-      stats->wide_continuation_rounds.store(cont_rounds,
-                                            std::memory_order_relaxed);
-      stats->wide_continuation_segments.store(cont_segments,
-                                              std::memory_order_relaxed);
-      stats->wide_max_byte_offset.store(max_offset,
-                                        std::memory_order_relaxed);
-      stats->wide_tiebreak_fallbacks.store(tiebreak_fallbacks,
-                                           std::memory_order_relaxed);
-    }
-  };
-  sort_seg(data, std::size_t{0}, ws);  // word 0: full front-door dispatch
-  if (n < 2 || (word_count <= 1 && exhaustive)) {
-    note();
-    return;
-  }
 
-  // Segment tables: disjoint segments of >= 2 records, so at most n/2;
-  // plus the cut-position scratch for the split scans (< n cuts).
+  // One segment's sort on word w through the front door, on workspace
+  // `seg_ws`.
+  const auto sort_seg = [&](std::size_t lo, std::size_t hi, std::size_t w,
+                            sort_workspace& seg_ws) {
+    auto_sort_options seg_opt = opt;
+    seg_opt.workspace = &seg_ws;
+    return sort_unsigned(
+        data.subspan(lo, hi - lo),
+        [&word_of, w](const Rec& r) { return word_of(r, w); }, seg_opt);
+  };
+
+  // Segment tables, leased on the first split: disjoint segments of >= 2
+  // records, so at most n/2; plus the cut-position scratch for the split
+  // scans (< n cuts). Words after the current one exist only for wide or
+  // prefix codecs; a single-word key never splits.
+  const bool refines = word_count > 1 || !exhaustive;
   const std::size_t seg_cap = n / 2 + 1;
   std::span<wide_seg> cur, next;
   std::span<std::size_t> cut_scratch;
-  sort_workspace::lease cur_lease =
-      ws.acquire_array<wide_seg>(seg_cap, cur, stats);
-  sort_workspace::lease next_lease =
-      ws.acquire_array<wide_seg>(seg_cap, next, stats);
-  sort_workspace::lease cut_lease =
-      ws.acquire_array<std::size_t>(n, cut_scratch, stats);
-  std::size_t ncur =
-      append_word_runs(std::span<const Rec>(data.data(), n), 0, n, 0,
-                       word_of, cut_scratch, cur, 0);
+  sort_workspace::lease cur_lease, next_lease, cut_lease;
+  std::size_t ncur = 0;
+  std::size_t nnext = 0;
+  const auto split = [&](std::size_t lo, std::size_t hi, std::size_t w) {
+    if (!refines) return;
+    if (cut_scratch.empty()) {
+      cur_lease = ws.acquire_array<wide_seg>(seg_cap, cur, stats);
+      next_lease = ws.acquire_array<wide_seg>(seg_cap, next, stats);
+      cut_lease = ws.acquire_array<std::size_t>(n, cut_scratch, stats);
+    }
+    nnext = append_word_runs(std::span<const Rec>(data.data(), n), lo, hi, w,
+                             word_of, cut_scratch, next, nnext);
+  };
+  // Prune a straddling segment on word w; its surviving runs land in
+  // `next` like any split.
+  const auto select = [&](std::size_t lo, std::size_t hi, std::size_t w) {
+    rank_selector(
+        data, [&word_of, w](const Rec& r) { return word_of(r, w); }, windows,
+        opt.policy.select_base_case, ws, stats,
+        [&, w](std::size_t blo, std::size_t bhi) {
+          sort_seg(blo, bhi, w, ws);
+          split(blo, bhi, w);
+        },
+        [&, w](std::size_t blo, std::size_t bhi) { split(blo, bhi, w); })
+        .run(lo, hi);
+  };
+
+  // The root round. chosen_kernel and the sketch_* fields are
+  // last-write-wins snapshots, so the per-segment dispatches of later
+  // rounds would leave them describing the LAST refined segment. The
+  // contract is that they describe the ROOT dispatch — the kernel this
+  // function returns — so the root's values are captured here and
+  // restored after the refine rounds.
+  std::atomic<std::uint64_t> sort_stats::*const snap_fields[] = {
+      &sort_stats::chosen_kernel,          &sort_stats::sketch_key_bits,
+      &sort_stats::sketch_distinct_permille, &sort_stats::sketch_top_permille,
+      &sort_stats::sketch_desc_permille,   &sort_stats::sketch_heavy_keys,
+      &sort_stats::sketch_runs,            &sort_stats::chosen_parallelism,
+      &sort_stats::effective_workers};
+  constexpr std::size_t kNumSnap = std::size(snap_fields);
+  std::uint64_t snap[kNumSnap] = {};
+  sort_kernel root = sort_kernel::std_sort;
+  const bool sorted_root = covers_all(windows, n);
+  if (sorted_root) {
+    root = sort_seg(0, n, 0, ws);
+    if (stats != nullptr)
+      for (std::size_t f = 0; f < kNumSnap; ++f)
+        snap[f] = (stats->*snap_fields[f]).load(std::memory_order_relaxed);
+    if (n >= 2) split(0, n, 0);
+  } else {
+    select(0, n, 0);
+  }
+  std::swap(cur, next);
+  ncur = nnext;
 
   const auto seg_granularity = [](std::size_t count) {
     return std::max<std::size_t>(
         1, count / (8 * static_cast<std::size_t>(par::num_workers())));
   };
 
-  // Indices into `cur` of this round's above-base-case segments: at most
-  // n / base_case entries, so the vector stays tiny next to the O(n)
-  // workspace tables above.
-  std::vector<std::size_t> large;
+  // Comparison-finish, in parallel across segments, every segment of `cur`
+  // of at most `limit` records that some window still needs.
+  const auto finish_segments = [&](std::size_t limit, const auto& less) {
+    par::parallel_for(
+        0, ncur,
+        [&](std::size_t i) {
+          const auto [lo, hi] = cur[i];
+          if (hi - lo <= limit &&
+              fate_of(windows, lo, hi) != window_fate::outside)
+            stable_segment_sort(data.subspan(lo, hi - lo), less);
+        },
+        seg_granularity(ncur));
+  };
 
-  // Sort every `large` segment by word w and split it on that word; the
-  // surviving runs become the new `cur` table. Shared by the prefix rounds
-  // and the continuation rounds — append order is identical on both
-  // schedules below, so the next round's table (and therefore the output)
-  // does not depend on the pool.
-  const auto sort_split_large = [&](std::size_t w) {
-    std::size_t nnext = 0;
+  // Indices into `cur` of this round's above-base-case segments inside a
+  // window / straddling one: at most n / base_case entries, so the vectors
+  // stay tiny next to the O(n) workspace tables above.
+  std::vector<std::size_t> large;
+  std::vector<std::size_t> straddling;
+
+  // Sort (or prune) every above-base-case segment of `cur` on word w and
+  // split it on that word; the surviving runs become the new `cur` table.
+  // Shared by the prefix rounds and the continuation rounds — append order
+  // is identical on both schedules below, so the next round's table (and
+  // therefore the output) does not depend on the pool.
+  const auto step_round = [&](std::size_t w) {
+    large.clear();
+    straddling.clear();
+    for (std::size_t i = 0; i < ncur; ++i) {
+      const auto [lo, hi] = cur[i];
+      if (hi - lo <= base_case) continue;
+      const window_fate f = fate_of(windows, lo, hi);
+      if (f == window_fate::inside) large.push_back(i);
+      if (f == window_fate::straddles) straddling.push_back(i);
+    }
+    nnext = 0;
     if (large.size() > 1 && par::effective_workers() > 1) {
       // Concurrent in-flight sorts, one pool workspace each (the caller's
       // `ws` cannot serve them all: one in-flight sort per workspace).
@@ -437,26 +494,23 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
           [&](std::size_t j) {
             const auto [lo, hi] = cur[large[j]];
             workspace_pool::handle h = pool.checkout();
-            sort_seg(data.subspan(lo, hi - lo), w, *h);
+            sort_seg(lo, hi, w, *h);
           },
           1);
-      for (const std::size_t i : large) {
-        const auto [lo, hi] = cur[i];
-        nnext = append_word_runs(std::span<const Rec>(data.data(), n), lo,
-                                 hi, w, word_of, cut_scratch, next, nnext);
-      }
+      for (const std::size_t i : large) split(cur[i].lo, cur[i].hi, w);
     } else {
       // Serial: one segment at a time through the caller's warm arena,
       // splitting each immediately after its sort while its records are
       // still cache-hot (a deferred split phase re-reads the segment cold
       // — measurably slower on fat segments).
       for (const std::size_t i : large) {
-        const auto [lo, hi] = cur[i];
-        sort_seg(data.subspan(lo, hi - lo), w, ws);
-        nnext = append_word_runs(std::span<const Rec>(data.data(), n), lo,
-                                 hi, w, word_of, cut_scratch, next, nnext);
+        sort_seg(cur[i].lo, cur[i].hi, w, ws);
+        split(cur[i].lo, cur[i].hi, w);
       }
     }
+    // At most two straddlers per window, pruned one at a time through the
+    // caller's workspace.
+    for (const std::size_t i : straddling) select(cur[i].lo, cur[i].hi, w);
     std::swap(cur, next);
     ncur = nnext;
   };
@@ -465,25 +519,13 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
   // one stable comparison sort finishes ALL remaining words (and the
   // true-key tie-break when the codec is a prefix; see words_then_tie), in
   // parallel across segments; they never re-enter the refinement. Large
-  // segments (at most n / base_case, so the index list stays small even
-  // when the segment table is huge) go back through the front door.
+  // segments go back through the front door (or the selector).
   const auto refine_round = [&](std::size_t w) {
     ++rounds;
     segments += ncur;
-    const auto finish_less =
-        words_then_tie(word_of, w, word_count, exhaustive, tie_less);
-    par::parallel_for(
-        0, ncur,
-        [&](std::size_t i) {
-          const auto [lo, hi] = cur[i];
-          if (hi - lo <= base_case)
-            stable_segment_sort(data.subspan(lo, hi - lo), finish_less);
-        },
-        seg_granularity(ncur));
-    large.clear();
-    for (std::size_t i = 0; i < ncur; ++i)
-      if (cur[i].hi - cur[i].lo > base_case) large.push_back(i);
-    sort_split_large(w);
+    finish_segments(base_case, words_then_tie(word_of, w, word_count,
+                                              exhaustive, tie_less));
+    step_round(w);
   };
 
   for (std::size_t w = 1; w < word_count && ncur > 0; ++w) refine_round(w);
@@ -524,19 +566,11 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
         // segments were verified tied at least that far), so the finish
         // compares suffixes only — under a long shared prefix, tie_less
         // from byte 0 would re-scan the whole prefix per comparison.
-        par::parallel_for(
-            0, ncur,
-            [&](std::size_t i) {
-              const auto [lo, hi] = cur[i];
-              if (hi - lo <= base_case)
-                stable_segment_sort(data.subspan(lo, hi - lo),
-                                    [&](const Rec& a, const Rec& b) {
-                                      return cont.tie_from(a, b, offset);
-                                    });
-            },
-            seg_granularity(ncur));
+        finish_segments(base_case, [&](const Rec& a, const Rec& b) {
+          return cont.tie_from(a, b, offset);
+        });
       }
-      // Probe each large segment's next window BEFORE re-encoding:
+      // Probe each large segment some window needs BEFORE re-encoding:
       // skip == 0 splits (sort it now), k > 0 defers k whole windows,
       // cont_probe_done drops the segment (keys equal to the end).
       std::size_t m = 0;
@@ -544,7 +578,9 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
       std::size_t min_skip = cont_probe_done;
       for (std::size_t i = 0; i < ncur; ++i) {
         const auto [lo, hi] = cur[i];
-        if (hi - lo <= base_case) continue;
+        if (hi - lo <= base_case ||
+            fate_of(windows, lo, hi) == window_fate::outside)
+          continue;
         const std::size_t skip = cont.probe(
             std::span<const Rec>(data.data() + lo, hi - lo), offset);
         if (skip == cont_probe_done) continue;
@@ -567,16 +603,13 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
           cont.reencode(data.subspan(lo, hi - lo), offset);
         }
         // The re-encoded window runs the same machinery as the prefix:
-        // word 0 through the front door per segment (every survivor is
-        // above the base case by construction), then the regular refine
-        // rounds for the window's remaining words — none for the
-        // one-word-per-round string codecs, whose probe already skipped
-        // every tied word.
+        // word 0 per segment (every survivor is above the base case by
+        // construction), then the regular refine rounds for the window's
+        // remaining words — none for the one-word-per-round string codecs,
+        // whose probe already skipped every tied word.
         ++rounds;
         segments += ncur;
-        large.clear();
-        for (std::size_t i = 0; i < ncur; ++i) large.push_back(i);
-        sort_split_large(0);
+        step_round(0);
         for (std::size_t w = 1; w < cont.words && ncur > 0; ++w)
           refine_round(w);
       }
@@ -598,73 +631,25 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
     ++rounds;
     segments += ncur;
     for (std::size_t i = 0; i < ncur; ++i)
-      if (cur[i].hi - cur[i].lo > base_case) ++tiebreak_fallbacks;
-    par::parallel_for(
-        0, ncur,
-        [&](std::size_t i) {
-          const auto [lo, hi] = cur[i];
-          stable_segment_sort(data.subspan(lo, hi - lo), tie_less);
-        },
-        seg_granularity(ncur));
+      if (cur[i].hi - cur[i].lo > base_case &&
+          fate_of(windows, cur[i].lo, cur[i].hi) != window_fate::outside)
+        ++tiebreak_fallbacks;
+    finish_segments(n, tie_less);
   }
-  note();
-}
-
-// Run wide_refine on the caller's workspace (opt.workspace, set by
-// the front door's per-call preamble) with every segment sorted through
-// the adaptive dispatcher (sort_unsigned keyed on word_of), returning the
-// word-0 dispatch's kernel — the shared scaffolding of the fused and
-// encode-once paths below.
-template <typename Rec, typename WordOf, typename TieLess,
-          typename Cont = no_continuation>
-sort_kernel refine_through_front_door(std::span<Rec> data,
-                                      std::size_t word_count,
-                                      bool exhaustive, const WordOf& word_of,
-                                      const TieLess& tie_less,
-                                      const auto_sort_options& opt,
-                                      const Cont& cont = {}) {
-  sort_kernel root = sort_kernel::std_sort;
-  bool first = true;
-  // chosen_kernel and the sketch_* fields are last-write-wins snapshots,
-  // so the per-segment dispatches of later rounds would leave them
-  // describing the LAST refined segment. The wide contract is that they
-  // describe the ROOT (word-0, whole-input) dispatch — the kernel this
-  // function returns — so the word-0 values are captured here and
-  // restored after the refine rounds.
-  std::atomic<std::uint64_t> sort_stats::*const snap_fields[] = {
-      &sort_stats::chosen_kernel,          &sort_stats::sketch_key_bits,
-      &sort_stats::sketch_distinct_permille, &sort_stats::sketch_top_permille,
-      &sort_stats::sketch_desc_permille,   &sort_stats::sketch_heavy_keys,
-      &sort_stats::sketch_runs,            &sort_stats::chosen_parallelism,
-      &sort_stats::effective_workers};
-  constexpr std::size_t kNumSnap = std::size(snap_fields);
-  std::uint64_t snap[kNumSnap] = {};
-  const auto sort_seg = [&](std::span<Rec> seg, std::size_t w,
-                            sort_workspace& seg_ws) {
-    auto_sort_options seg_opt = opt;
-    seg_opt.workspace = &seg_ws;
-    const sort_kernel k = sort_unsigned(
-        seg, [&word_of, w](const Rec& r) { return word_of(r, w); }, seg_opt);
-    if (first) {
-      root = k;
-      first = false;
-      if (opt.stats != nullptr)
-        for (std::size_t f = 0; f < kNumSnap; ++f)
-          snap[f] = (opt.stats->*snap_fields[f])
-                        .load(std::memory_order_relaxed);
-    }
-  };
-  // Pool for the concurrent large-segment sorts: the caller's, else the
-  // process-wide shared pool.
-  workspace_pool& pool =
-      opt.pool != nullptr ? *opt.pool : workspace_pool::shared();
-  wide_refine(data, word_count, exhaustive,
-              opt.policy.wide_segment_base_case, word_of, sort_seg,
-              tie_less, *opt.workspace, pool, opt.stats, cont);
-  if (opt.stats != nullptr && !first)
-    for (std::size_t f = 0; f < kNumSnap; ++f)
-      (opt.stats->*snap_fields[f]).store(snap[f],
+  if (stats != nullptr) {
+    stats->refine_rounds.store(rounds, std::memory_order_relaxed);
+    stats->wide_segments.store(segments, std::memory_order_relaxed);
+    stats->wide_continuation_rounds.store(cont_rounds,
+                                          std::memory_order_relaxed);
+    stats->wide_continuation_segments.store(cont_segments,
+                                            std::memory_order_relaxed);
+    stats->wide_max_byte_offset.store(max_offset, std::memory_order_relaxed);
+    stats->wide_tiebreak_fallbacks.store(tiebreak_fallbacks,
                                          std::memory_order_relaxed);
+    if (sorted_root)
+      for (std::size_t f = 0; f < kNumSnap; ++f)
+        (stats->*snap_fields[f]).store(snap[f], std::memory_order_relaxed);
+  }
   return root;
 }
 
@@ -720,29 +705,46 @@ auto continuation_for(const KeyOf& key_of, const Reencode& reencode) {
 // ---------------------------------------------------------------------------
 // Entry points for the typed front door (auto_sort.hpp), which has already
 // installed the per-call preamble: `opt.workspace` is the call's workspace.
+// Both run the segment driver over `windows` — [0, n) for a sort — and
+// return its root kernel.
 
-// The encode-once record of a W-word key: every word materialized up
-// front with one sequential read of each key, so the refine rounds and
-// the word half of every comparison run over a cache-resident array — the
-// true key is touched again only by a prefix codec's tie-break or
-// continuation and by the caller's final gather. Built by
-// detail::encode_once (auto_sort.hpp), next to the single-word enc_idx
-// records.
+// The encode-once records, built by detail::encode_once (auto_sort.hpp):
+// (encoded key, source index) for single-word keys — the 32-bit record
+// whenever the encoded key and the index both fit, half the bytes per
+// scatter pass — and every word of a W-word key materialized up front
+// with one sequential read of each key, so the refine rounds and the word
+// half of every comparison run over a cache-resident array: the true key
+// is touched again only by a prefix codec's tie-break or continuation and
+// by the caller's final gather.
+struct enc_idx32 {
+  std::uint32_t key;
+  std::uint32_t idx;
+};
+struct enc_idx64 {
+  std::uint64_t key;
+  std::uint64_t idx;
+};
 template <std::size_t W>
 struct enc_words {
   std::uint64_t word[W];
   std::uint64_t idx;
 };
 
-// Refine-sort encode-once records of key type K; key_at(idx) is the true
-// key of the record with source index idx. Returns the word-0 kernel.
-template <typename K, std::size_t W, typename KeyAt>
-sort_kernel refine_encoded(std::span<enc_words<W>> recs, const KeyAt& key_at,
+// Refine encode-once records R of key type K; key_at(idx) is the true key
+// of the record with source index idx.
+template <typename K, typename R, typename KeyAt>
+sort_kernel refine_encoded(std::span<R> recs, const KeyAt& key_at,
+                           std::span<const rank_window> windows,
                            const auto_sort_options& opt) {
   using WT = wide_key_traits<K>;
-  using R = enc_words<W>;
-  static_assert(WT::word_count == W);
-  const auto word_of = [](const R& r, std::size_t w) { return r.word[w]; };
+  // A single-word record keeps its native key width (the 32-bit record
+  // sorts 32-bit keys).
+  const auto word_of = [](const R& r, [[maybe_unused]] std::size_t w) {
+    if constexpr (WT::single_word)
+      return r.key;
+    else
+      return r.word[w];
+  };
   const auto key_of = [&key_at](const R& r) -> decltype(auto) {
     return key_at(static_cast<std::size_t>(r.idx));
   };
@@ -758,20 +760,20 @@ sort_kernel refine_encoded(std::span<enc_words<W>> recs, const KeyAt& key_at,
           seg[i].word[w] = WT::word_at(k, w, off);
       });
     };
-    return refine_through_front_door(
-        recs, W, WT::exhaustive, word_of, tie, opt,
-        continuation_for<WT, R>(key_of, reencode));
+    return wide_refine(recs, WT::word_count, WT::exhaustive, word_of, tie,
+                       windows, opt, continuation_for<WT, R>(key_of, reencode));
   } else {
-    return refine_through_front_door(recs, W, WT::exhaustive, word_of, tie,
-                                     opt);
+    return wide_refine(recs, WT::word_count, WT::exhaustive, word_of, tie,
+                       windows, opt);
   }
 }
 
-// Fused wide sort — trivially copyable records under a cheap codec: the
+// Fused refine — trivially copyable records under a cheap codec: the
 // records are scattered as-is and each word pass re-derives its radix key
 // from the record, with no memory beyond the dispatcher's own scratch.
 template <typename Rec, typename KeyFn>
 sort_kernel refine_fused(std::span<Rec> data, const KeyFn& key,
+                         std::span<const rank_window> windows,
                          const auto_sort_options& opt) {
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
@@ -792,15 +794,14 @@ sort_kernel refine_fused(std::span<Rec> data, const KeyFn& key,
     const auto reencode = [&cont_off](std::span<Rec>, std::size_t off) {
       cont_off = off;
     };
-    return refine_through_front_door(
-        data, WT::word_count, WT::exhaustive, word_of, tie, opt,
-        continuation_for<WT, Rec>(key, reencode));
+    return wide_refine(data, WT::word_count, WT::exhaustive, word_of, tie,
+                       windows, opt, continuation_for<WT, Rec>(key, reencode));
   } else {
     const auto word_of = [&key](const Rec& r, std::size_t w) {
       return WT::word(key(r), w);
     };
-    return refine_through_front_door(data, WT::word_count, WT::exhaustive,
-                                     word_of, tie, opt);
+    return wide_refine(data, WT::word_count, WT::exhaustive, word_of, tie,
+                       windows, opt);
   }
 }
 

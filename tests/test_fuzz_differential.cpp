@@ -11,13 +11,20 @@
 // match the reference. The streaming arm
 // (FuzzDifferentialStream) feeds the SAME mixed inputs through
 // stream_sorter under a random chunking plan and demands byte-identity
-// with both std::stable_sort and the one-shot front door.
+// with both std::stable_sort and the one-shot front door. The query arms
+// (FuzzDifferentialQuery, FuzzDifferentialWideQuery) demand every rank
+// window of top_k / nth_element / partial_sort / percentiles match the
+// stable-sort slice, over 32-bit records, 128-bit records and
+// shared-prefix strings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -216,8 +223,9 @@ TEST_P(FuzzDifferentialWide, MatchesStdStableSort) {
 
 namespace {
 
-std::vector<std::string> build_lcp_string_input(std::uint64_t seed) {
-  const std::size_t plen = par::rand_range(seed, 21, 257);  // 0..256
+std::vector<std::string> build_lcp_string_input(std::uint64_t seed,
+                                                std::size_t max_plen = 256) {
+  const std::size_t plen = par::rand_range(seed, 21, max_plen + 1);
   std::string prefix(plen, '\0');
   for (std::size_t i = 0; i < plen; ++i)
     prefix[i] = static_cast<char>(par::rand_at(seed, 500000 + i) & 0xFF);
@@ -397,6 +405,129 @@ TEST_P(FuzzDifferentialQuery, WindowsMatchStableSortSlices) {
       ASSERT_EQ(v[i].value, ref[i].value) << "seed=" << seed << " i=" << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wide query arm: the rank-window queries over wide keys — 128-bit records
+// through the fused segment driver, and strings with a random shared
+// prefix of 0..80 bytes through the encode-once route and the MSD
+// continuation. Each seed draws k, nth, m and a percentile set; every
+// window must match the std::stable_sort slice byte for byte, the rest of
+// the array must be partitioned around it, and the array must stay a
+// permutation of the input — at 1 and 4 workers.
+
+namespace {
+
+// `got` after a query for the window [lo, hi) of positions: the window
+// equals the reference slice, nothing before it ranks above it, nothing
+// after it ranks below it, and `got` is a permutation of `ref`. `key_less`
+// is the key order; `total_less` a total order on whole records, under
+// which the stable reference is already sorted.
+template <typename T, typename KeyLess, typename TotalLess, typename Same>
+void expect_window(std::vector<T> got, const std::vector<T>& ref,
+                   std::size_t lo, std::size_t hi, const KeyLess& key_less,
+                   const TotalLess& total_less, const Same& same,
+                   const std::string& what) {
+  ASSERT_EQ(got.size(), ref.size()) << what;
+  for (std::size_t i = lo; i < hi; ++i)
+    ASSERT_TRUE(same(got[i], ref[i])) << what << " window i=" << i;
+  if (lo < hi) {
+    for (std::size_t i = 0; i < lo; ++i)
+      ASSERT_FALSE(key_less(ref[lo], got[i])) << what << " before i=" << i;
+    for (std::size_t i = hi; i < got.size(); ++i)
+      ASSERT_FALSE(key_less(got[i], ref[hi - 1])) << what << " after i=" << i;
+  }
+  std::sort(got.begin(), got.end(), total_less);
+  ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin(), same))
+      << what << " not a permutation";
+}
+
+// Every query shape over one input: top_k of both sides, nth_element,
+// partial_sort and percentiles over the keys (`key_of`).
+template <typename Rec, typename KeyFn, typename KeyLess, typename TotalLess,
+          typename Same>
+void fuzz_wide_queries(std::uint64_t seed, const std::vector<Rec>& input,
+                       const KeyFn& key_of, const KeyLess& key_less,
+                       const TotalLess& total_less, const Same& same) {
+  using K = std::remove_cvref_t<decltype(key_of(input[0]))>;
+  const std::size_t n = input.size();
+  auto ref = input;
+  std::stable_sort(ref.begin(), ref.end(), key_less);
+  const std::size_t k = 1 + par::rand_range(seed, 41, n);       // 1..n
+  const std::size_t nth = par::rand_range(seed, 42, n);         // 0..n-1
+  const std::size_t m = par::rand_range(seed, 43, n + 1);       // 0..n
+  std::vector<double> qs(1 + par::rand_range(seed, 44, 5));     // 1..5
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    qs[i] = static_cast<double>(par::rand_range(seed, 45 + i, 1001)) / 1000;
+  std::vector<K> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = key_of(input[i]);
+
+  for (const int threads : {1, 4}) {
+    sort_workspace ws;
+    auto_sort_options opt;
+    opt.workspace = &ws;
+    opt.num_threads = threads;
+    // Odd seeds shrink both base cases so the selector and the word
+    // rounds recurse instead of finishing by comparison.
+    if (seed % 2 == 1) {
+      opt.policy.select_base_case = std::size_t{1}
+                                    << par::rand_range(seed, 46, 8);
+      opt.policy.wide_segment_base_case = 256;
+    }
+    const std::string tag = "seed=" + std::to_string(seed) +
+                            " threads=" + std::to_string(threads);
+    auto v = input;
+    top_k(std::span<Rec>(v), k, key_of, rank_side::smallest, opt);
+    expect_window(v, ref, 0, k, key_less, total_less, same, tag + " top_k");
+    v = input;
+    top_k(std::span<Rec>(v), k, key_of, rank_side::largest, opt);
+    expect_window(v, ref, n - k, n, key_less, total_less, same,
+                  tag + " top_k largest");
+    v = input;
+    dovetail::nth_element(std::span<Rec>(v), nth, key_of, opt);
+    expect_window(v, ref, nth, nth + 1, key_less, total_less, same,
+                  tag + " nth=" + std::to_string(nth));
+    v = input;
+    dovetail::partial_sort(std::span<Rec>(v), m, key_of, opt);
+    expect_window(v, ref, 0, m, key_less, total_less, same,
+                  tag + " partial_sort m=" + std::to_string(m));
+    const auto got = dovetail::percentiles(
+        std::span<const K>(keys), std::span<const double>(qs), opt);
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const auto r = static_cast<std::size_t>(
+          std::llround(qs[i] * static_cast<double>(n - 1)));
+      ASSERT_TRUE(got[i] == key_of(ref[r])) << tag << " q=" << qs[i];
+    }
+  }
+}
+
+}  // namespace
+
+class FuzzDifferentialWideQuery : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialWideQuery,
+                         ::testing::Range(0, 12));
+
+TEST_P(FuzzDifferentialWideQuery, U128WindowsMatchStableSortSlices) {
+  const auto seed = static_cast<std::uint64_t>(12000 + GetParam());
+  fuzz_wide_queries(
+      seed, build_mixed_wide_input(seed),
+      [](const kv128& r) { return r.key; },
+      [](const kv128& a, const kv128& b) { return a.key < b.key; },
+      [](const kv128& a, const kv128& b) {
+        return a.key < b.key || (a.key == b.key && a.value < b.value);
+      },
+      [](const kv128& a, const kv128& b) {
+        return a.key == b.key && a.value == b.value;
+      });
+}
+
+TEST_P(FuzzDifferentialWideQuery, StringWindowsMatchStableSortSlices) {
+  const auto seed = static_cast<std::uint64_t>(13000 + GetParam());
+  fuzz_wide_queries(
+      seed, build_lcp_string_input(seed, 80),
+      [](const std::string& s) -> const std::string& { return s; },
+      std::less<std::string>{}, std::less<std::string>{},
+      std::equal_to<std::string>{});
 }
 
 TEST(FuzzDifferential64, MixedInputs64Bit) {

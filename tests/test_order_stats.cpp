@@ -167,7 +167,7 @@ TEST(OrderStats, EquivalenceUrlStringKeys) {
 
 TEST(OrderStats, EquivalenceNonTriviallyCopyableRecords) {
   // std::pair records take the encode-once (encoded, index) route even
-  // for a narrow key — the pairs path of select_by_rank.
+  // for a narrow key — the record-kernel path of the sort/query router.
   using rec = std::pair<std::uint32_t, std::uint32_t>;
   auto keys = gen::generate_keys<std::uint32_t>(
       {gen::dist_kind::uniform, 1e5, "u"}, 50000, 38);

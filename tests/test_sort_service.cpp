@@ -12,7 +12,9 @@
 //     to reach;
 //   * per-request num_threads=1 takes the exact serial path (no refine
 //     pool traffic beyond the one per-request lease);
-//   * soft deadlines and the service_* accounting counters.
+//   * soft deadlines and the service_* accounting counters;
+//   * plain-key requests default to the pure-key self_key functor, so the
+//     memory-budget rule picks the in-place kernel as dovetail::sort does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include "dovetail/core/sort_service.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
+#include "dovetail/parallel/random.hpp"
 #include "dovetail/parallel/scheduler.hpp"
 #include "dovetail/util/record.hpp"
 #include "test_util.hpp"
@@ -357,4 +360,25 @@ TEST(SortBatch, PerRequestStatsSeeOnlyTheirRequest) {
   EXPECT_TRUE(chosen_kernel_of(st[1]).has_value());
   EXPECT_EQ(reqs[0].result.kernel, *chosen_kernel_of(st[0]));
   EXPECT_EQ(reqs[1].result.kernel, *chosen_kernel_of(st[1]));
+}
+
+// The default key functor is self_key, which the dispatcher recognizes as
+// pure-key: under a memory budget the ping-pong lease cannot meet, a batch
+// of plain keys takes the in-place kernel exactly like dovetail::sort.
+TEST(SortBatch, DefaultKeyFunctorIsPureKey) {
+  std::vector<std::uint64_t> keys(std::size_t{1} << 18);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = par::hash64(i);
+  auto_sort_options aopt;
+  aopt.policy.memory_budget_bytes = 1024;
+  auto direct = keys;
+  EXPECT_EQ(dovetail::sort(std::span<std::uint64_t>(direct), aopt),
+            sort_kernel::inplace);
+
+  service_options opt;
+  opt.policy = aopt.policy;
+  std::vector<sort_request<std::uint64_t>> reqs(1);
+  reqs[0].data = std::span<std::uint64_t>(keys);
+  sort_batch(reqs, opt);
+  EXPECT_EQ(reqs[0].result.kernel, sort_kernel::inplace);
+  EXPECT_EQ(keys, direct);
 }

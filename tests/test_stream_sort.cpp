@@ -215,7 +215,7 @@ TEST(StreamSort, StringKeysUseTheNonExhaustiveTieBreak) {
   stream_sorter<std::string> s;
   const auto got =
       stream_in_chunks(input, random_chunks(input.size(), 1'500, 94), s);
-  const auto want = one_shot(input, identity_key{});
+  const auto want = one_shot(input, self_key{});
   EXPECT_EQ(got, want);
 }
 

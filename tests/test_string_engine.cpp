@@ -17,8 +17,10 @@
 //   * the comparison tie-break — the route for a non-exhaustive multi-word
 //     key_codec WITHOUT the offset form (a user customization point):
 //     dovetail::sort, top_k and stream_sorter over such a codec match
-//     std::stable_sort byte for byte, and the two sorts count the
-//     above-base-case segments it finishes in wide_tiebreak_fallbacks.
+//     std::stable_sort byte for byte, and all three count the
+//     above-base-case segments it finishes in wide_tiebreak_fallbacks;
+//   * queries over string keys — top_k and partial_sort continue past a
+//     long shared prefix by radix, on the sort's own segment driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -269,6 +271,48 @@ TEST(StringEngine, SortByKeyRoutesThroughContinuation) {
   EXPECT_GE(st.wide_continuation_rounds.load(), 1u);
 }
 
+TEST(StringEngine, QueriesContinueByRadixPastSharedPrefix) {
+  // Rank-window queries run on the sort's segment driver: over 2^18 keys
+  // that share a 64-byte prefix, top_k and partial_sort must reach the
+  // distinguishing bytes through continuation rounds, pruning on the way,
+  // instead of finishing the whole tied segment with one comparison sort.
+  constexpr std::size_t kN = std::size_t{1} << 18;
+  const std::string prefix(64, 'p');
+  std::vector<std::string> input(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    constexpr char hexd[] = "0123456789abcdef";
+    const std::uint64_t u = rnd(i) % (kN / 2);  // duplicate full keys
+    input[i] = prefix;
+    for (int sh = 60; sh >= 0; sh -= 4) input[i] += hexd[(u >> sh) & 0xF];
+  }
+  auto ref = input;
+  std::stable_sort(ref.begin(), ref.end());
+  for (const int threads : {1, 4}) {
+    for (const std::size_t m : {std::size_t{100}, kN / 2}) {
+      sort_stats st;
+      auto_sort_options opt;
+      opt.num_threads = threads;
+      opt.stats = &st;
+      auto v = input;
+      if (m == 100) {
+        const auto got = dovetail::top_k(std::span<std::string>(v), m,
+                                         rank_side::smallest, opt);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin()))
+            << "top_k threads=" << threads;
+      } else {
+        dovetail::partial_sort(std::span<std::string>(v), m, opt);
+        ASSERT_TRUE(std::equal(v.begin(),
+                               v.begin() + static_cast<std::ptrdiff_t>(m),
+                               ref.begin()))
+            << "partial_sort threads=" << threads;
+      }
+      EXPECT_GE(st.wide_continuation_rounds.load(), 1u) << "m=" << m;
+      EXPECT_EQ(st.wide_tiebreak_fallbacks.load(), 0u) << "m=" << m;
+      EXPECT_LT(st.base_case_records.load(), kN / 8) << "m=" << m;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The comparison tie-break route.
 
@@ -337,11 +381,14 @@ TEST(StringEngine, PrefixCodecWithoutOffsetFormTieBreaks) {
     EXPECT_EQ(st.wide_continuation_rounds.load(), 0u);
 
     for (const std::size_t k : {std::size_t{1}, std::size_t{700}, kN / 2}) {
+      sort_stats qst;
+      opt.stats = &qst;
       auto t = input;
       const auto got = dovetail::top_k(std::span<tail_rec>(t), k, key_of_tail,
                                        rank_side::smallest, opt);
       ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin()))
           << "top_k k=" << k << " threads=" << threads;
+      EXPECT_GE(qst.wide_tiebreak_fallbacks.load(), 1u) << "top_k k=" << k;
     }
 
     sort_stats sst;

@@ -7,8 +7,8 @@
 //   sort -i file.bin [--bits 32|64] [--algo dtsort|plis|ips2ra|lsd|rd|plss|ips4o]
 //        [--verify] [--stats] [-o out.bin]
 //        Sort a dataset file; optionally verify, print work stats, write out.
-//   bench -i file.bin [--bits 32|64] [--reps R]
-//        Time every algorithm on the file and print a comparison table.
+//
+// Timing comparisons across algorithms live in bench_suite (BENCHMARKS.md).
 //
 // File format: u64 record count, u32 key bits, then packed kv32/kv64
 // records (key, value).
@@ -128,8 +128,7 @@ int usage() {
       "  dtsort gen  --dist unif-1e5|exp-5|zipf-1.2|bexp-100 --n N\n"
       "              [--bits 32|64] [--seed S] -o file.bin\n"
       "  dtsort sort -i file.bin [--algo dtsort|plis|ips2ra|lsd|rd|plss|ips4o]\n"
-      "              [--verify] [--stats] [-o out.bin]\n"
-      "  dtsort bench -i file.bin [--reps R]\n");
+      "              [--verify] [--stats] [-o out.bin]\n");
   return 2;
 }
 
@@ -181,27 +180,6 @@ int do_sort(std::vector<Rec> recs, const KeyFn& key, const args_map& args,
   return 0;
 }
 
-template <typename Rec, typename KeyFn>
-int do_bench(const std::vector<Rec>& recs, const KeyFn& key,
-             const args_map& args, std::uint32_t bits) {
-  const int reps = std::max(1, std::atoi(args.get("reps", "3")));
-  std::printf("benchmarking %zu records (%u-bit keys), %d reps, %d threads\n",
-              recs.size(), bits, reps, par::num_workers());
-  std::vector<Rec> work(recs.size());
-  for (algo a : all_parallel_algos()) {
-    std::vector<double> times;
-    for (int r = 0; r < reps; ++r) {
-      std::copy(recs.begin(), recs.end(), work.begin());
-      timer t;
-      run_sorter(a, std::span<Rec>(work), key);
-      times.push_back(t.seconds());
-    }
-    std::sort(times.begin(), times.end());
-    std::printf("  %-8s %.3fs\n", algo_name(a), times[times.size() / 2]);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -240,7 +218,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cmd == "sort" || cmd == "bench") {
+  if (cmd == "sort") {
     const char* in = args.get("i");
     if (in == nullptr) return usage();
     std::ifstream f(in, std::ios::binary);
@@ -250,16 +228,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read %s\n", in);
       return 1;
     }
-    if (bits == 32) {
-      auto recs = read_records<dovetail::kv32>(f, n);
-      return cmd == "sort"
-                 ? do_sort(std::move(recs), dovetail::key_of_kv32, args, bits)
-                 : do_bench(recs, dovetail::key_of_kv32, args, bits);
-    }
-    auto recs = read_records<dovetail::kv64>(f, n);
-    return cmd == "sort"
-               ? do_sort(std::move(recs), dovetail::key_of_kv64, args, bits)
-               : do_bench(recs, dovetail::key_of_kv64, args, bits);
+    if (bits == 32)
+      return do_sort(read_records<dovetail::kv32>(f, n),
+                     dovetail::key_of_kv32, args, bits);
+    return do_sort(read_records<dovetail::kv64>(f, n), dovetail::key_of_kv64,
+                   args, bits);
   }
 
   return usage();
