@@ -68,10 +68,12 @@ struct block_geometry {
 };
 
 // Appendix B: keep the counting matrix around L1/L2 size — blocks of at
-// least max(8*B, 16384) records, at most 8 blocks per worker.
+// least max(8*B, 16384) records, at most 8 blocks per worker this call may
+// use (par::effective_workers, so a num_threads cap also shrinks the
+// matrix). The pass is stable at any block count, so output is unchanged.
 inline block_geometry distribution_blocks(std::size_t n,
                                           std::size_t num_buckets) {
-  const auto p = static_cast<std::size_t>(par::num_workers());
+  const auto p = static_cast<std::size_t>(par::effective_workers());
   const std::size_t min_block = std::max<std::size_t>(8 * num_buckets, 16384);
   const std::size_t nblocks = std::clamp<std::size_t>(n / min_block, 1, 8 * p);
   return {nblocks, (n + nblocks - 1) / nblocks};

@@ -16,7 +16,11 @@
 //                   are already fully sorted and skip recursion (Sec 3.3).
 //   4. Dovetail   — per zone, interleave heavy buckets with the sorted
 //                   light bucket via DTMerge (Alg 3, Sec 3.4).
-// Base cases: no bits left, or n' <= θ (stable comparison sort, Sec 3.5).
+// Base cases: no bits left, or n' <= θ. The paper finishes the latter with
+// a stable comparison sort (Sec 3.5); here a sequential, range-adaptive MSD
+// radix sort over the dead twin segment does it (detail::radix_finish) —
+// the same stable order, no allocation. Only the overflow bucket, whose
+// keys can span the full width and size, keeps the comparison sort.
 //
 // Work O(n sqrt(log r)), span ~O(2^sqrt(log r)) per Thm 4.5; stable.
 #pragma once
@@ -48,6 +52,75 @@ namespace dovetail {
 
 namespace detail {
 
+// Segments at or below this size finish with an insertion sort.
+inline constexpr std::size_t kFinishInsertion = 24;
+
+// Sequential stable MSD radix sort of the n records at `cur` by key. `oth`
+// is an equally long dead segment used as the scatter target (the twin
+// segment of DTSort's (A, T) ping-pong pair); the sorted records land in
+// whichever of the two is the A side (`cur` if `cur_is_a`, else `oth`).
+// Each level makes one min/max pass: an all-equal segment is done without
+// a scatter, otherwise the digit starts at the highest bit where min and
+// max differ and is min(8, range bits, floor(log2 n)) wide, so the
+// histogram never costs more than the records it sorts. Counts live on the
+// stack; each level consumes at least min(4, range bits) bits (smaller
+// segments take the insertion sort), so the recursion is at most 16 deep
+// for 64-bit keys. Stable, so the output equals std::stable_sort by key.
+template <typename Rec, typename KeyFn>
+void radix_finish(Rec* cur, Rec* oth, std::size_t n, bool cur_is_a,
+                  const KeyFn& key) {
+  const auto k = [&key](const Rec& r) {
+    return static_cast<std::uint64_t>(key(r));
+  };
+  Rec* const out = cur_is_a ? cur : oth;
+  if (n <= kFinishInsertion) {
+    // Insertion sort from `cur` into `out` (the same array when cur_is_a).
+    for (std::size_t i = 0; i < n; ++i) {
+      const Rec x = cur[i];
+      const std::uint64_t kx = k(x);
+      std::size_t j = i;
+      for (; j > 0 && kx < k(out[j - 1]); --j) out[j] = out[j - 1];
+      out[j] = x;
+    }
+    return;
+  }
+  std::uint64_t kmin = k(cur[0]);
+  std::uint64_t kmax = kmin;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t ki = k(cur[i]);
+    kmin = std::min(kmin, ki);
+    kmax = std::max(kmax, ki);
+  }
+  if (kmin == kmax) {
+    if (!cur_is_a) std::copy(cur, cur + n, out);
+    return;
+  }
+  const int range = bit_width_u64(kmin ^ kmax);
+  const int d = std::min({8, range, static_cast<int>(floor_log2(n))});
+  const int shift = range - d;
+  const std::size_t nb = std::size_t{1} << d;
+  const std::uint64_t dmask = nb - 1;
+  // end[b]: after the scatter, one past the last record of bucket b.
+  std::size_t end[256];
+  std::fill(end, end + nb, 0);
+  for (std::size_t i = 0; i < n; ++i) ++end[(k(cur[i]) >> shift) & dmask];
+  for (std::size_t b = 0, sum = 0; b < nb; ++b) {
+    const std::size_t c = end[b];
+    end[b] = sum;
+    sum += c;
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    oth[end[(k(cur[i]) >> shift) & dmask]++] = cur[i];
+  if (shift == 0) {  // every bucket holds one key
+    if (cur_is_a) std::copy(oth, oth + n, cur);
+    return;
+  }
+  for (std::size_t b = 0, lo = 0; b < nb; lo = end[b++]) {
+    if (end[b] > lo)
+      radix_finish(oth + lo, cur + lo, end[b] - lo, !cur_is_a, key);
+  }
+}
+
 template <typename Rec, typename KeyFn>
 class dt_sorter {
  public:
@@ -78,7 +151,10 @@ class dt_sorter {
     // workspace (opt.workspace) additionally carries that memory across
     // repeated sorts, so warm re-sorts perform zero workspace allocations
     // (see test_workspace.cpp); only the small per-node sampling and
-    // bucket-table vectors still touch the heap.
+    // bucket-table vectors, the per-zone heavy-bucket size lists and the
+    // overflow bucket's comparison sort still touch the heap. Base cases
+    // allocate nothing: radix_finish scatters into the dead twin segment
+    // and keeps its counts on the stack.
     sort_workspace local_ws;
     ws_ = opt_.workspace != nullptr ? opt_.workspace : &local_ws;
     t_ = ws_->template record_buffer<Rec>(a_.size(), opt_.stats);
@@ -93,8 +169,9 @@ class dt_sorter {
   }
 
   // Stable comparison sort of [lo, hi) in the buffer currently holding the
-  // data; the result always ends in A. The matching segment of the other
-  // buffer is dead space and serves as mergesort scratch.
+  // data (the overflow bucket); the result always ends in A. The matching
+  // segment of the other buffer is dead space and serves as mergesort
+  // scratch.
   void comparison_base(std::size_t lo, std::size_t hi, bool in_a) {
     const std::size_t n = hi - lo;
     auto cur = (in_a ? a_ : t_).subspan(lo, n);
@@ -122,10 +199,12 @@ class dt_sorter {
         par::copy(std::span<const Rec>(t_.subspan(lo, n)), a_.subspan(lo, n));
       return;
     }
-    if (n <= theta_) {  // comparison-sort base case (Alg 2 line 2)
+    if (n <= theta_) {  // base case (Alg 2 line 2), finished by radix
       if (opt_.stats != nullptr)
         opt_.stats->base_case_records.fetch_add(n, std::memory_order_relaxed);
-      comparison_base(lo, hi, in_a);
+      Rec* const a = a_.data() + lo;
+      Rec* const t = t_.data() + lo;
+      radix_finish(in_a ? a : t, in_a ? t : a, n, in_a, key_);
       return;
     }
 
@@ -235,10 +314,10 @@ class dt_sorter {
           }
 
           // Step 4: dovetail merging within the zone.
+          if (opt_.ablate_skip_merge) return;  // Fig 4(c,d) "Others" timing
           std::vector<std::size_t> sizes(m);
           for (std::size_t i = 0; i < m; ++i)
             sizes[i] = offs[lid + 2 + i] - offs[lid + 1 + i];
-          if (opt_.ablate_skip_merge) return;  // Fig 4(c,d) "Others" timing
           if (opt_.stats != nullptr)
             opt_.stats->merged_records.fetch_add(zhi - zlo,
                                                  std::memory_order_relaxed);

@@ -62,9 +62,13 @@ struct sort_options {
   // per subproblem; the bench_suite "params" family sweeps this.
   int gamma = 0;
 
-  // Base-case threshold θ: subproblems at most this size are finished with
-  // a stable comparison sort (paper: 2^14), bounding recursion overhead at
-  // O(n' log θ) work per base case.
+  // Base-case threshold θ (paper: 2^14): subproblems at most this size are
+  // finished sequentially by a stable MSD radix sort over the ping-pong
+  // twin buffer (detail::radix_finish in dovetail_sort.hpp) instead of the
+  // paper's comparison sort. It allocates nothing and adapts its digit to
+  // the segment's key range, so a base case costs O(n') per remaining
+  // digit of at most 8 bits. Larger θ trades parallel distribution depth
+  // for more sequential finishing.
   std::size_t base_case = std::size_t{1} << 14;
 
   // Heavy-key detection via sampling (Alg 2 step 1). Disabling this yields

@@ -295,6 +295,22 @@ TEST(Distribute, SingleBucketShortCircuits) {
   EXPECT_EQ(st.workspace_allocations.load() + st.workspace_reuses.load(), 0u);
 }
 
+TEST(Distribute, BlockCountFollowsTheWorkerCap) {
+  // The counting matrix has one row per block, at most 8 per worker the
+  // call may use: a num_threads = 1 call does not pay for the whole pool.
+  const std::size_t n = std::size_t{1} << 20;
+  const auto uncapped = detail::distribution_blocks(n, 256);
+  EXPECT_EQ(uncapped.nblocks,
+            std::min<std::size_t>(
+                n / 16384, 8 * static_cast<std::size_t>(par::num_workers())));
+  {
+    const par::scoped_worker_limit cap(1);
+    const auto capped = detail::distribution_blocks(n, 256);
+    EXPECT_LE(capped.nblocks, 8u);
+    EXPECT_GE(capped.bsize * capped.nblocks, n);
+  }
+}
+
 TEST(Distribute, StrategyCountersReportResolvedStrategy) {
   const std::size_t n = 100000;
   const auto in = random_records(n, 1u << 20, 41);
