@@ -31,7 +31,9 @@
 namespace dovetail::baseline {
 
 struct radix_options {
-  int gamma = 0;                           // 0 = auto: clamp(log2(n)/3, 8, 12)
+  // 0 = auto: clamp(log2(n)/3, 8, 12), the paper baseline's own rule,
+  // deliberately left out of the pass planner (core/pass_plan.hpp).
+  int gamma = 0;
   std::size_t base_case = std::size_t{1} << 14;
   // Default `direct`: this baseline stands for PLIS (plain ParlayLib
   // integer sort) in the paper's comparison, so it keeps the classic

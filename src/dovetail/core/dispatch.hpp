@@ -58,6 +58,7 @@
 #include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/core/input_sketch.hpp"
 #include "dovetail/core/key_codec.hpp"
+#include "dovetail/core/pass_plan.hpp"
 #include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
@@ -103,10 +104,31 @@ inline std::optional<sort_kernel> chosen_kernel_of(const sort_stats& st) {
   return static_cast<sort_kernel>(v - 1);
 }
 
+namespace detail {
+
+// The front door's LSD digit rule (pass_plan.hpp): 8-bit digits, widened up
+// to 11 bits where that saves a pass — 32-bit keys then take 3 passes of
+// 11/11/10 bits instead of 4 of 8. A saved pass pays only once the passes
+// are memory-bound: while the records fit in cache, the wider digit's
+// extra scatter streams cost more than the pass. On a 4-core Xeon with
+// 2 MiB of L2 per core, 11-bit passes at 4 workers start to win between
+// 2^20 and 2^21 kv32 records and between 2^19 and 2^20 kv64 records —
+// 8 to 16 MiB either way — hence a byte threshold at the low end.
+// lsd_options::gamma keeps its textbook default of 8; only the
+// dispatcher's LSD route is planned.
+inline constexpr digit_rule kLsdDigits{
+    .base = 8, .widest = 11, .wide_min_bytes = std::size_t{8} << 20};
+
+}  // namespace detail
+
 // A dispatch decision: the kernel plus its sketch-tuned parameters.
 struct kernel_plan {
   sort_kernel kernel = sort_kernel::dtsort;
-  int gamma = 0;  // digit width for lsd/dtsort; 0 = the kernel's default
+  // LSD digit width, planned by tune() (detail::plan_digits with
+  // detail::kLsdDigits); 0 for the other kernels, which plan their own
+  // digits from the exact n and key bits (dovetail_sort.hpp,
+  // inplace_sort.hpp).
+  int gamma = 0;
   scatter_strategy scatter = scatter_strategy::automatic;
   // Workers the kernel runs under (1 = serial; see parallel_crossover_n).
   // Recorded in sort_stats::chosen_parallelism next to chosen_kernel.
@@ -179,9 +201,10 @@ struct dispatch_policy {
   // beats RD by 1.3-1.6x; hashed-uniform digits favour buffered).
   double direct_digit_share = 0.25;
   // Keys at most this wide with no duplicate/skew signal go to LSD: at
-  // gamma=8 that is <= 4 fixed passes, which beat MSD recursion on every
-  // 32-bit BENCH_suite.json instance outside the duplicate regime. Wider
-  // keys default to dtsort (the paper's 64-bit headline, Tab 3 right).
+  // most 4 fixed passes (3 where tune() plans 11-bit digits, see
+  // kLsdDigits), which beat MSD recursion on every 32-bit BENCH_suite.json
+  // instance outside the duplicate regime. Wider keys default to dtsort
+  // (the paper's 64-bit headline, Tab 3 right).
   int lsd_max_key_bits = 32;
   // n at or below this runs the chosen kernel single-threaded even when
   // more workers are available: below the crossover, fork/join setup, the
@@ -277,14 +300,17 @@ struct dispatch_policy {
   // alike (so policy::always benchmarks measure the kernel the dispatcher
   // would actually run).
   void tune(kernel_plan& p, const input_sketch& s) const {
+    p.parallelism =
+        p.kernel == sort_kernel::std_sort ? 1 : plan_parallelism(s.n);
     if (p.kernel == sort_kernel::lsd) {
-      p.gamma = 8;
+      p.gamma = detail::plan_digits(detail::kLsdDigits,
+                                    {s.n, s.key_bits, 0, s.record_bytes,
+                                     p.parallelism})
+                    .digit;
       p.scatter = s.digit_top_share() >= direct_digit_share
                       ? scatter_strategy::direct
                       : scatter_strategy::automatic;
     }
-    p.parallelism =
-        p.kernel == sort_kernel::std_sort ? 1 : plan_parallelism(s.n);
   }
 
   // The serial/parallel half of the dispatch: how many workers should a
@@ -591,7 +617,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
       case sort_kernel::lsd: {
         record_choice(plan);
         baseline::lsd_options lopt;
-        if (plan.gamma > 0) lopt.gamma = plan.gamma;
+        lopt.gamma = plan.gamma;
         lopt.scatter = plan.scatter;
         lopt.workspace = &ws;
         lopt.stats = st;
@@ -602,7 +628,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
       case sort_kernel::dtsort: {
         record_choice(plan);
         sort_options dopt;
-        dopt.gamma = plan.gamma;  // 0 = dovetail_sort's own auto choice
         dopt.seed = opt.seed;
         dopt.workspace = &ws;
         dopt.stats = st;
@@ -623,7 +648,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
               "stability::relaxed (the kernel is unstable)");
         record_choice(plan);
         inplace_sort_options iopt;
-        if (plan.gamma > 0) iopt.gamma = plan.gamma;
         iopt.workspace = &ws;
         iopt.stats = st;
         inplace_sort(data, key, iopt);

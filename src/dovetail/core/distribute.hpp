@@ -36,6 +36,7 @@
 #include <span>
 #include <type_traits>
 
+#include "dovetail/core/pass_plan.hpp"
 #include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
@@ -62,21 +63,11 @@ struct distribute_options {
 
 namespace detail {
 
-struct block_geometry {
-  std::size_t nblocks;
-  std::size_t bsize;
-};
-
-// Appendix B: keep the counting matrix around L1/L2 size — blocks of at
-// least max(8*B, 16384) records, at most 8 blocks per worker this call may
-// use (par::effective_workers, so a num_threads cap also shrinks the
-// matrix). The pass is stable at any block count, so output is unchanged.
+// distribution_blocks (pass_plan.hpp) at the worker count this call may
+// use, so a num_threads cap also shrinks the matrix.
 inline block_geometry distribution_blocks(std::size_t n,
                                           std::size_t num_buckets) {
-  const auto p = static_cast<std::size_t>(par::effective_workers());
-  const std::size_t min_block = std::max<std::size_t>(8 * num_buckets, 16384);
-  const std::size_t nblocks = std::clamp<std::size_t>(n / min_block, 1, 8 * p);
-  return {nblocks, (n + nblocks - 1) / nblocks};
+  return distribution_blocks(n, num_buckets, par::effective_workers());
 }
 
 // Phase 1 of the engine: zero and fill the L x B counting matrix, one row

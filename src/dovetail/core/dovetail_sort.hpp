@@ -38,6 +38,7 @@
 #include "dovetail/core/distribute.hpp"
 #include "dovetail/core/dt_merge.hpp"
 #include "dovetail/core/key_codec.hpp"
+#include "dovetail/core/pass_plan.hpp"
 #include "dovetail/core/sampling.hpp"
 #include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
@@ -121,6 +122,14 @@ void radix_finish(Rec* cur, Rec* oth, std::size_t n, bool cur_is_a,
   }
 }
 
+// DTSort's digit rule (pass_plan.hpp): γ from 8 to 12 bits, and Thm 4.5's
+// sampling cap. At θ = 2^14 the plan is the smallest γ in [8, 12] that takes
+// n evenly spread records to θ in one level where the caps allow it — n =
+// 1e7 gets γ = 10 and one level — and balanced digits over the fewest levels
+// beyond that. The cap is applied again per level, on that level's n'.
+inline constexpr digit_rule kDtsortDigits{
+    .base = 8, .widest = 12, .sampled = true};
+
 template <typename Rec, typename KeyFn>
 class dt_sorter {
  public:
@@ -131,16 +140,19 @@ class dt_sorter {
                 "dovetail_sort requires trivially copyable records");
 
   dt_sorter(std::span<Rec> data, const KeyFn& key, const sort_options& opt)
-      : a_(data), key_(key), opt_(opt) {
+      : a_(data), key_(key), opt_(opt),
+        theta_(std::max<std::size_t>(opt.base_case, 2)) {
     const std::size_t n = std::max<std::size_t>(2, data.size());
-    log2n_ = std::max<std::size_t>(1, ceil_log2(n));
+    const std::size_t log2n = std::max<std::size_t>(1, ceil_log2(n));
     gamma_ = opt.gamma > 0
                  ? opt.gamma
-                 : std::clamp<int>(static_cast<int>(log2n_ / 3), 8, 12);
+                 : plan_digits(kDtsortDigits,
+                               {n, std::numeric_limits<key_type>::digits,
+                                theta_, sizeof(Rec), par::effective_workers()})
+                       .digit;
     stride_ = opt.sample_stride != 0
                   ? opt.sample_stride
-                  : std::clamp<std::size_t>(log2n_, 4, 24);
-    theta_ = std::max<std::size_t>(opt.base_case, 2);
+                  : std::clamp<std::size_t>(log2n, 4, 24);
   }
 
   void run() {
@@ -216,9 +228,7 @@ class dt_sorter {
     // ---- Step 1: sampling ----
     // Digit width: γ, but never more than sqrt-ish of the subproblem so the
     // sampling cost stays o(n') (Thm 4.5 needs n' >= 2^2γ for the level).
-    const int dcap = std::min(
-        {gamma_, bits,
-         std::max(2, static_cast<int>(floor_log2(n) / 2))});
+    const int dcap = std::min({gamma_, bits, sampling_digit_cap(n)});
     const std::size_t zones_cap = std::size_t{1} << dcap;
 
     sample_result sr;
@@ -337,11 +347,10 @@ class dt_sorter {
   std::span<Rec> t_;
   const KeyFn key_;
   const sort_options opt_;
+  std::size_t theta_;
   sort_workspace* ws_ = nullptr;
-  std::size_t log2n_ = 1;
   int gamma_ = 8;
   std::size_t stride_ = 8;
-  std::size_t theta_ = 1 << 14;
 };
 
 }  // namespace detail

@@ -50,6 +50,7 @@
 
 #include "dovetail/core/distribute.hpp"
 #include "dovetail/core/key_codec.hpp"
+#include "dovetail/core/pass_plan.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
@@ -60,11 +61,10 @@
 namespace dovetail {
 
 struct inplace_sort_options {
-  // Digit width per MSD level (2^gamma buckets). 0 (default) auto-picks
-  // from the detected key bits (min(bits, 10) — see inplace_sort).
+  // Digit width per MSD level (2^gamma buckets). 0 (default) = planned
+  // from the detected key bits (detail::kInplaceDigits: min(bits, 10)).
   // Explicit values are clamped to [1, 16] (the block-label array is
-  // 16-bit); 10 is the practical ceiling before the staging area
-  // (2^gamma * block_bytes) falls out of L2.
+  // 16-bit).
   int gamma = 0;
   // Subproblems at most this size finish with a comparison sort (or the
   // sorting network when the records are raw keys).
@@ -77,6 +77,16 @@ struct inplace_sort_options {
 };
 
 namespace detail {
+
+// The in-place kernel's digit rule (pass_plan.hpp): always 10 bits, or the
+// key width when narrower. Against 8-bit digits at n = 1e7 this wins
+// 1.5-2x on wide-range keys — fewer passes on <= 30-bit keys, and even at
+// the same pass count the 1024-way fan-out pushes second-level nodes near
+// the base case, where raw keys finish in the sorting network. 10 bits is
+// also the fan-out cap: wider, the staging area (2^gamma * block_bytes)
+// falls out of L2 and classification thrashes (measured ~1.6x slower at
+// 11).
+inline constexpr digit_rule kInplaceDigits{.base = 10, .widest = 10};
 
 // Blocked permutation only when its staging scratch (B * block_bytes) is at
 // most 1/8 of the node's records; smaller nodes run the record-at-a-time
@@ -317,14 +327,10 @@ void inplace_sort(std::span<Rec> data, const KeyFn& key,
       [](std::uint64_t x, std::uint64_t y) { return x < y ? y : x; });
   const int bits = bit_width_u64(maxk);
   if (o.gamma == 0) {
-    // Auto digit width: 10-bit digits (1024 buckets, trailing digit takes
-    // the remainder). Measured against 8-bit digits at n = 1e7 this wins
-    // 1.5-2x on wide-range keys — fewer passes on <= 30-bit keys, and even
-    // at the same pass count the 1024-way fan-out pushes second-level nodes
-    // near the base case, where raw keys finish in the sorting network.
-    // Wider than 10 the staging area falls out of L2 and classification
-    // thrashes (measured ~1.6x slower at 11).
-    o.gamma = std::min(bits, 10);
+    o.gamma = detail::plan_digits(detail::kInplaceDigits,
+                                  {n, bits, o.base_case, sizeof(Rec),
+                                   par::effective_workers()})
+                  .digit;
   }
   o.gamma = std::clamp(o.gamma, 1, 16);
   sort_workspace local_ws;

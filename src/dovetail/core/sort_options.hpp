@@ -56,10 +56,12 @@ enum class stability : std::uint8_t {
 // work bound, except where a knob's comment says otherwise (the ablation
 // flags exist to measure exactly those exceptions).
 struct sort_options {
-  // Digit width γ in bits. 0 = auto: log2(cbrt(n)) clamped to [8, 12],
-  // the paper's theory-guided choice Θ(sqrt(log r)). Larger γ means fewer
-  // recursion levels ((log r)/γ of them) but 2^γ-sized counting scratch
-  // per subproblem; the bench_suite "params" family sweeps this.
+  // Digit width γ in bits. 0 = auto: the pass planner's γ
+  // (detail::plan_digits with detail::kDtsortDigits, dovetail_sort.hpp) —
+  // the narrowest γ in [8, 12] that reaches base_case in the fewest levels,
+  // within Thm 4.5's sampling cap. Larger γ means fewer recursion levels
+  // but 2^γ-sized counting scratch per subproblem; the bench_suite
+  // "params" family sweeps this.
   int gamma = 0;
 
   // Base-case threshold θ (paper: 2^14): subproblems at most this size are
