@@ -1,8 +1,8 @@
 // Distribution-engine scenarios (Sec 2.4 / Appendix B; distribute.hpp):
-//   engine-counting   — the public counting_sort()/unstable_counting_sort()
-//                       API as a caller uses it (per-call offsets vector,
-//                       no shared workspace), stable blocked vs the
-//                       unstable Thm 4.1 atomic scatter, by bucket count
+//   engine-counting   — the public counting_sort() API as a caller uses it
+//                       (per-call offsets vector, no shared workspace),
+//                       stable blocked vs the unstable Thm 4.1 atomic
+//                       scatter (strategy = unstable), by bucket count
 //                       (formerly bench_counting_sort).
 //   engine-distribute — scatter strategies head-to-head (direct | buffered
 //                       | unstable | automatic) by bucket count (formerly
@@ -14,7 +14,6 @@
 
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
-#include "dovetail/core/unstable_counting_sort.hpp"
 #include "harness.hpp"
 #include "scenarios_ablation.hpp"
 
@@ -96,9 +95,9 @@ inline scenario_result run_distribute_once(
   return res;
 }
 
-// The counting_sort()/unstable_counting_sort() convenience API, exactly as
-// a library user calls it: default options (no shared workspace, so every
-// call allocates its own scratch) and the returned offsets vector. The
+// The counting_sort() convenience API, exactly as a library user calls it:
+// no shared workspace (so every call allocates its own scratch), the
+// default or the unstable scatter, and the returned offsets vector. The
 // difference to engine-distribute — same kernel, warm leased scratch — is
 // the measured cost of the convenience layer.
 inline scenario_result run_counting_sort_api_once(const run_config& cfg,
@@ -117,15 +116,13 @@ inline scenario_result run_counting_sort_api_once(const run_config& cfg,
     return r.key & mask;
   };
   std::vector<std::size_t> offs;
+  dovetail::distribute_options opt;
+  if (!stable) opt.strategy = dovetail::scatter_strategy::unstable;
   const auto one_run = [&]() -> double {
     dovetail::timer t;
-    offs = stable
-               ? dovetail::counting_sort(
-                     std::span<const dovetail::kv32>(input),
-                     std::span<dovetail::kv32>(out), buckets, bucket_of)
-               : dovetail::unstable_counting_sort(
-                     std::span<const dovetail::kv32>(input),
-                     std::span<dovetail::kv32>(out), buckets, bucket_of);
+    offs = dovetail::counting_sort(std::span<const dovetail::kv32>(input),
+                                   std::span<dovetail::kv32>(out), buckets,
+                                   bucket_of, opt);
     return t.seconds();
   };
   run_warmups(cfg.warmups, one_run);
@@ -157,7 +154,7 @@ inline scenario_result run_counting_sort_api_once(const run_config& cfg,
 }
 
 inline void register_engine_scenarios(const run_config& cfg) {
-  // --- engine-counting: the counting_sort / unstable_counting_sort API ---
+  // --- engine-counting: the counting_sort API, stable vs unstable ---
   for (std::size_t b : {std::size_t{16}, std::size_t{256}, std::size_t{4096},
                         std::size_t{65536}}) {
     for (const bool stable : {true, false}) {

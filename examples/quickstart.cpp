@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
                 ok ? "sorted + stable" : "BROKEN!");
   }
 
-  // 3) Tuning knobs (see dovetail/core/sort_options.hpp).
+  // 3) Tuning knobs (sort_options, see dovetail/core/dovetail_sort.hpp).
   dovetail::sort_options opt;
   opt.gamma = 10;              // digit width
-  opt.base_case = 1 << 12;     // comparison-sort threshold
+  opt.base_case = 1 << 12;     // base-case threshold θ
   opt.detect_heavy = true;     // sampling-based duplicate detection
   dovetail::dovetail_sort(std::span<std::uint32_t>(keys), opt);
   std::printf("  re-sorted with custom options -> %s\n",

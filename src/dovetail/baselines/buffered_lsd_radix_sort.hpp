@@ -19,14 +19,13 @@
 #include <type_traits>
 
 #include "dovetail/baselines/lsd_radix_sort.hpp"
-#include "dovetail/core/sort_options.hpp"
+#include "dovetail/core/distribute.hpp"
 #include "dovetail/core/workspace.hpp"
 
 namespace dovetail::baseline {
 
 struct buffered_lsd_options {
-  int gamma = 8;                   // digit width; 256 buckets per pass
-  std::size_t buffer_bytes = 256;  // staging buffer per bucket (per block)
+  int gamma = 8;                        // digit width; 256 buckets per pass
   sort_workspace* workspace = nullptr;  // reuse across sorts; may be null
   sort_stats* stats = nullptr;          // engine counters; may be null
 };
@@ -38,7 +37,6 @@ void buffered_lsd_radix_sort(std::span<Rec> data, const KeyFn& key,
   lsd_options lopt;
   lopt.gamma = std::clamp(opt.gamma, 1, 12);
   lopt.scatter = scatter_strategy::buffered;
-  lopt.scatter_buffer_bytes = opt.buffer_bytes;
   lopt.workspace = opt.workspace;
   lopt.stats = opt.stats;
   lsd_radix_sort(data, key, lopt);

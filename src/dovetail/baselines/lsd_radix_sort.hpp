@@ -32,10 +32,11 @@ struct lsd_options {
   // RADULS scatter (that is the RD baseline's identity — see
   // buffered_lsd_radix_sort.hpp). Opt into `buffered`/`automatic` freely
   // when using this sort outside the paper-reproduction benchmarks.
+  // LSD correctness relies on stable passes, so `unstable` is treated as
+  // `automatic`.
   scatter_strategy scatter = scatter_strategy::direct;
-  std::size_t scatter_buffer_bytes = 256;  // buffered staging per bucket
-  sort_workspace* workspace = nullptr;     // reuse across sorts; may be null
-  sort_stats* stats = nullptr;             // engine counters; may be null
+  sort_workspace* workspace = nullptr;  // reuse across sorts; may be null
+  sort_stats* stats = nullptr;          // engine counters; may be null
 };
 
 template <typename Rec, typename KeyFn>
@@ -67,9 +68,9 @@ void lsd_radix_sort(std::span<Rec> data, const KeyFn& key,
   const std::span<std::size_t> offs = off_lease.carve<std::size_t>(zones + 1);
 
   distribute_options dopt;
-  dopt.strategy = opt.scatter;
-  dopt.require_stable = true;  // LSD correctness relies on stable passes
-  dopt.buffer_bytes = opt.scatter_buffer_bytes;
+  dopt.strategy = opt.scatter == scatter_strategy::unstable
+                      ? scatter_strategy::automatic
+                      : opt.scatter;
   dopt.workspace = &ws;
   dopt.stats = opt.stats;
   for (int p = 0; p < passes; ++p) {

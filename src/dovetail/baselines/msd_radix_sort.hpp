@@ -3,9 +3,10 @@
 //
 // Stable, out-of-place (ping-pong A/T), counting-sort distribution on the
 // top digit, parallel recursion per bucket, comparison-sort base case.
-// Distribution runs through the unified engine (distribute.hpp) with a
-// workspace shared across all recursion levels, so the scatter strategy is
-// selectable and repeated sorts on one workspace reuse all O(n) scratch.
+// Distribution runs through the unified engine (distribute.hpp) with the
+// classic `direct` scatter, as PLIS has no buffered staging, and with a
+// workspace shared across all recursion levels, so repeated sorts on one
+// workspace reuse all O(n) scratch.
 // The key range is found with a parallel max-reduce (PLIS behaviour; DTSort
 // instead estimates it from samples, Sec 5).
 //
@@ -35,13 +36,8 @@ struct radix_options {
   // deliberately left out of the pass planner (core/pass_plan.hpp).
   int gamma = 0;
   std::size_t base_case = std::size_t{1} << 14;
-  // Default `direct`: this baseline stands for PLIS (plain ParlayLib
-  // integer sort) in the paper's comparison, so it keeps the classic
-  // scatter unless the caller opts into `buffered`/`automatic`.
-  scatter_strategy scatter = scatter_strategy::direct;
-  std::size_t scatter_buffer_bytes = 256;  // buffered staging per bucket
-  sort_workspace* workspace = nullptr;     // reuse across sorts; may be null
-  sort_stats* stats = nullptr;             // engine counters; may be null
+  sort_workspace* workspace = nullptr;  // reuse across sorts; may be null
+  sort_stats* stats = nullptr;          // engine counters; may be null
 };
 
 namespace detail {
@@ -79,32 +75,18 @@ class msd_sorter {
     return static_cast<std::uint64_t>(key_(r));
   }
 
-  void comparison_base(std::size_t lo, std::size_t hi, bool in_a) {
-    const std::size_t n = hi - lo;
-    auto cur = (in_a ? a_ : t_).subspan(lo, n);
-    if (n > 1) {
-      auto comp = [this](const Rec& x, const Rec& y) {
-        return key_(x) < key_(y);
-      };
-      if (n > (std::size_t{1} << 15)) {
-        par::merge_sort(cur, (in_a ? t_ : a_).subspan(lo, n), comp);
-      } else {
-        std::stable_sort(cur.begin(), cur.end(), comp);
-      }
-    }
-    if (!in_a) par::copy(std::span<const Rec>(cur), a_.subspan(lo, n));
-  }
-
   void sort_rec(std::size_t lo, std::size_t hi, int bits, bool in_a) {
     const std::size_t n = hi - lo;
     if (n == 0) return;
     if (bits == 0 || n == 1) {
-      if (!in_a)
-        par::copy(std::span<const Rec>(t_.subspan(lo, n)), a_.subspan(lo, n));
+      par::copy_back_to_a(a_.subspan(lo, n), t_.subspan(lo, n), in_a);
       return;
     }
     if (n <= theta_) {
-      comparison_base(lo, hi, in_a);
+      par::stable_sort_to_a(a_.subspan(lo, n), t_.subspan(lo, n), in_a,
+                            [this](const Rec& x, const Rec& y) {
+                              return key_(x) < key_(y);
+                            });
       return;
     }
     const int digit = std::min(
@@ -123,9 +105,7 @@ class msd_sorter {
     const std::span<std::size_t> offs =
         off_lease.carve<std::size_t>(zones + 1);
     distribute_options dopt;
-    dopt.strategy = opt_.scatter;
-    dopt.require_stable = true;  // stable MSD relies on stable passes
-    dopt.buffer_bytes = opt_.scatter_buffer_bytes;
+    dopt.strategy = scatter_strategy::direct;  // PLIS's classic scatter
     dopt.workspace = ws_;
     dopt.stats = opt_.stats;
     distribute(std::span<const Rec>(cur.data() + lo, n), oth.subspan(lo, n),

@@ -5,7 +5,7 @@
 //   2. an L x B counting matrix and column-major prefix sums yield, for
 //      every (block, bucket) pair, the stable output offset;
 //   3. each block scatters its records (direct stores or buffered memcpy
-//      bursts, see scatter_strategy in sort_options.hpp).
+//      bursts, see scatter_strategy in distribute.hpp).
 //
 // Work O(n + L*B), span O(B + n/L + log n). Scratch memory is leased from a
 // sort_workspace — pass one via distribute_options to make repeated calls
@@ -22,8 +22,9 @@
 namespace dovetail {
 
 // Distribute `in` into `out` grouped by bucket id, preserving input order
-// within each bucket (stable, unless distribute_options::strategy requests
-// the unstable scatter — see unstable_counting_sort.hpp for that variant).
+// within each bucket — unless opt.strategy is scatter_strategy::unstable:
+// the Thm 4.1 variant (Appendix B), one atomic fetch-and-add per record,
+// same offsets, order within a bucket unspecified.
 //
 // Requirements: Rec is trivially copyable; `bucket_of(rec)` is a pure
 // function returning a value in [0, num_buckets); `in` and `out` must not

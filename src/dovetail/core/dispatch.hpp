@@ -59,7 +59,6 @@
 #include "dovetail/core/input_sketch.hpp"
 #include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/pass_plan.hpp"
-#include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/merge.hpp"
@@ -121,6 +120,24 @@ inline constexpr digit_rule kLsdDigits{
 
 }  // namespace detail
 
+// The stability contract a caller demands from the dispatcher
+// (dispatch_policy::stability_mode):
+//   strict  — every auto-chosen kernel preserves input order of equal keys
+//             (the default; all five classic kernels qualify).
+//   relaxed — the caller certifies it cannot observe the order of equal
+//             records, unlocking the unstable in-place kernel
+//             (core/inplace_sort.hpp) for auto-dispatch under a memory
+//             budget and for policy::always(sort_kernel::inplace) pinning
+//             on records that carry payload. Pure-key records (equal keys
+//             => byte-identical records, e.g. plain unsigned/signed/float
+//             spans) never need it: instability is unobservable there and
+//             the dispatcher proves it via the codec traits
+//             (is_pure_key_fn_v in key_codec.hpp).
+enum class stability : std::uint8_t {
+  strict,
+  relaxed,
+};
+
 // A dispatch decision: the kernel plus its sketch-tuned parameters.
 struct kernel_plan {
   sort_kernel kernel = sort_kernel::dtsort;
@@ -153,7 +170,7 @@ struct dispatch_policy {
   // std::stable_sort 4.5us at n=512, and 2x ahead by n=1024), so this only
   // guards the regime where sketching + workspace setup are not worth it.
   std::size_t serial_threshold = 512;
-  // The stability contract (sort_options.hpp): strict keeps every
+  // The stability contract (enum above): strict keeps every
   // auto-chosen kernel stable; relaxed certifies the caller cannot observe
   // the order of equal records, unlocking the unstable in-place kernel for
   // the memory-budget rule below and for policy::always(inplace) on
@@ -442,7 +459,6 @@ void counting_kernel(std::span<Rec> data, const KeyFn& key,
   const std::span<std::size_t> offs =
       off_lease.template carve<std::size_t>(buckets + 1);
   distribute_options dopt;
-  dopt.require_stable = true;
   dopt.workspace = &ws;
   dopt.stats = stats;
   distribute(std::span<const Rec>(data.data(), n), t, buckets,

@@ -1,8 +1,9 @@
 // The unified distribution engine: one stable blocked counting-sort kernel
 // (Sec 2.4 / Appendix B) serving every radix layer in the library — DTSort's
-// recursive distribution, the LSD/MSD/buffered baselines, semisort, and the
-// unstable Thm 4.1 variant — parameterized by a scatter strategy and backed
-// by a reusable sort_workspace so the hot path performs no allocations.
+// recursive distribution, the LSD/MSD/buffered baselines, the dispatcher's
+// counting kernel and the rank selector — plus the unstable Thm 4.1 scatter,
+// backed by a reusable sort_workspace so the hot path performs no
+// allocations.
 //
 // Phases of one distribute() call on n records and B buckets:
 //   0. bucket ids are evaluated once per record into a leased id array
@@ -13,7 +14,7 @@
 //   2. column-major exclusive prefix sums yield global bucket offsets and
 //      per-(block, bucket) output cursors — bucket-major then block-major,
 //      which is exactly the stable order;
-//   3. scatter, per strategy (scatter_strategy in sort_options.hpp):
+//   3. scatter, per scatter_strategy (below):
 //        direct    one store per record to its cursor;
 //        buffered  records staged in per-(block, bucket) software buffers,
 //                  flushed in contiguous memcpy bursts (the RADULS trick,
@@ -37,7 +38,6 @@
 #include <type_traits>
 
 #include "dovetail/core/pass_plan.hpp"
-#include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
@@ -47,14 +47,30 @@
 
 namespace dovetail {
 
+// How the engine scatters records to their bucket positions:
+//   automatic — pick per call: `buffered` when the bucket count is large
+//               enough that direct stores thrash the TLB/cache and the
+//               record type is trivially copyable, else `direct`.
+//   direct    — one store per record straight to the output cursor (the
+//               classic blocked counting sort of Sec 2.4 / Appendix B).
+//   buffered  — stage records in per-(block, bucket) cache-line-sized
+//               software buffers and flush each buffer with one contiguous
+//               memcpy burst (the RADULS trick). Stable, byte-identical
+//               output to `direct`.
+//   unstable  — one atomic fetch-and-add per record claims the output slot
+//               (Thm 4.1 / Appendix B). Records of a bucket land in
+//               arbitrary order; never chosen automatically. The stable
+//               sorts never pass it to the engine (LSD treats a request
+//               for it as `automatic`).
+enum class scatter_strategy : std::uint8_t {
+  automatic,
+  direct,
+  buffered,
+  unstable,
+};
+
 struct distribute_options {
   scatter_strategy strategy = scatter_strategy::automatic;
-  // Set by stable sorts: downgrades an `unstable` strategy request to
-  // `automatic` so a pass can never silently break a stability guarantee.
-  bool require_stable = false;
-  // Staging bytes per (block, bucket) for the buffered scatter; rounded
-  // down to whole records, minimum 4 records.
-  std::size_t buffer_bytes = 256;
   // Scratch arena; nullptr = a private ephemeral workspace per call (slabs
   // are still pooled across the phases of the call, then freed).
   sort_workspace* workspace = nullptr;
@@ -62,6 +78,11 @@ struct distribute_options {
 };
 
 namespace detail {
+
+// Staging bytes per (block, bucket) for the buffered scatter, rounded down
+// to whole records with a floor of 4 records (so records wider than 64
+// bytes still stage 4 at a time).
+inline constexpr std::size_t kScatterBufferBytes = 256;
 
 // distribution_blocks (pass_plan.hpp) at the worker count this call may
 // use, so a num_threads cap also shrinks the matrix.
@@ -148,8 +169,7 @@ template <typename IdT, typename Rec, typename BucketFn>
 void distribute_ids(std::span<const Rec> in, std::span<Rec> out,
                     std::size_t num_buckets, const BucketFn& bucket_of,
                     std::span<std::size_t> offsets, sort_workspace& ws,
-                    scatter_strategy strategy, std::size_t buffer_bytes,
-                    sort_stats* stats) {
+                    scatter_strategy strategy, sort_stats* stats) {
   const std::size_t n = in.size();
   const block_geometry g = distribution_blocks(n, num_buckets);
   const std::size_t nblocks = g.nblocks, bsize = g.bsize;
@@ -223,7 +243,7 @@ void distribute_ids(std::span<const Rec> in, std::span<Rec> out,
   // Buffered scatter: stage per (block, bucket), flush in memcpy bursts.
   if constexpr (std::is_trivially_copyable_v<Rec>) {
     const std::size_t buf_records =
-        std::max<std::size_t>(4, buffer_bytes / sizeof(Rec));
+        std::max<std::size_t>(4, kScatterBufferBytes / sizeof(Rec));
     par::parallel_for(
         0, nblocks,
         [&, bsize = bsize, buf_records](std::size_t b) {
@@ -291,11 +311,8 @@ void distribute(std::span<const Rec> in, std::span<Rec> out,
   }
   sort_workspace local_ws;  // used only when no workspace was passed
   sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  scatter_strategy requested = opt.strategy;
-  if (opt.require_stable && requested == scatter_strategy::unstable)
-    requested = scatter_strategy::automatic;
   const scatter_strategy s =
-      detail::resolve_scatter<Rec>(requested, n, num_buckets);
+      detail::resolve_scatter<Rec>(opt.strategy, n, num_buckets);
   if (sort_stats* st = opt.stats; st != nullptr) {
     switch (s) {
       case scatter_strategy::direct:
@@ -313,12 +330,10 @@ void distribute(std::span<const Rec> in, std::span<Rec> out,
   }
   if (num_buckets <= (std::size_t{1} << 16)) {
     detail::distribute_ids<std::uint16_t>(in, out, num_buckets, bucket_of,
-                                          offsets, ws, s, opt.buffer_bytes,
-                                          opt.stats);
+                                          offsets, ws, s, opt.stats);
   } else {
     detail::distribute_ids<std::uint32_t>(in, out, num_buckets, bucket_of,
-                                          offsets, ws, s, opt.buffer_bytes,
-                                          opt.stats);
+                                          offsets, ws, s, opt.stats);
   }
 }
 

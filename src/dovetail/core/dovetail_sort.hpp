@@ -40,7 +40,6 @@
 #include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/pass_plan.hpp"
 #include "dovetail/core/sampling.hpp"
-#include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
@@ -50,6 +49,76 @@
 #include "dovetail/util/bits.hpp"
 
 namespace dovetail {
+
+// Tuning knobs for dovetail_sort. Defaults follow the paper's Sec 6
+// "Parameter Selection"; the ablation flags correspond to the experiments
+// in Sec 6.3. All combinations preserve the stability guarantee (equal keys
+// keep input order) and the O(n sqrt(log r)) work bound, except where a
+// knob's comment says otherwise (the ablation flags exist to measure
+// exactly those exceptions).
+struct sort_options {
+  // Digit width γ in bits. 0 = auto: the pass planner's γ
+  // (detail::plan_digits with detail::kDtsortDigits, below) — the narrowest
+  // γ in [8, 12] that reaches base_case in the fewest levels, within
+  // Thm 4.5's sampling cap. Larger γ means fewer recursion levels but
+  // 2^γ-sized counting scratch per subproblem; the bench_suite "params"
+  // family sweeps this.
+  int gamma = 0;
+
+  // Base-case threshold θ (paper: 2^14): subproblems at most this size are
+  // finished sequentially by a stable MSD radix sort over the ping-pong
+  // twin buffer (detail::radix_finish below) instead of the paper's
+  // comparison sort. It allocates nothing and adapts its digit to the
+  // segment's key range, so a base case costs O(n') per remaining digit of
+  // at most 8 bits. Larger θ trades parallel distribution depth for more
+  // sequential finishing.
+  std::size_t base_case = std::size_t{1} << 14;
+
+  // Heavy-key detection via sampling (Alg 2 step 1), subsampling every
+  // subsample_stride(n)-th sample (sampling.hpp). Disabling this yields the
+  // "Plain" variant of the Fig 4(a,b) ablation.
+  bool detect_heavy = true;
+
+  // Dovetail merging (Alg 3) vs. the standard parallel-merge baseline
+  // ("PLMerge") for step 4 — the Fig 4(c,d) ablation.
+  bool use_dt_merge = true;
+
+  // Overflow-bucket optimization (Sec 5): estimate the key range from the
+  // samples and skip leading zero bits; out-of-range keys go to a final
+  // comparison-sorted overflow bucket.
+  bool skip_leading_bits = true;
+
+  // Seed for the deterministic sampling. Fixed seed => the whole sort is
+  // internally deterministic (Appendix A).
+  std::uint64_t seed = 42;
+
+  // BENCHMARK-ONLY (Fig 4 c,d "Others" bar): skip the merging step in every
+  // recursive call. The output is NOT fully sorted when heavy buckets
+  // exist; this isolates the cost of the other steps as in Sec 6.3.
+  bool ablate_skip_merge = false;
+
+  // Per-call parallelism cap: at most this many scheduler workers execute
+  // this sort (0 = all workers in the pool). 1 runs the whole call on the
+  // calling thread — exact, via pardo's serial path — which is what N
+  // request threads each sorting their own batch want: parallelism across
+  // calls, none within. Values between 1 and the pool size cap forking and
+  // granularity decisions; actual concurrency stays bounded by the shared
+  // work-stealing pool, which cannot reserve workers per call. The cap is
+  // scoped to the call (par::scoped_worker_limit) and composes with an
+  // enclosing cap by taking the minimum.
+  int num_threads = 0;
+
+  // Reusable memory arena (see workspace.hpp). Pass the same workspace to
+  // repeated sorts and every size-proportional scratch buffer is reused
+  // instead of reallocated after the first run; nullptr = a private
+  // ephemeral workspace per call (scratch slabs are still pooled within
+  // the call, across recursion levels). A workspace may serve only one
+  // sort at a time.
+  sort_workspace* workspace = nullptr;
+
+  // Optional work instrumentation (see sort_stats.hpp); nullptr = off.
+  sort_stats* stats = nullptr;
+};
 
 namespace detail {
 
@@ -143,16 +212,13 @@ class dt_sorter {
       : a_(data), key_(key), opt_(opt),
         theta_(std::max<std::size_t>(opt.base_case, 2)) {
     const std::size_t n = std::max<std::size_t>(2, data.size());
-    const std::size_t log2n = std::max<std::size_t>(1, ceil_log2(n));
     gamma_ = opt.gamma > 0
                  ? opt.gamma
                  : plan_digits(kDtsortDigits,
                                {n, std::numeric_limits<key_type>::digits,
                                 theta_, sizeof(Rec), par::effective_workers()})
                        .digit;
-    stride_ = opt.sample_stride != 0
-                  ? opt.sample_stride
-                  : std::clamp<std::size_t>(log2n, 4, 24);
+    stride_ = subsample_stride(n);
   }
 
   void run() {
@@ -180,26 +246,14 @@ class dt_sorter {
     return static_cast<std::uint64_t>(key_(r));
   }
 
-  // Stable comparison sort of [lo, hi) in the buffer currently holding the
-  // data (the overflow bucket); the result always ends in A. The matching
-  // segment of the other buffer is dead space and serves as mergesort
-  // scratch.
+  // Stable comparison sort of [lo, hi) (the overflow bucket); the result
+  // always ends in A. The matching segment of the other buffer is dead
+  // space and serves as mergesort scratch.
   void comparison_base(std::size_t lo, std::size_t hi, bool in_a) {
-    const std::size_t n = hi - lo;
-    auto cur = (in_a ? a_ : t_).subspan(lo, n);
-    if (n > 1) {
-      auto comp = [this](const Rec& x, const Rec& y) {
-        return key_(x) < key_(y);
-      };
-      if (n > (std::size_t{1} << 15)) {
-        auto scratch = (in_a ? t_ : a_).subspan(lo, n);
-        par::merge_sort(cur, scratch, comp);
-      } else {
-        std::stable_sort(cur.begin(), cur.end(), comp);
-      }
-    }
-    if (!in_a)
-      par::copy(std::span<const Rec>(cur), a_.subspan(lo, n));
+    par::stable_sort_to_a(a_.subspan(lo, hi - lo), t_.subspan(lo, hi - lo),
+                          in_a, [this](const Rec& x, const Rec& y) {
+                            return key_(x) < key_(y);
+                          });
   }
 
   void sort_rec(std::size_t lo, std::size_t hi, int bits, bool in_a,
@@ -207,8 +261,7 @@ class dt_sorter {
     const std::size_t n = hi - lo;
     if (n == 0) return;
     if (bits == 0 || n == 1) {  // all bits sorted (Alg 2 line 1)
-      if (!in_a)
-        par::copy(std::span<const Rec>(t_.subspan(lo, n)), a_.subspan(lo, n));
+      par::copy_back_to_a(a_.subspan(lo, n), t_.subspan(lo, n), in_a);
       return;
     }
     if (n <= theta_) {  // base case (Alg 2 line 2), finished by radix
@@ -259,9 +312,6 @@ class dt_sorter {
         ws_->acquire((nb + 1) * sizeof(std::size_t), opt_.stats);
     const std::span<std::size_t> offs = off_lease.carve<std::size_t>(nb + 1);
     distribute_options dopt;
-    dopt.strategy = opt_.scatter;
-    dopt.require_stable = true;  // DTSort's stability guarantee
-    dopt.buffer_bytes = opt_.scatter_buffer_bytes;
     dopt.workspace = ws_;
     dopt.stats = opt_.stats;
     distribute(data, oth.subspan(lo, n), nb, bucket_of, offs, dopt);
@@ -364,8 +414,7 @@ class dt_sorter {
 // overlap the workspace's buffers.
 //
 // Guarantees:
-//   * Stable — records with equal keys keep their input order (unaffected
-//     by opt.scatter: the unstable strategy is ignored here).
+//   * Stable — records with equal keys keep their input order.
 //   * O(n sqrt(log r)) work and ~O(2^sqrt(log r)) span (r = key range;
 //     Thm 4.5), O(n) work for exponential key-frequency or few-distinct-key
 //     inputs (Thm 4.6/4.7).

@@ -1,14 +1,11 @@
-// First-class group-by — the public face of semisort (Sec 2.5) on the
-// typed front door.
+// First-class group-by — semisort (Sec 2.5) on the typed front door.
 //
-// semisort.hpp reorders records so equal keys become adjacent, but it
-// speaks raw unsigned keys and hands back a bare array; callers still
-// re-derive the group structure themselves. group_by packages the whole
-// query: stably co-sort a keys/values pair of arrays by ANY codec-covered
-// key type (signed, float, 128-bit, strings — everything dovetail::sort
-// takes), then return a grouped_view with the group offsets already
-// scanned, so `for (g : view) aggregate(view.group(g))` is the entire
-// caller-side loop.
+// A semisort reorders records so equal keys become adjacent, with no order
+// owed between groups. group_by packages the whole query: stably co-sort a
+// keys/values pair of arrays by ANY codec-covered key type (signed, float,
+// 128-bit, strings — everything dovetail::sort takes), then return a
+// grouped_view with the group offsets already scanned, so
+// `for (g : view) aggregate(view.group(g))` is the entire caller-side loop.
 //
 // Two group orders:
 //   * group_order::sorted (default) — groups appear in ascending codec
@@ -16,7 +13,7 @@
 //     dovetail::sort_by_key followed by an adjacency scan: the strongest
 //     possible equivalence, tested per codec kind in
 //     test_order_stats.cpp.
-//   * group_order::fingerprint — the semisort promotion: integral keys
+//   * group_order::fingerprint — the semisort: integral keys
 //     are sorted by their bijective 64-bit hash fingerprint
 //     (par::hash64), which is what the paper's heavy-key machinery was
 //     designed around — heavily duplicated inputs finish in O(n) because

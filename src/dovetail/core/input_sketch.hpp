@@ -49,7 +49,7 @@ struct sketch_options {
   // Adjacent pairs probed for the order statistics (capped at n - 1).
   std::size_t max_probes = 512;
   // Subsample stride for the heavy-key rule of sampling.hpp; 0 = auto
-  // (clamp(log2 n, 4, 24), matching dovetail_sort's default).
+  // (subsample_stride(n), the stride dovetail_sort uses).
   std::size_t sample_stride = 0;
   // Seed for the deterministic sample/probe positions.
   std::uint64_t seed = 42;
@@ -169,11 +169,8 @@ input_sketch sketch_input(std::span<const Rec> data, const KeyFn& key,
   // positions for the same seed, so the sketch predicts what the sort
   // would itself detect.
   const std::size_t ns = std::min(s.n, std::max<std::size_t>(1, opt.max_samples));
-  const std::size_t lg2n =
-      std::max<std::size_t>(1, ceil_log2(std::max<std::size_t>(2, s.n)));
   const std::size_t stride =
-      opt.sample_stride != 0 ? opt.sample_stride
-                             : std::clamp<std::size_t>(lg2n, 4, 24);
+      opt.sample_stride != 0 ? opt.sample_stride : subsample_stride(s.n);
   std::vector<std::uint64_t> sample;
   const sample_result sr =
       sample_keys(data, keyof, ~std::uint64_t{0}, ns, stride,

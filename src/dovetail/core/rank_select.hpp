@@ -481,7 +481,6 @@ class rank_selector {
       const std::span<std::size_t> po =
           ol.template carve<std::size_t>(kSelectBuckets + 1);
       distribute_options dopt;
-      dopt.require_stable = true;
       dopt.workspace = &ws_;
       dopt.stats = st_;
       distribute(std::span<const Rec>(all_.data() + lo, n), t,

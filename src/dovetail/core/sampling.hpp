@@ -19,8 +19,18 @@
 
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/random.hpp"
+#include "dovetail/util/bits.hpp"
 
 namespace dovetail {
+
+// The subsample stride of the heavy-key rule for an n-record input: the
+// paper's "every (log n)-th sample", clamped to [4, 24]. dovetail_sort
+// subsamples with it, and input_sketch.hpp defaults to it, so the sketch
+// predicts the heavy keys the sort will detect itself.
+inline std::size_t subsample_stride(std::size_t n) {
+  return std::clamp<std::size_t>(ceil_log2(std::max<std::size_t>(2, n)), 4,
+                                 24);
+}
 
 struct sample_result {
   std::vector<std::uint64_t> heavy_keys;  // sorted ascending, deduplicated

@@ -28,7 +28,8 @@ struct sort_stats {
   std::atomic<std::uint64_t> distributed_records{0};
   // Records that entered a heavy bucket (sorted once, skip all recursion).
   std::atomic<std::uint64_t> heavy_records{0};
-  // Records finished by the comparison-sort base case (Alg 2 line 2).
+  // Records finished by DTSort's base case (Alg 2 line 2): subproblems of at
+  // most θ records, sorted by detail::radix_finish.
   std::atomic<std::uint64_t> base_case_records{0};
   // Records routed to overflow buckets (keys above the sampled range).
   std::atomic<std::uint64_t> overflow_records{0};

@@ -33,8 +33,6 @@
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
 #include "dovetail/core/inplace_sort.hpp"
-#include "dovetail/core/semisort.hpp"
-#include "dovetail/core/unstable_counting_sort.hpp"
 
 // Layer 3 — paper-baseline sorters (Tab 2 roles).
 #include "dovetail/baselines/buffered_lsd_radix_sort.hpp"
@@ -47,7 +45,6 @@
 #include "dovetail/core/distribute.hpp"
 #include "dovetail/core/dt_merge.hpp"
 #include "dovetail/core/sampling.hpp"
-#include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 

@@ -124,9 +124,9 @@ inline std::optional<distribution> find_distribution(
   };
   const std::size_t dash = name.find('-');
   if (dash == std::string_view::npos || dash + 1 >= name.size())
-    return fail("'" + std::string(name) +
-                "' is not of the form Family-param (e.g. Unif-1e7, Exp-5, "
-                "Zipf-1.2, BExp-30)");
+    return fail(std::string("'").append(name).append(
+        "' is not of the form Family-param (e.g. Unif-1e7, Exp-5, "
+        "Zipf-1.2, BExp-30)"));
   const std::string_view family = name.substr(0, dash);
   const family_info* match = nullptr;
   for (const family_info& f : distribution_families()) {

@@ -1,5 +1,6 @@
 #include "dovetail/parallel/scheduler.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -8,6 +9,9 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -73,8 +77,21 @@ struct scheduler_access {
 
 int scheduler::default_num_workers() {
   if (const char* env = std::getenv("DOVETAIL_NUM_THREADS")) {
-    int v = std::atoi(env);
-    if (v >= 1) return v;
+    // A whole decimal integer in [1, kMaxEnvWorkers], nothing else: a typo
+    // must not silently fall back to the core count or start an absurd
+    // number of threads.
+    constexpr unsigned kMaxEnvWorkers = 1024;
+    const std::string_view text(env);
+    unsigned v = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || end != text.data() + text.size() || v < 1 ||
+        v > kMaxEnvWorkers)
+      throw std::invalid_argument(
+          "DOVETAIL_NUM_THREADS=\"" + std::string(text) +
+          "\": expected a whole number of workers in [1, " +
+          std::to_string(kMaxEnvWorkers) + "]");
+    return static_cast<int>(v);
   }
   unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<int>(hc);

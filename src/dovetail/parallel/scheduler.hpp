@@ -101,7 +101,8 @@ class scheduler {
   static void set_num_workers(int p);
 
   // Default worker count: DOVETAIL_NUM_THREADS env var, else hardware
-  // concurrency.
+  // concurrency. Throws std::invalid_argument when the variable is set to
+  // anything but a whole decimal integer in [1, 1024].
   static int default_num_workers();
 
   // ---- internal API used by pardo() ----

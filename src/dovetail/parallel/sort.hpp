@@ -1,6 +1,7 @@
 // Parallel comparison sorts used as primitives: a stable mergesort (used
 // for base cases and overflow buckets, and as the stable comparison-sort
-// baseline) and an unstable quicksort.
+// baseline), the comparison finish of the radix sorts' ping-pong buffer
+// pairs, and an unstable quicksort.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <utility>
 
 #include "dovetail/parallel/merge.hpp"
+#include "dovetail/parallel/primitives.hpp"
 #include "dovetail/parallel/scheduler.hpp"
 
 namespace dovetail::par {
@@ -64,6 +66,30 @@ void merge_sort(std::span<T> a, const Comp& comp = {}) {
   }
   std::unique_ptr<T[]> buf(new T[a.size()]);
   merge_sort(a, std::span<T>(buf.get(), a.size()), comp);
+}
+
+// The ping-pong helpers of the out-of-place radix sorts (DTSort, the MSD
+// baseline): `a` and `t` are the matching segments of the result buffer A
+// and its twin T, and `in_a` says which of them holds the records now.
+
+// Moves the records into `a` if they live in `t`.
+template <typename T>
+void copy_back_to_a(std::span<T> a, std::span<T> t, bool in_a) {
+  if (!in_a) copy(std::span<const T>(t), a);
+}
+
+// Stable comparison sort of the pair's records, landing in `a`: a parallel
+// mergesort with the other segment as scratch above 2^15 records,
+// std::stable_sort below.
+template <typename T, typename Comp>
+void stable_sort_to_a(std::span<T> a, std::span<T> t, bool in_a,
+                      const Comp& comp) {
+  const std::span<T> cur = in_a ? a : t;
+  if (cur.size() > (std::size_t{1} << 15))
+    merge_sort(cur, in_a ? t : a, comp);
+  else
+    std::stable_sort(cur.begin(), cur.end(), comp);
+  copy_back_to_a(a, t, in_a);
 }
 
 // Unstable parallel quicksort (median-of-three, sequential partition,

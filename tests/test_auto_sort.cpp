@@ -55,7 +55,9 @@ sort_kernel sort_and_check(std::vector<kv32> v,
             dtt::multiset_hash(std::span<const kv32>(v), key32));
   EXPECT_TRUE(dtt::stable_by_index_value(std::span<const kv32>(v), key32));
   EXPECT_TRUE(chosen_kernel_of(st).has_value());
-  if (chosen_kernel_of(st).has_value()) EXPECT_EQ(*chosen_kernel_of(st), k);
+  if (chosen_kernel_of(st).has_value()) {
+    EXPECT_EQ(*chosen_kernel_of(st), k);
+  }
   return k;
 }
 

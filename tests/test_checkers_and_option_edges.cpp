@@ -92,21 +92,6 @@ TEST(OptionEdges, GammaLargerThanKeyWidth) {
   for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(v[i], ref[i]);
 }
 
-TEST(OptionEdges, CustomSampleStride) {
-  for (std::size_t stride : {1ul, 2ul, 64ul}) {
-    sort_options o;
-    o.sample_stride = stride;
-    auto v = gen::generate_records<kv32>({gen::dist_kind::zipfian, 1.3, "z"},
-                                         60000, 8 + stride);
-    auto ref = v;
-    std::stable_sort(ref.begin(), ref.end(),
-                     [](const kv32& a, const kv32& b) { return a.key < b.key; });
-    dovetail_sort(std::span<kv32>(v), key_of_kv32, o);
-    for (std::size_t i = 0; i < v.size(); ++i)
-      ASSERT_EQ(v[i], ref[i]) << "stride=" << stride;
-  }
-}
-
 TEST(OptionEdges, StatsWithAblateSkipMergeStillCounts) {
   // The merge-skip ablation must not corrupt the other counters.
   auto v = gen::generate_records<kv32>({gen::dist_kind::zipfian, 1.5, "z"},

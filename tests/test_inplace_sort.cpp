@@ -55,8 +55,9 @@ void check_inplace_on(const dovetail::gen::distribution& d, std::size_t n,
   opt.stats = &st;
   dovetail::inplace_sort(std::span<K>(v), opt);
   expect_sorted_exact(v, orig, d.name.c_str());
-  if (n > opt.base_case)
+  if (n > opt.base_case) {
     EXPECT_GT(st.inplace_passes.load(), 0u) << d.name;
+  }
 }
 
 TEST(InplaceSort, DistributionFamilies32) {

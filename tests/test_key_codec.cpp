@@ -102,9 +102,10 @@ TEST(KeyCodecSigned, ExhaustiveInt8) {
   for (int v = -128; v <= 127; ++v) {
     const auto k = static_cast<std::int8_t>(v);
     expect_round_trip(k);
-    if (v > -128)
+    if (v > -128) {
       EXPECT_LT(key_codec<std::int8_t>::encode(static_cast<std::int8_t>(v - 1)),
                 key_codec<std::int8_t>::encode(k));
+    }
   }
 }
 
@@ -114,10 +115,11 @@ TEST(KeyCodecSigned, ExhaustiveInt16) {
     ASSERT_EQ(key_codec<std::int16_t>::decode(
                   key_codec<std::int16_t>::encode(k)),
               k);
-    if (v > -32768)
+    if (v > -32768) {
       ASSERT_LT(
           key_codec<std::int16_t>::encode(static_cast<std::int16_t>(v - 1)),
           key_codec<std::int16_t>::encode(k));
+    }
   }
 }
 
@@ -242,9 +244,10 @@ TEST(KeyCodecComposite, ExhaustivePairU8I8) {
   std::sort(all.begin(), all.end());  // lexicographic reference order
   for (std::size_t i = 0; i < all.size(); ++i) {
     ASSERT_EQ(key_codec<P>::decode(key_codec<P>::encode(all[i])), all[i]);
-    if (i > 0)
+    if (i > 0) {
       ASSERT_LT(key_codec<P>::encode(all[i - 1]),
                 key_codec<P>::encode(all[i]));
+    }
   }
 }
 

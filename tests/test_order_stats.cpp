@@ -80,9 +80,10 @@ void check_queries(const std::vector<Rec>& input, const KeyFn& key,
     partial_sort(std::span<Rec>(v), m, key);
     for (std::size_t i = 0; i < m; ++i)
       ASSERT_TRUE(v[i] == ref[i]) << "m=" << m << " i=" << i;
-    if (m > 0)
+    if (m > 0) {
       for (std::size_t i = m; i < n; ++i)
         ASSERT_FALSE(less(v[i], v[m - 1])) << "m=" << m << " i=" << i;
+    }
   }
 }
 
@@ -459,7 +460,9 @@ TEST(GroupBy, FingerprintModeGroupsExactly) {
     const auto vals = view.group(g);
     for (std::size_t i = 0; i < vals.size(); ++i) {
       ASSERT_EQ(orig_keys[vals[i]], k);  // value = original index of key k
-      if (i > 0) ASSERT_LT(vals[i - 1], vals[i]);  // stable within group
+      if (i > 0) {
+        ASSERT_LT(vals[i - 1], vals[i]);  // stable within group
+      }
     }
   }
   // Deterministic: a second run over the same input groups identically.
@@ -496,8 +499,9 @@ TEST(GroupBy, KeysOnlyOverloadAndEdges) {
     for (std::size_t g = 0; g < view.num_groups(); ++g) {
       for (std::size_t i = view.offsets[g] + 1; i < view.offsets[g + 1]; ++i)
         ASSERT_EQ(keys[i], view.key(g));
-      if (g + 1 < view.num_groups())
+      if (g + 1 < view.num_groups()) {
         ASSERT_LT(view.key(g), view.key(g + 1));
+      }
     }
     // Fingerprint keys-only: same multiset, contiguous groups.
     auto keys2 = ref;

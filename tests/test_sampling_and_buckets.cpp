@@ -111,6 +111,15 @@ TEST(Sampling, DisabledDetectionStillReportsRange) {
   EXPECT_LE(r.max_sample, 999u);
 }
 
+TEST(Sampling, SubsampleStrideIsClampedLog2N) {
+  // The paper's "every (log n)-th sample", clamped to [4, 24].
+  EXPECT_EQ(dovetail::subsample_stride(0), 4u);
+  EXPECT_EQ(dovetail::subsample_stride(2), 4u);
+  EXPECT_EQ(dovetail::subsample_stride(std::size_t{1} << 10), 10u);
+  EXPECT_EQ(dovetail::subsample_stride((std::size_t{1} << 10) + 1), 11u);
+  EXPECT_EQ(dovetail::subsample_stride(std::size_t{1} << 40), 24u);
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(BucketTable, NoHeavyKeys) {
@@ -155,7 +164,9 @@ TEST(BucketTable, ZoneOrderInvariant) {
     const std::uint64_t z = k >> 4;
     const std::uint32_t id = bt.lookup(k);
     // (a): every id of zone z lies before zone z+1's light id.
-    if (z + 1 < 16) EXPECT_LT(id, bt.light_id(z + 1)) << k;
+    if (z + 1 < 16) {
+      EXPECT_LT(id, bt.light_id(z + 1)) << k;
+    }
     // (b): any key's id is at least its zone's light id.
     EXPECT_GE(id, bt.light_id(z)) << k;
   }

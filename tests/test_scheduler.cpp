@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dovetail/parallel/parallel_for.hpp"
@@ -99,6 +102,37 @@ TEST(Scheduler, SetNumWorkersRestartsPool) {
   par::parallel_for(0, 10000,
                     [&](std::size_t i) { sum += static_cast<long>(i); });
   EXPECT_EQ(sum.load(), 49995000);
+}
+
+// DOVETAIL_NUM_THREADS is parsed strictly. Only default_num_workers() is
+// called, so no pool (and no thread) is started; the variable is restored
+// afterwards, since the suite may run with it set.
+TEST(Scheduler, NumThreadsEnvIsValidated) {
+  const char* name = "DOVETAIL_NUM_THREADS";
+  std::optional<std::string> saved;
+  if (const char* v = std::getenv(name)) saved = v;
+  const auto workers_for = [name](const char* value) {
+    ::setenv(name, value, 1);
+    return par::scheduler::default_num_workers();
+  };
+  EXPECT_EQ(workers_for("1"), 1);
+  EXPECT_EQ(workers_for("4"), 4);
+  EXPECT_EQ(workers_for("1024"), 1024);
+  for (const char* bad :
+       {"", "0", "-3", "+4", " 4", "4abc", "abc", "4.0", "1025", "100000",
+        "99999999999999999999"}) {
+    EXPECT_THROW(workers_for(bad), std::invalid_argument) << "'" << bad << "'";
+  }
+  try {
+    workers_for("4abc");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("DOVETAIL_NUM_THREADS=\"4abc\""),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv(name);
+  EXPECT_GE(par::scheduler::default_num_workers(), 1);
+  if (saved) ::setenv(name, saved->c_str(), 1);
 }
 
 TEST(Scheduler, ManyForksStressTest) {

@@ -136,9 +136,10 @@ TEST(SimdStableNetwork, ByteIdenticalToStableSort) {
         ASSERT_EQ(simd::level(), simd::isa::scalar);
         continue;
       }
-      if (n != 0)
+      if (n != 0) {
         ASSERT_EQ(0, std::memcmp(got.data(), want.data(), n * sizeof(kv32)))
             << "n=" << n << " rep=" << rep;
+      }
     }
   }
 }

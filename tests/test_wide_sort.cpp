@@ -119,10 +119,10 @@ static_assert(!any_sortable_key<std::vector<int>>);
 // A composite with a prefix-coded (variable-length) component is the
 // genuinely unencodable case and stays a COMPILE-TIME error with the
 // "cannot be bit-concatenated" static_assert; verified manually:
-//   g++ -std=c++20 -Isrc -fsyntax-only -x c++ - <<< \
-//     '#include "dovetail/core/key_codec.hpp"
-//      int main() { (void)dovetail::key_codec<std::pair<
-//        std::string, std::uint64_t>>::encode_word({"a", 1}, 0); }'
+//   echo '#include "dovetail/core/key_codec.hpp"
+//     int main() { (void)dovetail::key_codec<std::pair<
+//       std::string, std::uint64_t>>::encode_word({"a", 1}, 0); }' |
+//   g++ -std=c++20 -Isrc -fsyntax-only -x c++ -
 
 // ---------------------------------------------------------------------------
 // Codec word contracts.
@@ -225,10 +225,11 @@ TEST(WideKeyCodec, StringPrefixIsOrderPreservingCoarsening) {
     for (std::size_t j = i + 1; j < std::min(pool.size(), i + 40); ++j) {
       const auto& s = pool[i];
       const auto& t = pool[j];
-      if (s < t)
+      if (s < t) {
         ASSERT_FALSE(words_less(t, s)) << "'" << s << "' vs '" << t << "'";
-      else if (t < s)
+      } else if (t < s) {
         ASSERT_FALSE(words_less(s, t)) << "'" << s << "' vs '" << t << "'";
+      }
     }
 }
 

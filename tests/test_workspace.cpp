@@ -5,15 +5,14 @@
 //    with ZERO fresh allocations (the engine's no-hot-path-malloc
 //    property), observable through the new sort_stats counters;
 //  * `direct` and `buffered` scatter strategies produce byte-identical
-//    stable output across the option matrix; `unstable` produces the same
-//    offsets and per-bucket multisets;
+//    stable output; LSD runs a requested `unstable` scatter as a stable
+//    one; `unstable` produces the same offsets and per-bucket multisets;
 //  * the single-bucket short-circuit copies without building id arrays or
 //    counting matrices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,9 +21,7 @@
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/distribute.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
-#include "dovetail/core/semisort.hpp"
 #include "dovetail/core/sort_stats.hpp"
-#include "dovetail/core/unstable_counting_sort.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/random.hpp"
@@ -137,31 +134,6 @@ TEST(Workspace, RepeatedDovetailSortAllocationFreeAfterWarmup) {
   EXPECT_GT(st.workspace_reuses.load(), reuses_at_streak_start);
 }
 
-TEST(Workspace, SemisortSharesTheEngineAndWorkspace) {
-  const std::size_t n = 150000;
-  auto base = gen::generate_records<kv32>(
-      {gen::dist_kind::uniform, 200, "u"}, n, 13);
-  sort_workspace ws;
-  sort_stats st;
-  sort_options opt;
-  opt.workspace = &ws;
-  opt.stats = &st;
-  auto v = base;
-  semisort(std::span<kv32>(v), key_of_kv32, opt);
-  // Distribution ran through the engine with workspace-backed scratch.
-  EXPECT_GT(st.scatter_direct_calls.load() + st.scatter_buffered_calls.load(),
-            0u);
-  EXPECT_GT(st.workspace_allocations.load() + st.workspace_reuses.load(), 0u);
-  // Equal keys are adjacent: each key starts exactly one run.
-  std::set<std::uint32_t> seen;
-  for (std::size_t i = 0; i < n;) {
-    const std::uint32_t k = v[i].key;
-    ASSERT_TRUE(seen.insert(k).second)
-        << "key " << k << " split into two groups";
-    while (i < n && v[i].key == k) ++i;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Scatter strategies: identical stable output.
 
@@ -208,20 +180,15 @@ TEST(ScatterStrategies, DovetailSortIdenticalAcrossOptionsMatrix) {
         o.detect_heavy = heavy;
         o.use_dt_merge = dtm;
         o.gamma = gamma;
-        std::vector<kv32> results[3];
-        const scatter_strategy strategies[3] = {scatter_strategy::direct,
-                                                scatter_strategy::buffered,
-                                                scatter_strategy::automatic};
-        for (int s = 0; s < 3; ++s) {
-          o.scatter = strategies[s];
-          results[s] = zipf;
-          dovetail_sort(std::span<kv32>(results[s]), key_of_kv32, o);
-          for (std::size_t i = 0; i < ref.size(); ++i) {
-            ASSERT_EQ(results[s][i].key, ref[i].key)
-                << "strategy " << s << " i=" << i;
-            ASSERT_EQ(results[s][i].value, ref[i].value)
-                << "strategy " << s << " i=" << i;
-          }
+        auto v = zipf;
+        dovetail_sort(std::span<kv32>(v), key_of_kv32, o);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(v[i].key, ref[i].key)
+              << "heavy=" << heavy << " dtm=" << dtm << " gamma=" << gamma
+              << " i=" << i;
+          ASSERT_EQ(v[i].value, ref[i].value)
+              << "heavy=" << heavy << " dtm=" << dtm << " gamma=" << gamma
+              << " i=" << i;
         }
       }
     }
@@ -242,6 +209,23 @@ TEST(ScatterStrategies, LsdBaselineIdenticalAcrossStrategies) {
       [](const kv32& a, const kv32& b) { return a.key < b.key; }));
 }
 
+TEST(ScatterStrategies, LsdTreatsUnstableAsAutomatic) {
+  // LSD correctness needs stable passes: a request for the unstable
+  // scatter runs as `automatic`, so the output is the stable order.
+  auto in = random_records(120000, 0xFFFFFFFFu, 29);
+  std::vector<kv32> direct = in, unstable = in;
+  baseline::lsd_radix_sort(std::span<kv32>(direct), key_of_kv32);
+  sort_stats st;
+  baseline::lsd_options lo;
+  lo.scatter = scatter_strategy::unstable;
+  lo.stats = &st;
+  baseline::lsd_radix_sort(std::span<kv32>(unstable), key_of_kv32, lo);
+  ASSERT_TRUE(std::equal(direct.begin(), direct.end(), unstable.begin()));
+  EXPECT_EQ(st.scatter_unstable_calls.load(), 0u);
+  EXPECT_GT(st.scatter_direct_calls.load() + st.scatter_buffered_calls.load(),
+            0u);
+}
+
 TEST(ScatterStrategies, UnstableSameOffsetsAndBucketMultisets) {
   const std::size_t n = 100000, nb = 128;
   const auto in = random_records(n, 1u << 28, 31);
@@ -249,9 +233,9 @@ TEST(ScatterStrategies, UnstableSameOffsetsAndBucketMultisets) {
   std::vector<kv32> stable_out(n), unstable_out(n);
   auto off_s = counting_sort(std::span<const kv32>(in),
                              std::span<kv32>(stable_out), nb, bucket_of);
-  auto off_u = unstable_counting_sort(std::span<const kv32>(in),
-                                      std::span<kv32>(unstable_out), nb,
-                                      bucket_of);
+  auto off_u = counting_sort(std::span<const kv32>(in),
+                             std::span<kv32>(unstable_out), nb, bucket_of,
+                             {.strategy = scatter_strategy::unstable});
   ASSERT_EQ(off_s, off_u);
   auto by_rec = [](const kv32& a, const kv32& b) {
     return a.key != b.key ? a.key < b.key : a.value < b.value;
@@ -357,7 +341,9 @@ TEST(Distribute, NonTriviallyCopyableRecordsStillSupported) {
     for (std::size_t i = offs[k]; i < offs[k + 1]; ++i) {
       ASSERT_EQ(bucket_of(out[i]), k);
       const std::size_t orig = std::stoul(out[i].payload);
-      if (i > offs[k]) ASSERT_LT(prev_in_bucket, orig);  // stable
+      if (i > offs[k]) {
+        ASSERT_LT(prev_in_bucket, orig);  // stable
+      }
       prev_in_bucket = orig;
     }
   }
