@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -230,6 +231,55 @@ class scratch_array {
   std::span<T> span_;
 };
 
+// The gather target of reorder_arrays: n slots of T, each filled once by
+// put(pos, v), which moves v in, then emptied into the caller's array by
+// drain_to. Types whose moves and destructor cannot throw (std::string)
+// are MOVE-CONSTRUCTED into raw workspace-leased storage and destroyed
+// after the write-back — no per-call vector, no n default constructions,
+// and warm calls allocate nothing. Other types use scratch_array
+// (trivially copyable types lease too; the rest need a default
+// constructor).
+template <typename T>
+class gather_scratch {
+  static constexpr bool kRaw = !std::is_trivially_copyable_v<T> &&
+                               std::is_nothrow_move_constructible_v<T> &&
+                               std::is_nothrow_move_assignable_v<T> &&
+                               alignof(T) <= detail::kSlabAlign;
+
+ public:
+  gather_scratch(std::size_t n, sort_workspace& ws, sort_stats* stats)
+      : n_(n) {
+    if constexpr (kRaw) {
+      if (n == 0) return;
+      lease_ = ws.acquire(n * sizeof(T), stats);
+      slots_ = reinterpret_cast<T*>(
+          lease_.template carve<std::byte>(n * sizeof(T)).data());
+    } else {
+      arr_.emplace(n, ws, stats);
+      slots_ = arr_->get().data();
+    }
+  }
+  void put(std::size_t pos, T& v) noexcept(kRaw) {
+    if constexpr (kRaw)
+      std::construct_at(slots_ + pos, std::move(v));
+    else
+      slots_[pos] = std::move(v);
+  }
+  // Every slot must have been put.
+  void drain_to(std::span<T> to) {
+    write_back(std::span<T>(slots_, n_), to);
+    if constexpr (kRaw)
+      par::parallel_for(0, n_,
+                        [&](std::size_t i) { std::destroy_at(slots_ + i); });
+  }
+
+ private:
+  std::size_t n_;
+  T* slots_ = nullptr;
+  sort_workspace::lease lease_;
+  std::optional<scratch_array<T>> arr_;
+};
+
 // The gather half of the encode-once route: reorder `a` — and the
 // parallel array `b` with it, unless `b` is empty — by the permutation
 // `kernel` leaves on the encoded records of the keys key_at(i). Each
@@ -240,17 +290,15 @@ template <typename K, typename A, typename B, typename KeyAt,
           typename Kernel>
 void reorder_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
                     const auto_sort_options& opt, const Kernel& kernel) {
-  scratch_array<A> ta(a.size(), *opt.workspace, opt.stats);
-  scratch_array<B> tb(b.size(), *opt.workspace, opt.stats);
-  const std::span<A> sa = ta.get();
-  const std::span<B> sb = tb.get();
+  gather_scratch<A> ta(a.size(), *opt.workspace, opt.stats);
+  gather_scratch<B> tb(b.size(), *opt.workspace, opt.stats);
   encode_once<K>(a.size(), key_at, *opt.workspace, opt.stats, kernel,
                  [&](std::size_t pos, std::size_t src) {
-                   sa[pos] = std::move(a[src]);
-                   if (!sb.empty()) sb[pos] = std::move(b[src]);
+                   ta.put(pos, a[src]);
+                   if (!b.empty()) tb.put(pos, b[src]);
                  });
-  write_back(sa, a);
-  write_back(sb, b);
+  ta.drain_to(a);
+  tb.drain_to(b);
 }
 
 // Stably order the rank `windows` of `a` (and `b`) by the keys
@@ -392,8 +440,8 @@ sort_kernel sort(std::span<K> data, const auto_sort_options& opt = {}) {
 // Returns the kernel that sorted the pairs. Stable: equal keys keep their
 // input order in both arrays. Workspace/stats contract as dovetail::sort;
 // trivially copyable K/V lease all scratch (warm calls allocate nothing),
-// other types must be default-constructible + move-assignable and use
-// per-call vectors.
+// so do types whose moves cannot throw (std::string); other types must be
+// default-constructible + move-assignable and use per-call vectors.
 //
 // Throws std::invalid_argument when the spans' sizes differ.
 template <typename K, typename V>

@@ -233,12 +233,14 @@ struct dispatch_policy {
   std::size_t parallel_crossover_n = std::size_t{1} << 15;
   // Wide (multi-word) keys, sorts and queries alike: the segment driver's
   // per-segment base case — equal-prefix segments at or below this size
-  // finish with one stable comparison sort over the remaining words
-  // instead of re-entering the radix front door (wide_sort.hpp). A
-  // segment must amortise a full dispatch + distribution pass to be worth
-  // radixing again; below ~2^15 records the comparison sort — run in
-  // parallel ACROSS segments — wins on every wide BENCH_wide.json
-  // instance.
+  // finish in one sequential step instead of re-entering the radix front
+  // door (wide_sort.hpp): a cache-resident radix pass over words
+  // re-encoded into the records for offset codecs (strings) on the
+  // encode-once path, one stable comparison sort over the remaining
+  // words otherwise. A segment must amortise a full dispatch +
+  // distribution pass to be worth sending through the front door again;
+  // below ~2^15 records the sequential finish — run in parallel ACROSS
+  // segments — wins on every wide BENCH_wide.json instance.
   std::size_t wide_segment_base_case = std::size_t{1} << 15;
   // Order-statistics queries (core/order_stats.hpp) only: the rank
   // selector's base case within one word (core/rank_select.hpp) — a

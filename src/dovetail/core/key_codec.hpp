@@ -86,12 +86,14 @@
 // driver probes still-tied segments first and skips any number of
 // verified-tied words in one scan — a narrow round only ever sorts a
 // word the probe saw differ, never a word the shared prefix makes
-// constant. Segments at or below the comparison
-// base case, and every residual segment of a non-offset codec, finish
-// with a stable comparison sort on the true keys, which must then be
-// comparable with operator<. Either way the sorted result is the TRUE key
-// order. Wide codecs are encode-only (the sorters never decode); `cheap`
-// means encode_word is a few ALU ops / at most one cache line of the key.
+// constant. Segments at or below the base case finish from the same
+// offset words (a radix pass over words re-encoded into the records on
+// the encode-once path, a comparison of the key suffixes on the fused
+// path). Every residual segment of a non-offset codec finishes with a
+// stable comparison sort on the true keys, which must then be comparable
+// with operator<. Either way the sorted result is the TRUE key order.
+// Wide codecs are encode-only (the sorters never decode); `cheap` means
+// encode_word is a few ALU ops / at most one cache line of the key.
 // Built-in wide codecs:
 //   * pair / tuple composites whose packed width exceeds 64 bits
 //     (pair<u64, u64>, tuple<u64, u64, u32>, nested mixes — any
@@ -799,9 +801,9 @@ struct key_codec<__int128> {
 // 7 * Words content bytes of radix discrimination. The codec stays
 // NON-exhaustive as a fixed word set (equal prefix words do not pin down
 // the key), so the driver still owes the order beyond the prefix — paid
-// either by the offset continuation above or, for segments at or below
-// the comparison base case, by a stable comparison sort on the true keys.
-// Both routes produce the same full lexicographic order.
+// by the offset continuation above and, for segments at or below the
+// base case, by a finish over the same offset words (or the key
+// suffixes). Both produce the same full lexicographic order.
 template <std::size_t Words>
 struct string_prefix_codec {
   static_assert(Words >= 1);
@@ -827,6 +829,15 @@ struct string_prefix_codec {
       std::size_t byte_offset = 0) noexcept {
     const std::size_t base = byte_offset + word_bytes * w;
     std::uint64_t out = 0;
+    if (base + word_bytes < s.size()) {
+      // The key extends past the window: 7 content bytes, count 7.
+      // Reading the byte after the window too (then overwriting it with
+      // the count) makes the loop one unconditional 8-byte big-endian
+      // load, which compilers fuse into a load and a byte swap.
+      for (std::size_t j = 0; j <= word_bytes; ++j)
+        out = (out << 8) | static_cast<unsigned char>(s[base + j]);
+      return (out & ~std::uint64_t{0xFF}) | word_bytes;
+    }
     for (std::size_t j = 0; j < word_bytes; ++j) {
       const std::size_t i = base + j;
       out = (out << 8) |

@@ -27,9 +27,11 @@
 //      workspace_pool arena: one in-flight sort per workspace), else one
 //      at a time through the caller's workspace; straddlers are pruned by
 //      the selector; segments outside every window are dropped; segments
-//      at or below dispatch_policy::wide_segment_base_case finish with ONE
-//      stable comparison sort over all remaining words, in parallel across
-//      segments. Repeat per word.
+//      at or below dispatch_policy::wide_segment_base_case finish in one
+//      sequential step each, in parallel across segments — a cached-word
+//      radix finish for offset codecs on the encode-once path (step 4),
+//      one stable comparison sort over all remaining words otherwise.
+//      Repeat per word.
 //   4. Non-exhaustive codecs still owe the order beyond the words. An
 //      OFFSET-capable codec (key_codec.hpp's continuation form — the
 //      string codecs) keeps refining by radix, PARADIS/RADULS-style:
@@ -40,23 +42,31 @@
 //      round), a window where the keys end while equal drops the segment
 //      — and only windows where keys differ re-encode and re-enter the
 //      same refinement, round after round, until every segment
-//      separates, ends, or shrinks to the comparison base case. No
-//      comparison sort ever runs on an above-base-case segment
-//      (sort_stats::wide_tiebreak_fallbacks stays 0) — for queries over
-//      string keys exactly as for sorts. A non-exhaustive codec WITHOUT
-//      the offset form (a user key_codec) gets one stable comparison sort
-//      on the TRUE keys per residual segment (the tie-break). Both routes
-//      yield full lexicographic order.
+//      separates, ends, or shrinks to the base case. The probe scans a
+//      segment's keys in parallel blocks and merges their earliest
+//      divergence exactly, so its decision never depends on the
+//      schedule. Small segments finish from the current offset: on the
+//      encode-once path by radix_finish_words — a sequential MSD pass
+//      over words re-encoded into the records' own slots, sorted by
+//      detail::radix_finish through the workspace's record buffer — and
+//      on the fused path (no word storage) by a comparison sort of the
+//      key suffixes. No comparison sort ever runs on an above-base-case
+//      segment (sort_stats::wide_tiebreak_fallbacks stays 0) — for
+//      queries over string keys exactly as for sorts. A non-exhaustive
+//      codec WITHOUT the offset form (a user key_codec) gets one stable
+//      comparison sort on the TRUE keys per residual segment (the
+//      tie-break). Both routes yield full lexicographic order.
 //
 // Stability: every pass is stable and confined to one segment, so the
 // whole sort is stable and every query window holds its slice of the
 // stable order. Scratch: the segment tables and the encode-once
-// (encoded words, index) record array lease workspace slabs — warm calls
-// allocate nothing from the workspace, continuation rounds included (they
-// reuse the same tables and, on the encode-once path, rewrite the word
-// array in place). The refine work lands in sort_stats as refine_rounds /
-// wide_segments / wide_continuation_* / wide_tiebreak_fallbacks
-// snapshots.
+// (encoded words, index) record array lease workspace slabs, and the
+// radix finish scatters through the workspace's record buffer (idle
+// between the dispatcher's sorts) — warm calls allocate nothing from the
+// workspace, continuation rounds included (they reuse the same tables
+// and, on the encode-once path, rewrite the word array in place). The
+// refine work lands in sort_stats as refine_rounds / wide_segments /
+// wide_continuation_* / wide_tiebreak_fallbacks snapshots.
 //
 // Layering: this header sits on the single-word dispatcher (dispatch.hpp)
 // and the rank-window selector (rank_select.hpp), and is included by the
@@ -180,34 +190,45 @@ inline constexpr std::size_t cont_probe_done = static_cast<std::size_t>(-1);
 // (key_codec.hpp). `probe` as above; `reencode(segment, byte_offset)`
 // repoints the word source of a segment the probe decided to split
 // (rewriting materialized words on the encode-once path, or just moving
-// a shared offset on the fused path); `tie_from(a, b, byte_offset)` is
-// the true-key order restricted to the key suffixes at byte_offset —
-// continuation rounds know their segments are key-equal through the
-// current offset, so small-segment finishes compare only the bytes that
-// can still differ (a duplicate-heavy corpus under a 256-byte prefix
-// would otherwise re-scan the whole shared prefix on every comparison).
-// `stride` is the bytes a continuation window consumes and `words` how
-// many words the reencode fills per round — possibly FEWER than the
-// materialized prefix (the string codecs continue one 7-byte word per
-// round: the probe skips tied words wholesale, so a round only ever
-// sorts a word known to differ). `prefix_bytes` is where the
-// materialized prefix ends, i.e. the first continuation offset. The
-// no_continuation tag keeps exhaustive codecs and the codecs without the
-// offset form on the pre-continuation path with zero overhead.
+// a shared offset on the fused path); `finish(segment, twin, byte_offset,
+// f)` completes a small segment whose keys tie through word f of the
+// window at byte_offset — (0, w) after prefix word w - 1, (offset, 0) in
+// a continuation round — so it orders only the bytes that can still
+// differ (a duplicate-heavy corpus under a 256-byte prefix would
+// otherwise re-scan the whole shared prefix per key). On the encode-once
+// path it is the cached-word radix finish below, scattering through
+// `twin` (an equally long dead array); on the fused path it is one
+// stable comparison sort of the key suffixes. `stride` is the bytes a
+// continuation window consumes and `words` how many words the reencode
+// fills per round — possibly FEWER than the materialized prefix (the
+// string codecs continue one 7-byte word per round: the probe skips tied
+// words wholesale, so a round only ever sorts a word known to differ).
+// `prefix_bytes` is where the materialized prefix ends, i.e. the first
+// continuation offset. The no_continuation tag keeps exhaustive codecs
+// and the codecs without the offset form on the pre-continuation path
+// with zero overhead.
 struct no_continuation {};
 
-template <typename Reencode, typename Probe, typename TieFrom>
+template <typename Reencode, typename Probe, typename Finish>
 struct continuation_hooks {
   std::size_t stride;
   std::size_t words;
   std::size_t prefix_bytes;
   Reencode reencode;
   Probe probe;
-  TieFrom tie_from;
+  Finish finish;
 };
-template <typename R, typename P, typename T>
-continuation_hooks(std::size_t, std::size_t, std::size_t, R, P, T)
-    -> continuation_hooks<R, P, T>;
+template <typename R, typename P, typename F>
+continuation_hooks(std::size_t, std::size_t, std::size_t, R, P, F)
+    -> continuation_hooks<R, P, F>;
+
+// Byte offset of the window holding flat word f past window offset `off`
+// (W words per window): the keys of a segment tied through word f are
+// tied through at least these bytes.
+template <typename WT>
+constexpr std::size_t window_offset(std::size_t off, std::size_t f) {
+  return off + (f / WT::continuation_words) * WT::continuation_stride;
+}
 
 // True-key suffix order expressed in codec words: walk the continuation
 // windows at byte `off` until a word differs (word order = suffix byte
@@ -266,6 +287,82 @@ inline std::size_t string_first_divergence(std::string_view a,
   return a.size() == b.size() ? std::string_view::npos : lim;
 }
 
+// Software prefetch for the passes that chase record -> key object -> key
+// bytes (probes, re-encodes, the cached-word finish): the key object
+// kPrefetchKeyAhead records ahead and, for byte keys, the key bytes at
+// `byte_offset` (where the pass reads) kPrefetchBytesAhead records ahead,
+// whose object an earlier call already fetched. Keys returned by value
+// are prefetched only when they are views (constructing any other key
+// just to prefetch it costs the miss itself).
+inline constexpr std::size_t kPrefetchKeyAhead = 16;
+inline constexpr std::size_t kPrefetchBytesAhead = 8;
+
+template <typename Rec, typename KeyOf>
+void prefetch_key_ahead(std::span<const Rec> seg, std::size_t i,
+                        const KeyOf& key_of, std::size_t byte_offset) {
+#if defined(__GNUC__)
+  using KR = std::invoke_result_t<const KeyOf&, const Rec&>;
+  constexpr bool kRef = std::is_lvalue_reference_v<KR>;
+  constexpr bool kBytes =
+      std::is_convertible_v<KR, std::string_view> &&
+      (kRef || std::is_same_v<std::remove_cvref_t<KR>, std::string_view>);
+  if constexpr (kRef) {
+    if (i + kPrefetchKeyAhead < seg.size())
+      __builtin_prefetch(std::addressof(key_of(seg[i + kPrefetchKeyAhead])));
+  }
+  if constexpr (kBytes) {
+    if (i + kPrefetchBytesAhead < seg.size()) {
+      const std::string_view k(key_of(seg[i + kPrefetchBytesAhead]));
+      __builtin_prefetch(k.data() + std::min(byte_offset, k.size()));
+    }
+  }
+#else
+  (void)seg, (void)i, (void)key_of, (void)byte_offset;
+#endif
+}
+
+// Probes scan a segment in blocks of this many keys, in parallel.
+inline constexpr std::size_t kProbeBlock = 2048;
+
+// Lower `m` to `v` if `v` is smaller; returns the new minimum.
+inline std::size_t fetch_min(std::atomic<std::size_t>& m, std::size_t v) {
+  std::size_t cur = m.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+  return std::min(cur, v);
+}
+
+// The probes' shared scan: keys 1..count-1 in parallel blocks of
+// kProbeBlock, each key scanned by `diverge(i, cap)` — the key's first
+// divergence from key 0, or any value >= cap when it diverges no earlier
+// than cap — with `cap` the earliest divergence any block has published
+// so far. Blocks stop once the minimum falls below `decided` (the answer
+// no longer depends on it). Every key's scan stops at or before the final
+// minimum, so the result is the EXACT minimum (or some value below
+// `decided`), whatever the schedule — the callers' skip / defer / drop
+// decision never depends on it.
+template <typename Diverge>
+std::size_t probe_min(std::size_t count, std::size_t none,
+                      std::size_t decided, const Diverge& diverge) {
+  std::atomic<std::size_t> min_d{none};
+  const std::size_t nblocks = (count + kProbeBlock - 2) / kProbeBlock;
+  par::parallel_for(
+      0, nblocks,
+      [&](std::size_t b) {
+        const std::size_t lo = 1 + b * kProbeBlock;
+        const std::size_t hi = std::min(count, lo + kProbeBlock);
+        std::size_t cap = min_d.load(std::memory_order_relaxed);
+        for (std::size_t i = lo; i < hi && cap >= decided; ++i) {
+          const std::size_t d = diverge(i, cap);
+          cap = d < cap ? fetch_min(min_d, d)
+                        : std::min(cap, min_d.load(std::memory_order_relaxed));
+        }
+      },
+      1);
+  return min_d.load(std::memory_order_relaxed);
+}
+
 // Byte-level probe: same contract as probe_tied_windows below, memcmp
 // speed. Each key's scan is capped at the earliest divergence seen so
 // far, so the whole probe is one pass over the segment's shared bytes.
@@ -273,17 +370,12 @@ template <typename KeyViewOf>
 std::size_t probe_tied_bytes(std::size_t count, std::size_t off,
                              std::size_t stride, const KeyViewOf& key_of) {
   const std::string_view k0 = key_of(std::size_t{0});
-  std::size_t min_d = std::string_view::npos;
-  for (std::size_t i = 1; i < count; ++i) {
-    const std::string_view ki = key_of(i);
-    const std::size_t d = string_first_divergence(k0, ki, off, min_d);
-    if (d < min_d) {
-      min_d = d;
-      // Divergence inside the very next window: the answer is already
-      // "split", no later key can change it.
-      if (min_d < off + stride) return 0;
-    }
-  }
+  // A divergence inside the very next window already means "split".
+  const std::size_t min_d = probe_min(
+      count, std::string_view::npos, off + stride,
+      [&](std::size_t i, std::size_t cap) {
+        return string_first_divergence(k0, key_of(i), off, cap);
+      });
   return min_d == std::string_view::npos ? cont_probe_done
                                          : (min_d - off) / stride;
 }
@@ -304,21 +396,117 @@ std::size_t probe_tied_windows(std::size_t count, std::size_t off,
   auto&& k0 = key_of(std::size_t{0});
   // min_f: flat index (window * W + word) of the earliest word where any
   // key differs from key 0; cont_probe_done while none found.
-  std::size_t min_f = cont_probe_done;
-  for (std::size_t i = 1; i < count && min_f > 0; ++i) {
-    auto&& ki = key_of(i);
-    for (std::size_t f = 0; f < min_f; ++f) {
-      const std::size_t woff = off + (f / W) * stride;
-      const std::uint64_t a = word_of_at(k0, f % W, woff);
-      const std::uint64_t b = word_of_at(ki, f % W, woff);
-      if (a != b) {
-        min_f = f;
-        break;
-      }
-      if (!word_continues(a)) break;  // both keys end equal inside f
-    }
-  }
+  const std::size_t min_f = probe_min(
+      count, cont_probe_done, W, [&](std::size_t i, std::size_t cap) {
+        auto&& ki = key_of(i);
+        for (std::size_t f = 0; f < cap; ++f) {
+          const std::size_t woff = off + (f / W) * stride;
+          const std::uint64_t a = word_of_at(k0, f % W, woff);
+          const std::uint64_t b = word_of_at(ki, f % W, woff);
+          if (a != b) return f;
+          if (!word_continues(a)) break;  // both keys end equal inside f
+        }
+        return cap;
+      });
   return min_f == cont_probe_done ? cont_probe_done : min_f / W;
+}
+
+// The cached-word radix finish of one segment of encode-once records
+// (enc_words) whose keys tie through flat word f past window offset `off`:
+// a sequential MSD pass, one codec word per level. The record's word_count
+// slots cache flat words [cached, cached + word_count) — the materialized
+// prefix words when cached == 0 and off == 0, nothing when cached == npos.
+// A level on an uncached word first refills every slot from the true key,
+// prefetched ahead, so one key chase serves word_count levels. Each level
+// sorts the segment by its word with detail::radix_finish
+// (dovetail_sort.hpp, stable, scattering through `twin`) and cuts it into
+// equal-word runs. Runs whose word ends the keys (word_continues false)
+// hold equal keys and are done; the others go one word deeper — the
+// largest by looping, the rest by recursion, so the depth stays below
+// log2 of the segment. Runs of at most kFinishInsertion records take a
+// stable insertion sort on tie_from. For byte keys a refill at a window
+// start also finds each key's first divergence from the segment's first
+// key (the probe's scan, fused into the pass that already holds the key):
+// keys equal to the end finish the segment there, and windows every key
+// shares are skipped without a sort. The result is the stable true-key
+// order, the order a comparison finish gives, at one cache-resident word
+// read per record per level instead of two key chases per comparison.
+template <typename WT, typename R, typename KeyOf, typename TieFrom>
+void radix_finish_words(std::span<R> seg, R* twin, std::size_t off,
+                        std::size_t f, std::size_t cached,
+                        const KeyOf& key_of, const TieFrom& tie_from) {
+  constexpr std::size_t W = WT::continuation_words;
+  constexpr std::size_t kSlots = WT::word_count;
+  constexpr std::size_t npos = std::string_view::npos;
+  constexpr bool kByteKeys = std::is_convertible_v<
+      std::invoke_result_t<const KeyOf&, const R&>, std::string_view>;
+  for (;;) {
+    const std::size_t n = seg.size();
+    const std::size_t woff = window_offset<WT>(off, f);
+    if (n <= kFinishInsertion) {
+      for (std::size_t i = 1; i < n; ++i) {
+        const R x = seg[i];
+        std::size_t j = i;
+        for (; j > 0 && tie_from(x, seg[j - 1], woff); --j) seg[j] = seg[j - 1];
+        seg[j] = x;
+      }
+      return;
+    }
+    if (cached == npos || f < cached || f >= cached + kSlots) {
+      // min_d: the earliest byte >= woff where some key diverges from key
+      // 0 (npos: all equal to the end); tracked for byte keys at window
+      // starts only.
+      std::size_t min_d = npos;
+      const bool scan = kByteKeys && f % W == 0;
+      auto&& k0 = key_of(seg[0]);
+      for (std::size_t i = 0; i < n; ++i) {
+        prefetch_key_ahead(std::span<const R>(seg), i, key_of, woff);
+        auto&& k = key_of(seg[i]);
+        for (std::size_t j = 0; j < kSlots; ++j)
+          seg[i].word[j] =
+              WT::word_at(k, (f + j) % W, window_offset<WT>(off, f + j));
+        if constexpr (kByteKeys) {
+          if (scan && min_d >= woff + WT::continuation_stride)
+            min_d = std::min(min_d,
+                             string_first_divergence(k0, k, woff, min_d));
+        }
+      }
+      cached = f;
+      if (scan) {
+        if (min_d == npos) return;
+        f += (min_d - woff) / WT::continuation_stride * W;
+        if (f != cached) continue;
+      }
+    }
+    const std::size_t slot = f - cached;
+    radix_finish(seg.data(), twin, n, true,
+                 [slot](const R& r) { return r.word[slot]; });
+    std::size_t big_lo = 0;
+    std::size_t big_hi = 0;
+    for (std::size_t lo = 0; lo < n;) {
+      const std::uint64_t wd = seg[lo].word[slot];
+      std::size_t hi = lo + 1;
+      while (hi < n && seg[hi].word[slot] == wd) ++hi;
+      if (hi - lo >= 2 && WT::word_continues(wd)) {
+        // Keep the largest continuing run for the loop; recurse on the
+        // other one.
+        std::size_t rlo = lo;
+        std::size_t rhi = hi;
+        if (rhi - rlo > big_hi - big_lo) {
+          std::swap(rlo, big_lo);
+          std::swap(rhi, big_hi);
+        }
+        if (rhi - rlo >= 2)
+          radix_finish_words<WT>(seg.subspan(rlo, rhi - rlo), twin + rlo,
+                                 off, f + 1, cached, key_of, tie_from);
+      }
+      lo = hi;
+    }
+    if (big_hi == big_lo) return;
+    seg = seg.subspan(big_lo, big_hi - big_lo);
+    twin += big_lo;
+    ++f;
+  }
 }
 
 // The MSD segment driver — the one word-by-word loop behind every sort and
@@ -444,21 +632,43 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
 
   const auto seg_granularity = [](std::size_t count) {
     return std::max<std::size_t>(
-        1, count / (8 * static_cast<std::size_t>(par::num_workers())));
+        1, count / (8 * static_cast<std::size_t>(par::effective_workers())));
   };
 
-  // Comparison-finish, in parallel across segments, every segment of `cur`
-  // of at most `limit` records that some window still needs.
-  const auto finish_segments = [&](std::size_t limit, const auto& less) {
+  // Finish, in parallel across segments, every segment [lo, hi) of `cur`
+  // of at most `limit` records that some window still needs, with
+  // finish_one(lo, hi).
+  const auto finish_segments = [&](std::size_t limit,
+                                   const auto& finish_one) {
     par::parallel_for(
         0, ncur,
         [&](std::size_t i) {
           const auto [lo, hi] = cur[i];
           if (hi - lo <= limit &&
               fate_of(windows, lo, hi) != window_fate::outside)
-            stable_segment_sort(data.subspan(lo, hi - lo), less);
+            finish_one(lo, hi);
         },
         seg_granularity(ncur));
+  };
+  // The small-segment finish of a round whose segments tie through word f
+  // of the window at byte `off`: an offset codec's finish hook, with the
+  // workspace's record buffer (idle between the dispatcher's sorts, which
+  // size it for n records anyway) as the twin, else one stable comparison
+  // sort over the remaining words and the true-key tie.
+  const auto finish_small = [&](std::size_t off, std::size_t f) {
+    if constexpr (kContinuation) {
+      const std::span<Rec> twin = ws.template record_buffer<Rec>(n, stats);
+      finish_segments(base_case, [&](std::size_t lo, std::size_t hi) {
+        cont.finish(data.subspan(lo, hi - lo), twin.subspan(lo, hi - lo),
+                    off, f);
+      });
+    } else {
+      finish_segments(base_case, [&](std::size_t lo, std::size_t hi) {
+        stable_segment_sort(
+            data.subspan(lo, hi - lo),
+            words_then_tie(word_of, f, word_count, exhaustive, tie_less));
+      });
+    }
   };
 
   // Indices into `cur` of this round's above-base-case segments inside a
@@ -515,20 +725,20 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
     ncur = nnext;
   };
 
-  // One refinement round of the current table at word w. Small segments:
-  // one stable comparison sort finishes ALL remaining words (and the
-  // true-key tie-break when the codec is a prefix; see words_then_tie), in
-  // parallel across segments; they never re-enter the refinement. Large
-  // segments go back through the front door (or the selector).
-  const auto refine_round = [&](std::size_t w) {
+  // One refinement round of the current table at word w of the window at
+  // byte `off` (0 for the materialized prefix). Small segments finish ALL
+  // remaining words (and the true-key order beyond them when the codec is
+  // a prefix) with finish_small, in parallel across segments; they never
+  // re-enter the refinement. Large segments go back through the front
+  // door (or the selector).
+  const auto refine_round = [&](std::size_t off, std::size_t w) {
     ++rounds;
     segments += ncur;
-    finish_segments(base_case, words_then_tie(word_of, w, word_count,
-                                              exhaustive, tie_less));
+    finish_small(off, w);
     step_round(w);
   };
 
-  for (std::size_t w = 1; w < word_count && ncur > 0; ++w) refine_round(w);
+  for (std::size_t w = 1; w < word_count && ncur > 0; ++w) refine_round(0, w);
 
   // Residual segments are equal on every word so far. An exhaustive codec
   // is done (equal words == equal keys); a non-exhaustive codec owes the
@@ -537,18 +747,17 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
     // MSD continuation (the offset-codec form): keep refining by radix on
     // the next slice of the true keys, window after window. Each round:
     // still-tied segments at or below the base case finish with the
-    // true-key comparison sort (their window words are all equal — only
-    // tie_less can order them); larger ones are PROBED at the next
-    // window first. A window every key shares costs exactly that scan:
-    // segments whose keys continue past it are deferred to the next
-    // offset untouched (long shared prefixes walk forward one cheap scan
-    // per window, never paying a radix round that would not split
-    // anything), and segments whose keys end inside it are dropped (all
-    // equal, stability keeps their order). Only windows where keys
-    // actually differ re-encode and re-enter the word rounds. Distinct
-    // keys differ at some byte or end at different lengths, so every
-    // segment eventually splits or ends: the loop terminates, and no
-    // above-base-case segment ever meets a comparison sort
+    // continuation's finish hook from the current offset; larger ones are
+    // PROBED at the next window first. A window every key shares costs
+    // exactly that scan: segments whose keys continue past it are
+    // deferred to the next offset untouched (long shared prefixes walk
+    // forward one cheap scan per window, never paying a radix round that
+    // would not split anything), and segments whose keys end inside it
+    // are dropped (all equal, stability keeps their order). Only windows
+    // where keys actually differ re-encode and re-enter the word rounds.
+    // Distinct keys differ at some byte or end at different lengths, so
+    // every segment eventually splits or ends: the loop terminates, and
+    // no above-base-case segment ever meets a comparison sort
     // (tiebreak_fallbacks stays 0 by construction).
     std::span<wide_seg> deferred;
     sort_workspace::lease def_lease =
@@ -564,11 +773,9 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
         // Every segment here is key-equal through byte `offset` (actives
         // re-enter one stride past the window they sorted; deferred
         // segments were verified tied at least that far), so the finish
-        // compares suffixes only — under a long shared prefix, tie_less
+        // orders suffixes only — under a long shared prefix, tie_less
         // from byte 0 would re-scan the whole prefix per comparison.
-        finish_segments(base_case, [&](const Rec& a, const Rec& b) {
-          return cont.tie_from(a, b, offset);
-        });
+        finish_small(offset, 0);
       }
       // Probe each large segment some window needs BEFORE re-encoding:
       // skip == 0 splits (sort it now), k > 0 defers k whole windows,
@@ -611,7 +818,7 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
         segments += ncur;
         step_round(0);
         for (std::size_t w = 1; w < cont.words && ncur > 0; ++w)
-          refine_round(w);
+          refine_round(offset, w);
       }
       // Deferred segments rejoin the table for the next window's probe.
       // When every surviving segment is deferred, jump the smallest
@@ -634,7 +841,9 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
       if (cur[i].hi - cur[i].lo > base_case &&
           fate_of(windows, cur[i].lo, cur[i].hi) != window_fate::outside)
         ++tiebreak_fallbacks;
-    finish_segments(n, tie_less);
+    finish_segments(n, [&](std::size_t lo, std::size_t hi) {
+      stable_segment_sort(data.subspan(lo, hi - lo), tie_less);
+    });
   }
   if (stats != nullptr) {
     stats->refine_rounds.store(rounds, std::memory_order_relaxed);
@@ -656,10 +865,13 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
 // Continuation hooks over records whose true key is key_of(record): the
 // probe walks each key's suffix straight from the true keys (no store) —
 // at memcmp speed when the key reads as raw bytes, via the codec words
-// otherwise — and tie_from compares the suffixes past the verified-tied
-// bytes. `reencode` is the one hook that depends on the record shape (see
-// the two callers below).
-template <typename WT, typename Rec, typename KeyOf, typename Reencode>
+// otherwise, prefetching the keys ahead of the scan — and the finishes
+// order keys by tie_from, the suffixes past the verified-tied bytes. The
+// record shape decides `reencode` (see the two callers below) and the
+// finish: kCachedWords records (enc_words) take the cached-word radix
+// finish, any other record one stable comparison sort by tie_from.
+template <typename WT, typename Rec, bool kCachedWords, typename KeyOf,
+          typename Reencode>
 auto continuation_for(const KeyOf& key_of, const Reencode& reencode) {
   constexpr bool kByteKeys = std::is_convertible_v<
       std::invoke_result_t<const KeyOf&, const Rec&>, std::string_view>;
@@ -667,12 +879,17 @@ auto continuation_for(const KeyOf& key_of, const Reencode& reencode) {
                                std::size_t off) -> std::size_t {
     if constexpr (kByteKeys) {
       return probe_tied_bytes(
-          seg.size(), off, WT::continuation_stride,
-          [&](std::size_t i) { return std::string_view(key_of(seg[i])); });
+          seg.size(), off, WT::continuation_stride, [&](std::size_t i) {
+            prefetch_key_ahead(seg, i, key_of, off);
+            return std::string_view(key_of(seg[i]));
+          });
     } else {
       return probe_tied_windows<WT::continuation_words>(
           seg.size(), off, WT::continuation_stride,
-          [&](std::size_t i) -> decltype(auto) { return key_of(seg[i]); },
+          [&](std::size_t i) -> decltype(auto) {
+            prefetch_key_ahead(seg, i, key_of, off);
+            return key_of(seg[i]);
+          },
           [](const auto& k, std::size_t w, std::size_t o) {
             return WT::word_at(k, w, o);
           },
@@ -694,12 +911,28 @@ auto continuation_for(const KeyOf& key_of, const Reencode& reencode) {
       return suffix_words_less<WT>(key_of(a), key_of(b), off);
     }
   };
+  const auto finish = [&key_of, tie_from](std::span<Rec> seg,
+                                          std::span<Rec> twin,
+                                          std::size_t off, std::size_t f) {
+    if constexpr (kCachedWords) {
+      // The prefix words sit in the records' slots until a finish
+      // level rewrites them; continuation windows start uncached.
+      radix_finish_words<WT>(seg, twin.data(), off, f,
+                             off == 0 ? 0 : std::string_view::npos, key_of,
+                             tie_from);
+    } else {
+      const std::size_t woff = window_offset<WT>(off, f);
+      stable_segment_sort(seg, [&](const Rec& a, const Rec& b) {
+        return tie_from(a, b, woff);
+      });
+    }
+  };
   // Materialized prefix bytes: the continuation picks up where the prefix
   // words end (bytes-per-word x word_count).
   constexpr std::size_t prefix_bytes =
       WT::continuation_stride / WT::continuation_words * WT::word_count;
   return continuation_hooks{WT::continuation_stride, WT::continuation_words,
-                            prefix_bytes, reencode, probe, tie_from};
+                            prefix_bytes, reencode, probe, finish};
 }
 
 // ---------------------------------------------------------------------------
@@ -751,17 +984,20 @@ sort_kernel refine_encoded(std::span<R> recs, const KeyAt& key_at,
   const auto tie = true_key_less<WT>(key_of);
   if constexpr (WT::offset_encodable) {
     // Re-encode refreshes the materialized words from the true keys at
-    // the chosen offset (one parallel pass per segment; every later word
-    // read is back to a cache-resident array hit).
+    // the chosen offset (one parallel pass per segment, prefetching the
+    // keys ahead; every later word read is back to a cache-resident array
+    // hit).
     const auto reencode = [&key_of](std::span<R> seg, std::size_t off) {
       par::parallel_for(0, seg.size(), [&](std::size_t i) {
+        prefetch_key_ahead(std::span<const R>(seg), i, key_of, off);
         auto&& k = key_of(seg[i]);
         for (std::size_t w = 0; w < WT::continuation_words; ++w)
           seg[i].word[w] = WT::word_at(k, w, off);
       });
     };
     return wide_refine(recs, WT::word_count, WT::exhaustive, word_of, tie,
-                       windows, opt, continuation_for<WT, R>(key_of, reencode));
+                       windows, opt,
+                       continuation_for<WT, R, true>(key_of, reencode));
   } else {
     return wide_refine(recs, WT::word_count, WT::exhaustive, word_of, tie,
                        windows, opt);
@@ -795,7 +1031,8 @@ sort_kernel refine_fused(std::span<Rec> data, const KeyFn& key,
       cont_off = off;
     };
     return wide_refine(data, WT::word_count, WT::exhaustive, word_of, tie,
-                       windows, opt, continuation_for<WT, Rec>(key, reencode));
+                       windows, opt,
+                       continuation_for<WT, Rec, false>(key, reencode));
   } else {
     const auto word_of = [&key](const Rec& r, std::size_t w) {
       return WT::word(key(r), w);

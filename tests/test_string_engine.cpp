@@ -20,7 +20,15 @@
 //     std::stable_sort byte for byte, and all three count the
 //     above-base-case segments it finishes in wide_tiebreak_fallbacks;
 //   * queries over string keys — top_k and partial_sort continue past a
-//     long shared prefix by radix, on the sort's own segment driver.
+//     long shared prefix by radix, on the sort's own segment driver;
+//   * the cached-word radix finish of segments at or below the base case
+//     and the parallel continuation probes — segment sizes on both sides
+//     of the insertion and base-case thresholds, long identical keys,
+//     prefix chains and NUL / 0xFF bytes inside the finish, probes whose
+//     earliest divergence sits in any one block, queries cutting a
+//     finished segment, and refine counters that do not depend on the
+//     worker count — byte-identical to std::stable_sort, with stability
+//     witnessed by tagged records, at 1 and 4 workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -181,7 +189,7 @@ TEST(StringEngine, SharedPrefixLongerThanMaterializedWords) {
   sort_workspace ws;
   auto_sort_options opt;
   opt.workspace = &ws;
-  expect_full_lex(v, opt);             // default base case: comparison finish
+  expect_full_lex(v, opt);             // default base case: radix finish
   opt.policy.wide_segment_base_case = 64;  // tiny base case: radix recursion
   expect_full_lex(v, opt);
 }
@@ -310,6 +318,243 @@ TEST(StringEngine, QueriesContinueByRadixPastSharedPrefix) {
       EXPECT_EQ(st.wide_tiebreak_fallbacks.load(), 0u) << "m=" << m;
       EXPECT_LT(st.base_case_records.load(), kN / 8) << "m=" << m;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The cached-word radix finish and the parallel probes.
+
+namespace {
+
+// A string key with an identity: sorting these through the front door
+// takes the encode-once route (non-trivially copyable records), and the
+// ids make stability visible — equal keys must keep increasing ids.
+struct tagged {
+  std::string key;
+  std::uint32_t id;
+  friend bool operator==(const tagged&, const tagged&) = default;
+};
+
+constexpr auto key_of_tagged = [](const tagged& t) -> const std::string& {
+  return t.key;
+};
+
+std::vector<tagged> tag(const std::vector<std::string>& keys) {
+  std::vector<tagged> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    out[i] = {keys[i], static_cast<std::uint32_t>(i)};
+  return out;
+}
+
+std::vector<tagged> stable_ref(std::vector<tagged> v) {
+  std::stable_sort(v.begin(), v.end(), [](const tagged& a, const tagged& b) {
+    return a.key < b.key;
+  });
+  return v;
+}
+
+// Sort `keys` as tagged records and as plain strings (plus rank) at 1 and
+// 4 workers with the given base case; every output must equal the
+// std::stable_sort reference.
+void expect_stable_everywhere(const std::vector<std::string>& keys,
+                              std::size_t base_case) {
+  const auto recs = tag(keys);
+  const auto ref = stable_ref(recs);
+  for (const int threads : {1, 4}) {
+    sort_workspace ws;
+    auto_sort_options opt;
+    opt.workspace = &ws;
+    opt.num_threads = threads;
+    opt.policy.wide_segment_base_case = base_case;
+    auto v = recs;
+    dovetail::sort(std::span<tagged>(v), key_of_tagged, opt);
+    ASSERT_TRUE(v == ref) << "threads=" << threads;
+    expect_full_lex(keys, opt);
+  }
+}
+
+// Base-36 digits of x, at least `len` of them.
+std::string digits(std::uint64_t x, std::size_t len) {
+  std::string s;
+  do {
+    s += "0123456789abcdefghijklmnopqrstuvwxyz"[x % 36];
+    x /= 36;
+  } while (x != 0 || s.size() < len);
+  return s;
+}
+
+}  // namespace
+
+TEST(StringEngine, FinishSegmentSizesAroundThresholds) {
+  // Equal-prefix groups of 24 (insertion sort), 25 (one radix level),
+  // base_case (the largest finished segment) and base_case + 1 (one
+  // continuation round first) records, tied on the first word only
+  // (finished after the materialized prefix round) or through 21 bytes
+  // (finished in a continuation round). Inside a group, tails of varying
+  // length with duplicates, so runs of equal keys end inside windows.
+  constexpr std::size_t kBase = 256;
+  std::vector<std::string> keys;
+  char g = 'A';
+  for (const std::size_t tied : {std::size_t{7}, std::size_t{21}}) {
+    for (const std::size_t size : {std::size_t{24}, std::size_t{25}, kBase,
+                                   kBase + 1}) {
+      const std::string prefix(tied, g++);
+      for (std::size_t i = 0; i < size; ++i) {
+        const std::uint64_t r = rnd(keys.size());
+        keys.push_back(prefix + digits(r % (size / 3), r % 11));
+      }
+    }
+  }
+  shuffle_strings(keys, 4);
+  expect_stable_everywhere(keys, kBase);
+}
+
+TEST(StringEngine, FinishWalksIdenticalKeysLongerThanThreeStrides) {
+  // One small segment (below the base case) holding a run of identical
+  // 50-byte keys (> 3 continuation strides past any offset), keys that
+  // share 30 of those bytes and then differ, and a second segment made
+  // only of identical long keys.
+  const std::string common = "shared-prefix-" + std::string(36, 'z');
+  std::vector<std::string> keys;
+  for (int i = 0; i < 120; ++i) keys.push_back(common);
+  for (int i = 0; i < 80; ++i)
+    keys.push_back(common.substr(0, 30) + digits(rnd(i) % 9, 3));
+  for (int i = 0; i < 150; ++i) keys.push_back("other-" + common);
+  shuffle_strings(keys, 5);
+  expect_stable_everywhere(keys, 512);
+}
+
+TEST(StringEngine, FinishOrdersPrefixChainsNulAndHighBytes) {
+  // Everything below happens past byte 16 — inside the finish, after the
+  // materialized prefix and the first continuation window: strict-prefix
+  // chains, NUL against end-of-string, and 0xFF as the largest byte.
+  const std::string head(16, 'h');
+  std::vector<std::string> pool;
+  std::string link;
+  for (int i = 0; i < 30; ++i) {
+    pool.push_back(head + link);
+    link += static_cast<char>("a\0\xFF"[i % 3]);
+  }
+  for (const std::size_t at : {std::size_t{0}, std::size_t{3},
+                               std::size_t{6}, std::size_t{7},
+                               std::size_t{13}}) {
+    const std::string mid = head + std::string(at, 'm');
+    pool.push_back(mid);
+    pool.push_back(mid + '\0');
+    pool.push_back(mid + std::string(2, '\0'));
+    pool.push_back(mid + '\0' + "tail");
+    pool.push_back(mid + '\x01');
+    pool.push_back(mid + '\xFF');
+    pool.push_back(mid + std::string("\xFF\xFF", 2));
+  }
+  std::vector<std::string> keys;
+  for (int rep = 0; rep < 6; ++rep)
+    for (const auto& x : pool) keys.push_back(x);
+  shuffle_strings(keys, 6);
+  expect_stable_everywhere(keys, 1024);
+}
+
+TEST(StringEngine, UrlKeysProbeAcrossManyBlocks) {
+  // Zipf-1.2 URLs: the heaviest keys form equal-key segments of thousands
+  // of records (several probe blocks each), which the probe must drop as
+  // equal to the end; the rest finish below the base case.
+  const gen::distribution d{gen::dist_kind::zipfian, 1.2, "Zipf-1.2"};
+  const auto keys = gen::generate_url_keys(d, std::size_t{1} << 16, 9);
+  std::size_t top = 0;
+  {
+    auto sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0, j = 0; i < sorted.size(); i = j) {
+      while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+      top = std::max(top, j - i);
+    }
+  }
+  ASSERT_GE(top, 3 * detail::kProbeBlock + 1);
+  expect_stable_everywhere(keys, 4096);
+}
+
+TEST(StringEngine, ProbeFindsTheEarliestDivergenceInAnyBlock) {
+  // One tied segment of 4 probe blocks: every key equals the others
+  // through byte 60 except the keys of ONE block, which differ already at
+  // byte 20. A probe that trusted any single block's minimum would skip
+  // past byte 20 and mis-sort them.
+  constexpr std::size_t kBlocks = 4;
+  constexpr std::size_t kN = kBlocks * detail::kProbeBlock + 1;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    std::vector<std::string> keys(kN, std::string(60, 'q'));
+    for (std::size_t i = 0; i < kN; ++i) {
+      keys[i] += digits(rnd(i + 7 * b) % 50, 2);
+      // Key i sits at probe index i; block b covers [1 + b*B, 1 + (b+1)*B).
+      if (i >= 1 + b * detail::kProbeBlock &&
+          i < 1 + (b + 1) * detail::kProbeBlock)
+        keys[i][20] = static_cast<char>('a' + rnd(i) % 20);
+    }
+    expect_stable_everywhere(keys, 64);
+  }
+}
+
+TEST(StringEngine, QueriesCutAFinishedSegment) {
+  // Groups below the base case, tied through 21 bytes; top_k and
+  // nth_element windows that end or sit inside a group must return that
+  // slice of the stable order (tagged ids included).
+  constexpr std::size_t kBase = 512;
+  std::vector<std::string> keys;
+  for (char g = 'a'; g < 'a' + 8; ++g)
+    for (std::size_t i = 0; i < 300; ++i)
+      keys.push_back(std::string(21, g) + digits(rnd(keys.size()) % 90, 2));
+  shuffle_strings(keys, 7);
+  const auto recs = tag(keys);
+  const auto ref = stable_ref(recs);
+  for (const int threads : {1, 4}) {
+    auto_sort_options opt;
+    opt.num_threads = threads;
+    opt.policy.wide_segment_base_case = kBase;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{150},
+                                std::size_t{777}, std::size_t{2001}}) {
+      auto v = recs;
+      const auto got = dovetail::top_k(std::span<tagged>(v), k, key_of_tagged,
+                                       rank_side::smallest, opt);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin()))
+          << "top_k k=" << k << " threads=" << threads;
+      auto w = recs;
+      const tagged& nth =
+          dovetail::nth_element(std::span<tagged>(w), k, key_of_tagged, opt);
+      ASSERT_TRUE(nth == ref[k]) << "nth k=" << k << " threads=" << threads;
+    }
+  }
+}
+
+TEST(StringEngine, RefineCountersDoNotDependOnWorkers) {
+  // The schedule (parallel probes, parallel finishes) must not leak into
+  // the refine counters: every wide_* counter equal at 1, 2, 3 and 4
+  // workers, on URLs and on deep shared prefixes.
+  const gen::distribution zipf{gen::dist_kind::zipfian, 1.2, "Zipf-1.2"};
+  const gen::distribution unif{gen::dist_kind::uniform, 1e5, "Unif-1e5"};
+  const std::vector<std::vector<std::string>> inputs = {
+      gen::generate_url_keys(zipf, 50000, 10),
+      gen::generate_lcp_string_keys(unif, 50000, 11, 40)};
+  for (const auto& input : inputs) {
+    auto ref = input;
+    std::stable_sort(ref.begin(), ref.end());
+    std::vector<std::uint64_t> first;
+    for (const int threads : {1, 2, 3, 4}) {
+      sort_stats st;
+      auto_sort_options opt;
+      opt.num_threads = threads;
+      opt.stats = &st;
+      opt.policy.wide_segment_base_case = 2048;
+      auto v = input;
+      dovetail::sort(std::span<std::string>(v), opt);
+      ASSERT_EQ(v, ref) << "threads=" << threads;
+      const std::vector<std::uint64_t> counters = {
+          st.refine_rounds.load(), st.wide_segments.load(),
+          st.wide_continuation_rounds.load(),
+          st.wide_continuation_segments.load(),
+          st.wide_max_byte_offset.load(), st.wide_tiebreak_fallbacks.load()};
+      if (first.empty()) first = counters;
+      EXPECT_EQ(counters, first) << "threads=" << threads;
+    }
+    EXPECT_GE(first[2], 1u);  // the continuation ran
   }
 }
 
