@@ -17,6 +17,12 @@ int main(int argc, char** argv) {
                                  : 5'000'000;
   std::printf("DovetailSort quickstart: n=%zu, threads=%d\n", n,
               dovetail::par::num_workers());
+  // Every check below reports here; any failure makes the exit status 1.
+  bool all_ok = true;
+  const auto check = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok;
+  };
 
   // 1) Plain unsigned keys (Zipfian: lots of duplicates, DTSort's specialty).
   auto keys = dovetail::gen::generate_keys<std::uint32_t>(
@@ -25,8 +31,9 @@ int main(int argc, char** argv) {
     dovetail::timer t;
     dovetail::dovetail_sort(std::span<std::uint32_t>(keys));
     std::printf("  sorted %zu uint32 keys in %.3fs -> %s\n", n, t.seconds(),
-                std::is_sorted(keys.begin(), keys.end()) ? "sorted"
-                                                         : "NOT SORTED!");
+                check(std::is_sorted(keys.begin(), keys.end()))
+                    ? "sorted"
+                    : "NOT SORTED!");
   }
 
   // 2) Records with payloads: sort stably by an unsigned key function.
@@ -45,7 +52,7 @@ int main(int argc, char** argv) {
         ok = false;
     }
     std::printf("  sorted %zu kv64 records in %.3fs -> %s\n", n, t.seconds(),
-                ok ? "sorted + stable" : "BROKEN!");
+                check(ok) ? "sorted + stable" : "BROKEN!");
   }
 
   // 3) Tuning knobs (sort_options, see dovetail/core/dovetail_sort.hpp).
@@ -55,7 +62,8 @@ int main(int argc, char** argv) {
   opt.detect_heavy = true;     // sampling-based duplicate detection
   dovetail::dovetail_sort(std::span<std::uint32_t>(keys), opt);
   std::printf("  re-sorted with custom options -> %s\n",
-              std::is_sorted(keys.begin(), keys.end()) ? "ok" : "BROKEN!");
+              check(std::is_sorted(keys.begin(), keys.end())) ? "ok"
+                                                              : "BROKEN!");
 
   // 4) Typed keys through the front door (dovetail/core/key_codec.hpp):
   // floats sort by IEEE total order via an order-preserving bit encoding —
@@ -66,7 +74,7 @@ int main(int argc, char** argv) {
     dovetail::timer t;
     dovetail::sort(std::span<float>(floats));
     std::printf("  sorted %zu floats in %.3fs -> %s\n", n, t.seconds(),
-                std::is_sorted(floats.begin(), floats.end())
+                check(std::is_sorted(floats.begin(), floats.end()))
                     ? "sorted"
                     : "NOT SORTED!");
   }
@@ -87,8 +95,9 @@ int main(int argc, char** argv) {
     std::printf("  sort_by_key on %zu (u32 id, float score) pairs in "
                 "%.3fs -> %s\n",
                 n, t.seconds(),
-                std::is_sorted(ids.begin(), ids.end()) ? "sorted"
-                                                       : "NOT SORTED!");
+                check(std::is_sorted(ids.begin(), ids.end()))
+                    ? "sorted"
+                    : "NOT SORTED!");
   }
 
   // 6) rank = stable argsort: the permutation, not the data.
@@ -96,6 +105,6 @@ int main(int argc, char** argv) {
   bool rank_ok = order.size() == n;
   for (std::size_t i = 0; rank_ok && i < n; ++i) rank_ok = order[i] == i;
   std::printf("  rank over sorted floats is the identity -> %s\n",
-              rank_ok ? "ok" : "BROKEN!");
-  return 0;
+              check(rank_ok) ? "ok" : "BROKEN!");
+  return all_ok ? 0 : 1;
 }

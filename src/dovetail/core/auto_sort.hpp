@@ -13,10 +13,13 @@
 //     records FUSE the encode into the key function, so every kernel, the
 //     sketch and the dispatch operate on encoded keys with no extra pass
 //     and no extra memory — records are scattered as-is and never decoded;
-//     cheap WIDE codecs fuse the same way into the segment driver;
-//   * everything else — expensive codecs, records that are not trivially
-//     copyable (e.g. a std::span<std::pair<...>> under libstdc++, or
-//     std::string), and the SoA / argsort entry points — takes the ONE
+//     cheap WIDE codecs other than the string codec fuse the same way into
+//     the segment driver;
+//   * everything else — expensive codecs, string keys (std::string_view
+//     records too: the string continuation works on encoded words),
+//     records that are not trivially copyable (e.g. a
+//     std::span<std::pair<...>> under libstdc++, or std::string), and the
+//     SoA / argsort entry points — takes the ONE
 //     encode-once route (detail::encode_once): materialize each key once
 //     as a workspace-leased (encoded words, index) record, run the segment
 //     driver on those records as the one record kernel, and gather the
@@ -326,7 +329,9 @@ sort_kernel sort_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
 //     in-place kernel; a query runs the driver's one-word case, the rank
 //     selector on word 0.
 //   * Fused wide — cheap wide codecs on trivially copyable records: the
-//     segment driver re-derives each word from the records.
+//     segment driver re-derives each word from the records. String keys
+//     are excluded: their continuation refills words into encode-once
+//     records.
 //   * Everything else takes the encode-once route with one record kernel.
 template <typename Rec, typename KeyFn>
 sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
@@ -335,7 +340,8 @@ sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
   using WT = wide_key_traits<K>;
-  constexpr bool fused = std::is_trivially_copyable_v<Rec> && WT::cheap;
+  constexpr bool fused = std::is_trivially_copyable_v<Rec> && WT::cheap &&
+                        !WT::offset_encodable;
   if constexpr (fused && WT::single_word) {
     if (covers_all(windows, data.size())) {
       // Kernels, sketch and dispatch all see encoded keys; records are
@@ -357,8 +363,9 @@ sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
   if constexpr (fused) {
     return refine_fused(data, key, windows, call.opt());
   } else {
-    // Also the route for non-trivially-copyable records regardless of key
-    // type (the radix kernels cannot scatter them).
+    // Also the route for string keys and for non-trivially-copyable
+    // records regardless of key type (the radix kernels cannot scatter
+    // them).
     return sort_arrays(
         data, std::span<Rec>{},
         [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
@@ -380,9 +387,10 @@ sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
 // order via the wide refine driver), or a user key_codec specialization
 // (single- or multi-word). Cheap codecs on trivially
 // copyable records fuse the encoding into every key access (no extra pass,
-// no extra memory); expensive codecs and non-trivially-copyable records
-// (e.g. std::pair elements under libstdc++) take the encode-once path:
-// sort (encoded key, index) pairs, then gather the records once.
+// no extra memory); expensive codecs, string keys and non-trivially-
+// copyable records (e.g. std::pair elements under libstdc++) take the
+// encode-once path: sort (encoded key, index) pairs, then gather the
+// records once.
 //
 // Guarantees:
 //   * Stable, whatever kernel runs (every kernel is stable; the dispatcher

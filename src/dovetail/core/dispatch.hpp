@@ -235,9 +235,8 @@ struct dispatch_policy {
   // per-segment base case — equal-prefix segments at or below this size
   // finish in one sequential step instead of re-entering the radix front
   // door (wide_sort.hpp): a cache-resident radix pass over words
-  // re-encoded into the records for offset codecs (strings) on the
-  // encode-once path, one stable comparison sort over the remaining
-  // words otherwise. A segment must amortise a full dispatch +
+  // refilled into the encode-once records for string keys, one stable
+  // comparison sort over the remaining words otherwise. A segment must amortise a full dispatch +
   // distribution pass to be worth sending through the front door again;
   // below ~2^15 records the sequential finish — run in parallel ACROSS
   // segments — wins on every wide BENCH_wide.json instance.

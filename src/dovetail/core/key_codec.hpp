@@ -66,32 +66,17 @@
 // word order is equivalent to the key order. A NON-exhaustive codec
 // (exhaustive == false — the prefix string codecs) is an order-preserving
 // coarsening; the refine driver (core/wide_sort.hpp) owes the order
-// beyond the words, paid one of two ways. If the codec also has the
-// OFFSET form
-//
-//   static constexpr std::size_t continuation_words;   // words per round
-//   static constexpr std::size_t continuation_stride;  // bytes per round
-//   static std::uint64_t encode_word(const K& k, std::size_t w,
-//                                    std::size_t byte_offset);
-//   static constexpr bool word_continues(std::uint64_t word);
-//
-// the driver keeps refining by radix: still-tied segments re-encode
-// their first continuation_words words from the next
-// continuation_stride-byte slice of the true keys and re-enter the same
-// refinement, recursing until word_continues reports the keys end inside
-// the compared window (MSD continuation — the variable-length string
-// engine). Continuation rounds may use FEWER words than the materialized
-// prefix: the string codecs materialize 2 words (14 bytes) for the
-// front-door prefix but continue 1 word (7 bytes) per round, because the
-// driver probes still-tied segments first and skips any number of
-// verified-tied words in one scan — a narrow round only ever sorts a
-// word the probe saw differ, never a word the shared prefix makes
-// constant. Segments at or below the base case finish from the same
-// offset words (a radix pass over words re-encoded into the records on
-// the encode-once path, a comparison of the key suffixes on the fused
-// path). Every residual segment of a non-offset codec finishes with a
-// stable comparison sort on the true keys, which must then be comparable
-// with operator<. Either way the sorted result is the TRUE key order.
+// beyond the words, paid one of two ways. The built-in byte-string codec,
+// string_prefix_codec<N> over a key convertible to std::string_view, has
+// its own OFFSET form — encode_word(s, w, byte_offset) and
+// word_continues(word), below — and the driver keeps refining by radix
+// past the materialized prefix, one 7-byte word per round, until every
+// still-tied segment splits or its keys end (MSD continuation — the
+// variable-length string engine). Every other non-exhaustive codec,
+// including a user codec whose words fold or reorder bytes, finishes each
+// residual segment with a stable comparison sort on the true keys, which
+// must then be comparable with operator<. Either way the sorted result is
+// the TRUE key order.
 // Wide codecs are encode-only (the sorters never decode); `cheap` means
 // encode_word is a few ALU ops / at most one cache line of the key.
 // Built-in wide codecs:
@@ -99,14 +84,13 @@
 //     (pair<u64, u64>, tuple<u64, u64, u32>, nested mixes — any
 //     fixed-width exhaustive components, wide components included);
 //   * unsigned/signed __int128 (two words; sign flip on the high word);
-//   * std::string / std::string_view — offset-capable prefix words: word
-//     w at byte offset off packs content bytes [off+7w, off+7w+7)
-//     big-endian over a low count byte min(7, remaining) that makes a
-//     strict prefix sort first and marks where keys end. 2 words = a
-//     14-byte materialized prefix; continuation advances one 7-byte word
-//     per round (tied words are skipped by the probe, differing words
-//     are radix-sorted), so the sorted result is the TRUE lexicographic
-//     order of unsigned bytes at any length.
+//   * std::string / std::string_view — string_prefix_codec<2>: word w at
+//     byte offset off packs content bytes [off+7w, off+7w+7) big-endian
+//     over a low count byte min(7, remaining) that makes a strict prefix
+//     sort first and marks where keys end. 2 words = a 14-byte
+//     materialized prefix; the continuation advances one 7-byte word per
+//     round, so the sorted result is the TRUE lexicographic order of
+//     unsigned bytes at any length.
 //
 // Specialize key_codec in namespace dovetail to cover your own key type;
 // codec_traits<K> (single-word) and wide_key_traits<K> (uniform word view)
@@ -351,32 +335,22 @@ concept wide_sortable_key = requires(const std::remove_cvref_t<K>& k) {
 template <typename K>
 concept any_sortable_key = sortable_key<K> || wide_sortable_key<K>;
 
+template <std::size_t Words>
+struct string_prefix_codec;
+
 namespace detail {
 
 template <typename C>
 concept codec_has_exhaustive =
     requires { { C::exhaustive } -> std::convertible_to<bool>; };
 
-// The offset-codec form: a non-exhaustive wide codec that can ALSO encode
-// its words starting at an arbitrary byte offset into the key, plus a
-// per-word test for "every key tying on this word extends beyond its
-// window". This is what lets the refine driver continue MSD radix
-// refinement past the materialized prefix (wide_sort.hpp) instead of
-// finishing large equal-prefix segments with a comparison sort.
-// Contract: encode_word(k, w, 0) == encode_word(k, w); each offset word
-// is an order-preserving coarsening of the true key order RESTRICTED to
-// keys that tie on all words of all earlier offsets; and if two keys tie
-// on a full window whose last word has word_continues == false, they are
-// equal.
-template <typename C, typename K>
-concept codec_has_continuation = requires(const K& k) {
-  { C::continuation_words } -> std::convertible_to<std::size_t>;
-  { C::continuation_stride } -> std::convertible_to<std::size_t>;
-  {
-    C::encode_word(k, std::size_t{0}, std::size_t{0})
-  } -> std::same_as<std::uint64_t>;
-  { C::word_continues(std::uint64_t{0}) } -> std::convertible_to<bool>;
-};
+// A string_prefix_codec<N> or a codec derived from one (the std::string /
+// std::string_view codecs), found by template argument deduction.
+template <std::size_t Words>
+void as_string_prefix_codec(const string_prefix_codec<Words>*);
+template <typename C>
+concept string_prefix_family =
+    requires(const C* c) { as_string_prefix_codec(c); };
 
 }  // namespace detail
 
@@ -438,45 +412,16 @@ struct wide_key_traits {
     else
       return codec::encode_word(k, w);
   }
-  // Offset-continuation form (detail::codec_has_continuation): only
-  // meaningful for non-exhaustive codecs; the refine driver consults
-  // offset_encodable before taking the continuation path, and the
-  // fallbacks below keep non-offset codecs compiling through the same
-  // call sites.
+  // The string continuation (wide_sort.hpp) applies: the codec is a
+  // string_prefix_codec<N>, whose offset words encode raw bytes, over a
+  // key the driver can read as those bytes. Other non-exhaustive codecs
+  // take the comparison tie-break on the true keys.
   static constexpr bool offset_encodable = [] {
     if constexpr (sortable_key<key_t>) return false;
-    else return !exhaustive && detail::codec_has_continuation<codec, key_t>;
-  }();
-  // Words re-encoded and bytes of key consumed per continuation round
-  // (0 when not offset-encodable). May be narrower than the materialized
-  // prefix: continuation rounds only ever sort a word the probe saw
-  // differ, so one word per round skips the sort passes a wider window
-  // would waste on words a shared prefix keeps constant.
-  static constexpr std::size_t continuation_words = [] {
-    if constexpr (offset_encodable)
-      return static_cast<std::size_t>(codec::continuation_words);
     else
-      return std::size_t{0};
+      return detail::string_prefix_family<codec> &&
+             std::is_convertible_v<const key_t&, std::string_view>;
   }();
-  static constexpr std::size_t continuation_stride = [] {
-    if constexpr (offset_encodable)
-      return static_cast<std::size_t>(codec::continuation_stride);
-    else
-      return std::size_t{0};
-  }();
-  // Word w of the window starting at byte_offset; word_at(k, w, 0) ==
-  // word(k, w).
-  static constexpr std::uint64_t word_at(const key_t& k, std::size_t w,
-                                         std::size_t byte_offset) {
-    if constexpr (offset_encodable)
-      return codec::encode_word(k, w, byte_offset);
-    else
-      return word(k, w);
-  }
-  static constexpr bool word_continues(std::uint64_t wd) {
-    if constexpr (offset_encodable) return codec::word_continues(wd);
-    else return (void)wd, false;
-  }
 };
 
 namespace detail {
@@ -780,11 +725,11 @@ struct key_codec<__int128> {
 #endif  // __SIZEOF_INT128__
 
 // ---------------------------------------------------------------------------
-// Byte strings: prefix wide codec WITH the offset-continuation form. Word
-// w at byte offset `off` packs the 7 content bytes [off + 7w, off + 7w + 7)
-// of the string big-endian into the high 56 bits (zero-padded past the
-// end) and stores min(7, bytes remaining from the word's base) in the low
-// byte. The count byte does two jobs:
+// Byte strings: the prefix wide codec with the offset form of the string
+// continuation. Word w at byte offset `off` packs the 7 content bytes
+// [off + 7w, off + 7w + 7) of the string big-endian into the high 56 bits
+// (zero-padded past the end) and stores min(7, bytes remaining from the
+// word's base) in the low byte. The count byte does two jobs:
 //   * ORDER — when two strings agree on a window's padded content, the one
 //     that ends inside the window is a NUL-extension prefix of the other
 //     and must sort first; it has the strictly smaller count. So every
@@ -793,17 +738,18 @@ struct key_codec<__int128> {
 //     NUL-byte-vs-end-of-string ambiguity inside its window.
 //   * TERMINATION — equal words whose count is below 7 mean both strings
 //     end at the same place in the window with the same content, so keys
-//     that tie on a whole window with a final count < 7 are EQUAL. The
-//     refine driver's continuation (wide_sort.hpp) stops exactly there;
-//     only segments whose last word's count is 7 (every key extends past
-//     the window) continue to later byte offsets.
+//     that tie on a word with count < 7 are EQUAL. The refine driver's
+//     continuation (wide_sort.hpp) stops exactly there; only keys whose
+//     word has count 7 (every key extends past the window) continue to
+//     the next 7 bytes.
 // The materialized prefix is encode_word(s, w) == encode_word(s, w, 0):
 // 7 * Words content bytes of radix discrimination. The codec stays
 // NON-exhaustive as a fixed word set (equal prefix words do not pin down
-// the key), so the driver still owes the order beyond the prefix — paid
-// by the offset continuation above and, for segments at or below the
-// base case, by a finish over the same offset words (or the key
-// suffixes). Both produce the same full lexicographic order.
+// the key), so the driver owes the order beyond the prefix and pays it
+// with the continuation: radix rounds on offset words for large tied
+// segments, a radix finish over the same words for small ones. A key
+// codec that derives from string_prefix_codec declares that its key's
+// order is the byte order of the std::string_view it converts to.
 template <std::size_t Words>
 struct string_prefix_codec {
   static_assert(Words >= 1);
@@ -813,17 +759,8 @@ struct string_prefix_codec {
   static constexpr bool cheap = true;
   static constexpr bool exhaustive = false;
   // Content bytes per word; the low byte carries the continuation count.
+  // The continuation advances one such word per round.
   static constexpr std::size_t word_bytes = 7;
-  // Continuation rounds advance ONE word at a time (narrower than the
-  // Words-wide materialized prefix): the driver's probe skips any run of
-  // verified-tied words in a single scan, so a continuation round only
-  // ever radix-sorts a word known to differ — a full-window round would
-  // pay extra distribute passes on words a long shared prefix keeps
-  // constant (e.g. at a 64-byte prefix, bytes [56, 63) are shared and
-  // only the word covering byte 64 splits anything).
-  static constexpr std::size_t continuation_words = 1;
-  static constexpr std::size_t continuation_stride =
-      word_bytes * continuation_words;
   static constexpr std::uint64_t encode_word(
       std::string_view s, std::size_t w,
       std::size_t byte_offset = 0) noexcept {
@@ -848,7 +785,7 @@ struct string_prefix_codec {
            static_cast<std::uint64_t>(rem < word_bytes ? rem : word_bytes);
   }
   // True when every key tying on this word extends beyond its window and
-  // the refine driver must re-encode at the next byte offset.
+  // the refine driver must continue at the next byte offset.
   static constexpr bool word_continues(std::uint64_t word) noexcept {
     return (word & 0xFF) == word_bytes;
   }

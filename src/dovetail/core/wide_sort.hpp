@@ -29,33 +29,31 @@
 //      the selector; segments outside every window are dropped; segments
 //      at or below dispatch_policy::wide_segment_base_case finish in one
 //      sequential step each, in parallel across segments — a cached-word
-//      radix finish for offset codecs on the encode-once path (step 4),
-//      one stable comparison sort over all remaining words otherwise.
-//      Repeat per word.
-//   4. Non-exhaustive codecs still owe the order beyond the words. An
-//      OFFSET-capable codec (key_codec.hpp's continuation form — the
-//      string codecs) keeps refining by radix, PARADIS/RADULS-style:
-//      still-tied segments above the base case PROBE the next
-//      continuation_stride-byte window of the true keys first — a window
-//      every key shares is skipped with that one early-exit scan (a long
-//      shared prefix walks forward one cheap scan per window, no radix
-//      round), a window where the keys end while equal drops the segment
-//      — and only windows where keys differ re-encode and re-enter the
-//      same refinement, round after round, until every segment
-//      separates, ends, or shrinks to the base case. The probe scans a
-//      segment's keys in parallel blocks and merges their earliest
-//      divergence exactly, so its decision never depends on the
-//      schedule. Small segments finish from the current offset: on the
-//      encode-once path by radix_finish_words — a sequential MSD pass
-//      over words re-encoded into the records' own slots, sorted by
-//      detail::radix_finish through the workspace's record buffer — and
-//      on the fused path (no word storage) by a comparison sort of the
-//      key suffixes. No comparison sort ever runs on an above-base-case
-//      segment (sort_stats::wide_tiebreak_fallbacks stays 0) — for
-//      queries over string keys exactly as for sorts. A non-exhaustive
-//      codec WITHOUT the offset form (a user key_codec) gets one stable
-//      comparison sort on the TRUE keys per residual segment (the
-//      tie-break). Both routes yield full lexicographic order.
+//      radix finish for string keys (step 4), one stable comparison sort
+//      over all remaining words otherwise. Repeat per word.
+//   4. Non-exhaustive codecs still owe the order beyond the words. String
+//      keys (string_prefix_codec, key_codec.hpp) keep refining by radix,
+//      PARADIS/RADULS-style, on encode-once records (enc_words): each
+//      still-tied segment above the base case takes ONE refill pass over
+//      its keys (refill_words, in parallel blocks) that finds the keys'
+//      earliest divergence from the segment's first key, merged exactly
+//      so the decision never depends on the schedule. A divergence inside
+//      the next 7-byte window sorts the segment on the words the pass
+//      wrote into the records' slots, through the same refinement; a
+//      later one skips every window the keys share (a long shared prefix
+//      walks forward one scan, no radix round); none drops the segment
+//      (keys equal to the end). Round after round, until every segment
+//      separates, ends, or shrinks to the base case. Small segments
+//      finish from the current offset by radix_finish_words — a
+//      sequential MSD pass that starts on the words already in the slots
+//      and refills further ones with the same routine, sorted by
+//      detail::radix_finish through the workspace's record buffer. No
+//      comparison sort ever runs on an above-base-case segment
+//      (sort_stats::wide_tiebreak_fallbacks stays 0) — for queries over
+//      string keys exactly as for sorts. Every other
+//      non-exhaustive codec (a user key_codec) gets one stable comparison
+//      sort on the TRUE keys per residual segment (the tie-break). Both
+//      routes yield the full key order.
 //
 // Stability: every pass is stable and confined to one segment, so the
 // whole sort is stable and every query window holds its slice of the
@@ -64,7 +62,7 @@
 // radix finish scatters through the workspace's record buffer (idle
 // between the dispatcher's sorts) — warm calls allocate nothing from the
 // workspace, continuation rounds included (they reuse the same tables
-// and, on the encode-once path, rewrite the word array in place). The
+// and rewrite the word array in place). The
 // refine work lands in sort_stats as refine_rounds / wide_segments /
 // wide_continuation_* / wide_tiebreak_fallbacks snapshots.
 //
@@ -81,6 +79,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <span>
 #include <string_view>
@@ -170,94 +169,11 @@ auto true_key_less(const KeyOf& key_of) {
   };
 }
 
-// Continuation probe: what a still-tied segment's keys look like past a
-// byte offset, decided BEFORE paying a re-encode + radix round for it.
-// `probe(segment, byte_offset)` compares every key's suffix at the
-// offset against the segment's FIRST key's (each comparison stops at its
-// own first difference, so the whole probe is one pass over the shared
-// bytes) and returns:
-//   cont_probe_done — every key ends while still equal: the keys are
-//       identical from the offset on; stability keeps their order.
-//   0 — some keys differ inside the very next window: re-encode + sort.
-//   k > 0 — every key shares the next k full windows and the first
-//       difference (if any) lies beyond them: the driver may jump k
-//       strides forward without sorting. This is the PARADIS-style
-//       skip-common-prefix walk — a 256-byte shared prefix costs ONE
-//       scan of the shared bytes, not a radix round per window.
-inline constexpr std::size_t cont_probe_done = static_cast<std::size_t>(-1);
-
-// Continuation hooks — the driver-side face of the offset-codec form
-// (key_codec.hpp). `probe` as above; `reencode(segment, byte_offset)`
-// repoints the word source of a segment the probe decided to split
-// (rewriting materialized words on the encode-once path, or just moving
-// a shared offset on the fused path); `finish(segment, twin, byte_offset,
-// f)` completes a small segment whose keys tie through word f of the
-// window at byte_offset — (0, w) after prefix word w - 1, (offset, 0) in
-// a continuation round — so it orders only the bytes that can still
-// differ (a duplicate-heavy corpus under a 256-byte prefix would
-// otherwise re-scan the whole shared prefix per key). On the encode-once
-// path it is the cached-word radix finish below, scattering through
-// `twin` (an equally long dead array); on the fused path it is one
-// stable comparison sort of the key suffixes. `stride` is the bytes a
-// continuation window consumes and `words` how many words the reencode
-// fills per round — possibly FEWER than the materialized prefix (the
-// string codecs continue one 7-byte word per round: the probe skips tied
-// words wholesale, so a round only ever sorts a word known to differ).
-// `prefix_bytes` is where the materialized prefix ends, i.e. the first
-// continuation offset. The no_continuation tag keeps exhaustive codecs
-// and the codecs without the offset form on the pre-continuation path
-// with zero overhead.
-struct no_continuation {};
-
-template <typename Reencode, typename Probe, typename Finish>
-struct continuation_hooks {
-  std::size_t stride;
-  std::size_t words;
-  std::size_t prefix_bytes;
-  Reencode reencode;
-  Probe probe;
-  Finish finish;
-};
-template <typename R, typename P, typename F>
-continuation_hooks(std::size_t, std::size_t, std::size_t, R, P, F)
-    -> continuation_hooks<R, P, F>;
-
-// Byte offset of the window holding flat word f past window offset `off`
-// (W words per window): the keys of a segment tied through word f are
-// tied through at least these bytes.
-template <typename WT>
-constexpr std::size_t window_offset(std::size_t off, std::size_t f) {
-  return off + (f / WT::continuation_words) * WT::continuation_stride;
-}
-
-// True-key suffix order expressed in codec words: walk the continuation
-// windows at byte `off` until a word differs (word order = suffix byte
-// order by the offset-codec contract) or both keys end while equal.
-// Exactly the order tie_from owes, with no byte-level access outside the
-// codec.
-template <typename WT, typename K>
-bool suffix_words_less(const K& a, const K& b, std::size_t off) {
-  constexpr std::size_t W = WT::continuation_words;
-  for (std::size_t f = 0;; ++f) {
-    const std::size_t woff = off + (f / W) * WT::continuation_stride;
-    const std::uint64_t wa = WT::word_at(a, f % W, woff);
-    const std::uint64_t wb = WT::word_at(b, f % W, woff);
-    if (wa != wb) return wa < wb;
-    if (!WT::word_continues(wa)) return false;  // equal to the end
-  }
-}
-
-// Byte-level probe machinery for string-view-convertible keys. The
-// generic word probe below is codec-correct for ANY offset codec, but
-// for strings every word_at call rebuilds a 7-byte word a byte at a
-// time — ~3x the cost of a flat memcmp-style scan, and the probe's scan
-// over a segment's shared bytes is the single biggest continuation cost
-// under deep prefixes. These helpers walk the raw bytes 8 at a time and
-// translate the first divergence back into the window arithmetic the
-// driver needs.
+// Byte-level helpers for the string continuation, which reads the true
+// keys as raw bytes (std::string_view order is the string codec's order).
 //
-// first_divergence(a, b, from, cap): smallest byte index >= from where
-// the two keys diverge — differing content bytes, or the end of the
+// string_first_divergence(a, b, from, cap): smallest byte index >= from
+// where the two keys diverge — differing content bytes, or the end of the
 // shorter key (a strict prefix diverges where it ends) — scanning no
 // further than `cap` (returns cap when tied through it), npos when the
 // keys are equal. Equivalence to the codec-word view: within
@@ -287,11 +203,11 @@ inline std::size_t string_first_divergence(std::string_view a,
   return a.size() == b.size() ? std::string_view::npos : lim;
 }
 
-// Software prefetch for the passes that chase record -> key object -> key
-// bytes (probes, re-encodes, the cached-word finish): the key object
-// kPrefetchKeyAhead records ahead and, for byte keys, the key bytes at
-// `byte_offset` (where the pass reads) kPrefetchBytesAhead records ahead,
-// whose object an earlier call already fetched. Keys returned by value
+// Software prefetch for the refill pass, which chases record -> key
+// object -> key bytes: the key object kPrefetchKeyAhead records ahead
+// and, for byte keys, the key bytes at `byte_offset` (where the pass
+// reads) kPrefetchBytesAhead records ahead, whose object an earlier call
+// already fetched. Keys returned by value
 // are prefetched only when they are views (constructing any other key
 // just to prefetch it costs the miss itself).
 inline constexpr std::size_t kPrefetchKeyAhead = 16;
@@ -321,173 +237,156 @@ void prefetch_key_ahead(std::span<const Rec> seg, std::size_t i,
 #endif
 }
 
-// Probes scan a segment in blocks of this many keys, in parallel.
+// The refill pass scans a segment in blocks of this many keys, in
+// parallel.
 inline constexpr std::size_t kProbeBlock = 2048;
 
-// Lower `m` to `v` if `v` is smaller; returns the new minimum.
-inline std::size_t fetch_min(std::atomic<std::size_t>& m, std::size_t v) {
+// Move `m` to `v` when before(v, m) — std::less lowers it to a minimum,
+// std::greater raises it to a maximum; returns the new value.
+template <typename Before>
+std::size_t fetch_extreme(std::atomic<std::size_t>& m, std::size_t v,
+                          Before before) {
   std::size_t cur = m.load(std::memory_order_relaxed);
-  while (v < cur &&
+  while (before(v, cur) &&
          !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-  return std::min(cur, v);
+  return before(v, cur) ? v : cur;
 }
 
-// The probes' shared scan: keys 1..count-1 in parallel blocks of
-// kProbeBlock, each key scanned by `diverge(i, cap)` — the key's first
-// divergence from key 0, or any value >= cap when it diverges no earlier
-// than cap — with `cap` the earliest divergence any block has published
-// so far. Blocks stop once the minimum falls below `decided` (the answer
-// no longer depends on it). Every key's scan stops at or before the final
-// minimum, so the result is the EXACT minimum (or some value below
-// `decided`), whatever the schedule — the callers' skip / defer / drop
-// decision never depends on it.
-template <typename Diverge>
-std::size_t probe_min(std::size_t count, std::size_t none,
-                      std::size_t decided, const Diverge& diverge) {
-  std::atomic<std::size_t> min_d{none};
-  const std::size_t nblocks = (count + kProbeBlock - 2) / kProbeBlock;
-  par::parallel_for(
-      0, nblocks,
-      [&](std::size_t b) {
-        const std::size_t lo = 1 + b * kProbeBlock;
-        const std::size_t hi = std::min(count, lo + kProbeBlock);
-        std::size_t cap = min_d.load(std::memory_order_relaxed);
-        for (std::size_t i = lo; i < hi && cap >= decided; ++i) {
-          const std::size_t d = diverge(i, cap);
-          cap = d < cap ? fetch_min(min_d, d)
-                        : std::min(cap, min_d.load(std::memory_order_relaxed));
-        }
-      },
-      1);
+// The string continuation's one refill routine over a segment of
+// encode-once records (enc_words) whose keys are known to tie through byte
+// `off`: it chases each record's true key, prefetched ahead, writes every
+// word slot j with the codec's word at byte off + 7j, and returns the
+// earliest byte >= off where some key diverges from key 0 — differing
+// content or an end — or npos when every key equals key 0 to the end.
+// Each key's divergence scan stops at the earliest divergence found so
+// far, and no key is scanned once it falls inside the first window (the
+// answer is "split" by then), so the result is the exact minimum, or some
+// value below off + 7, whatever the schedule: the callers' split / skip /
+// drop decision never depends on it.
+//
+// Sequentially (`parallel` false: the radix finish) every key is chased
+// once, and its words are written whatever the answer. In parallel —
+// blocks of kProbeBlock keys under par::parallel_for, the minimum merged
+// through an atomic — words are written only once the answer is known to
+// be a split, the one case whose caller sorts on them: a segment that is
+// dropped or deferred costs a scan and no writes, and a split segment
+// writes each block's keys past its first few as it goes, then fills in
+// those first few (still in cache) after the blocks join.
+template <typename WT, typename R, typename KeyOf>
+std::size_t refill_words(std::span<R> seg, std::size_t off,
+                         const KeyOf& key_of, bool parallel) {
+  const std::size_t n = seg.size();
+  const std::size_t decided = off + WT::codec::word_bytes;
+  auto&& k0 = key_of(seg[0]);
+  const std::string_view v0(k0);
+  std::atomic<std::size_t> min_d{std::string_view::npos};
+  // The longest block prefix scanned before the answer was known.
+  std::atomic<std::size_t> unwritten{0};
+  const auto refill = [&](std::size_t i, bool write) {
+    prefetch_key_ahead(std::span<const R>(seg), i, key_of, off);
+    auto&& k = key_of(seg[i]);
+    const std::string_view v(k);
+    if (write)
+      for (std::size_t j = 0; j < WT::word_count; ++j)
+        seg[i].word[j] = WT::codec::encode_word(v, j, off);
+    return v;
+  };
+  const auto block = [&](std::size_t lo, std::size_t hi) {
+    std::size_t cap = min_d.load(std::memory_order_relaxed);
+    std::size_t i = lo;
+    for (; i < hi && cap >= decided; ++i) {
+      const std::size_t d =
+          string_first_divergence(v0, refill(i, !parallel), off, cap);
+      cap = d < cap ? fetch_extreme(min_d, d, std::less<>())
+                    : std::min(cap, min_d.load(std::memory_order_relaxed));
+    }
+    fetch_extreme(unwritten, i - lo, std::greater<>());
+    for (; i < hi; ++i) refill(i, true);
+  };
+  const std::size_t nblocks = (n + kProbeBlock - 1) / kProbeBlock;
+  if (!parallel) {
+    block(0, n);
+  } else {
+    par::parallel_for(
+        0, nblocks,
+        [&](std::size_t b) {
+          block(b * kProbeBlock, std::min(n, (b + 1) * kProbeBlock));
+        },
+        1);
+    const std::size_t head = unwritten.load(std::memory_order_relaxed);
+    if (min_d.load(std::memory_order_relaxed) < decided)
+      par::parallel_for(
+          0, nblocks,
+          [&](std::size_t b) {
+            const std::size_t lo = b * kProbeBlock;
+            const std::size_t hi = std::min(n, lo + head);
+            for (std::size_t i = lo; i < hi; ++i) refill(i, true);
+          },
+          1);
+  }
   return min_d.load(std::memory_order_relaxed);
 }
 
-// Byte-level probe: same contract as probe_tied_windows below, memcmp
-// speed. Each key's scan is capped at the earliest divergence seen so
-// far, so the whole probe is one pass over the segment's shared bytes.
-template <typename KeyViewOf>
-std::size_t probe_tied_bytes(std::size_t count, std::size_t off,
-                             std::size_t stride, const KeyViewOf& key_of) {
-  const std::string_view k0 = key_of(std::size_t{0});
-  // A divergence inside the very next window already means "split".
-  const std::size_t min_d = probe_min(
-      count, std::string_view::npos, off + stride,
-      [&](std::size_t i, std::size_t cap) {
-        return string_first_divergence(k0, key_of(i), off, cap);
-      });
-  return min_d == std::string_view::npos ? cont_probe_done
-                                         : (min_d - off) / stride;
-}
-
-// Shared probe body: flat word-by-word comparison of each key against
-// the segment's first key, via `key_of(i)` (the i-th true key of the
-// segment) and `word_of_at(key, word, byte_offset)`; W words per window,
-// `stride` bytes per window. Each key's scan stops at its own first
-// difference — and never past the earliest difference seen so far — so
-// the whole probe is one pass over the segment's shared bytes. Returns
-// the cont_probe contract above.
-template <std::size_t W, typename KeyOf, typename WordAt,
-          typename Continues>
-std::size_t probe_tied_windows(std::size_t count, std::size_t off,
-                               std::size_t stride, const KeyOf& key_of,
-                               const WordAt& word_of_at,
-                               const Continues& word_continues) {
-  auto&& k0 = key_of(std::size_t{0});
-  // min_f: flat index (window * W + word) of the earliest word where any
-  // key differs from key 0; cont_probe_done while none found.
-  const std::size_t min_f = probe_min(
-      count, cont_probe_done, W, [&](std::size_t i, std::size_t cap) {
-        auto&& ki = key_of(i);
-        for (std::size_t f = 0; f < cap; ++f) {
-          const std::size_t woff = off + (f / W) * stride;
-          const std::uint64_t a = word_of_at(k0, f % W, woff);
-          const std::uint64_t b = word_of_at(ki, f % W, woff);
-          if (a != b) return f;
-          if (!word_continues(a)) break;  // both keys end equal inside f
-        }
-        return cap;
-      });
-  return min_f == cont_probe_done ? cont_probe_done : min_f / W;
-}
-
-// The cached-word radix finish of one segment of encode-once records
-// (enc_words) whose keys tie through flat word f past window offset `off`:
-// a sequential MSD pass, one codec word per level. The record's word_count
-// slots cache flat words [cached, cached + word_count) — the materialized
-// prefix words when cached == 0 and off == 0, nothing when cached == npos.
-// A level on an uncached word first refills every slot from the true key,
-// prefetched ahead, so one key chase serves word_count levels. Each level
-// sorts the segment by its word with detail::radix_finish
-// (dovetail_sort.hpp, stable, scattering through `twin`) and cuts it into
-// equal-word runs. Runs whose word ends the keys (word_continues false)
-// hold equal keys and are done; the others go one word deeper — the
-// largest by looping, the rest by recursion, so the depth stays below
-// log2 of the segment. Runs of at most kFinishInsertion records take a
-// stable insertion sort on tie_from. For byte keys a refill at a window
-// start also finds each key's first divergence from the segment's first
-// key (the probe's scan, fused into the pass that already holds the key):
-// keys equal to the end finish the segment there, and windows every key
-// shares are skipped without a sort. The result is the stable true-key
-// order, the order a comparison finish gives, at one cache-resident word
-// read per record per level instead of two key chases per comparison.
-template <typename WT, typename R, typename KeyOf, typename TieFrom>
+// The cached-word radix finish of one segment of encode-once string
+// records whose word slots hold the words at bytes off, off + 7, ... and
+// whose keys tie through word f of them, i.e. through byte off + 7f: a
+// sequential MSD pass, one codec word per level. A level past the cached
+// slots first refills every slot from byte off + 7f with refill_words, so
+// one key chase serves word_count levels, and takes the refill's
+// divergence: keys equal to the end finish the segment there, and
+// windows every key shares are skipped without a sort. Each level sorts
+// the segment by its word with detail::radix_finish (dovetail_sort.hpp,
+// stable, scattering through `twin`) and cuts it into equal-word runs.
+// Runs whose word ends the keys (word_continues false) hold equal keys
+// and are done; the others go one word deeper — the largest by looping,
+// the rest by recursion, so the depth stays below log2 of the segment.
+// Runs of at most kFinishInsertion records take a stable insertion sort
+// on the key suffixes. The result is the stable true-key order, the order
+// a comparison finish gives, at one cache-resident word read per record
+// per level instead of two key chases per comparison.
+template <typename WT, typename R, typename KeyOf>
 void radix_finish_words(std::span<R> seg, R* twin, std::size_t off,
-                        std::size_t f, std::size_t cached,
-                        const KeyOf& key_of, const TieFrom& tie_from) {
-  constexpr std::size_t W = WT::continuation_words;
-  constexpr std::size_t kSlots = WT::word_count;
-  constexpr std::size_t npos = std::string_view::npos;
-  constexpr bool kByteKeys = std::is_convertible_v<
-      std::invoke_result_t<const KeyOf&, const R&>, std::string_view>;
+                        std::size_t f, const KeyOf& key_of) {
+  constexpr std::size_t kStride = WT::codec::word_bytes;
   for (;;) {
     const std::size_t n = seg.size();
-    const std::size_t woff = window_offset<WT>(off, f);
     if (n <= kFinishInsertion) {
+      // Suffixes past the verified-tied bytes, in string_view order.
+      const std::size_t tied = off + kStride * f;
+      const auto suffix_less = [&](const R& a, const R& b) {
+        auto&& ka = key_of(a);
+        auto&& kb = key_of(b);
+        std::string_view sa(ka);
+        std::string_view sb(kb);
+        sa.remove_prefix(std::min(tied, sa.size()));
+        sb.remove_prefix(std::min(tied, sb.size()));
+        return sa < sb;
+      };
       for (std::size_t i = 1; i < n; ++i) {
         const R x = seg[i];
         std::size_t j = i;
-        for (; j > 0 && tie_from(x, seg[j - 1], woff); --j) seg[j] = seg[j - 1];
+        for (; j > 0 && suffix_less(x, seg[j - 1]); --j) seg[j] = seg[j - 1];
         seg[j] = x;
       }
       return;
     }
-    if (cached == npos || f < cached || f >= cached + kSlots) {
-      // min_d: the earliest byte >= woff where some key diverges from key
-      // 0 (npos: all equal to the end); tracked for byte keys at window
-      // starts only.
-      std::size_t min_d = npos;
-      const bool scan = kByteKeys && f % W == 0;
-      auto&& k0 = key_of(seg[0]);
-      for (std::size_t i = 0; i < n; ++i) {
-        prefetch_key_ahead(std::span<const R>(seg), i, key_of, woff);
-        auto&& k = key_of(seg[i]);
-        for (std::size_t j = 0; j < kSlots; ++j)
-          seg[i].word[j] =
-              WT::word_at(k, (f + j) % W, window_offset<WT>(off, f + j));
-        if constexpr (kByteKeys) {
-          if (scan && min_d >= woff + WT::continuation_stride)
-            min_d = std::min(min_d,
-                             string_first_divergence(k0, k, woff, min_d));
-        }
-      }
-      cached = f;
-      if (scan) {
-        if (min_d == npos) return;
-        f += (min_d - woff) / WT::continuation_stride * W;
-        if (f != cached) continue;
-      }
+    if (f >= WT::word_count) {
+      off += kStride * f;
+      const std::size_t d = refill_words<WT>(seg, off, key_of, false);
+      if (d == std::string_view::npos) return;
+      f = (d - off) / kStride;
+      if (f != 0) continue;
     }
-    const std::size_t slot = f - cached;
     radix_finish(seg.data(), twin, n, true,
-                 [slot](const R& r) { return r.word[slot]; });
+                 [f](const R& r) { return r.word[f]; });
     std::size_t big_lo = 0;
     std::size_t big_hi = 0;
     for (std::size_t lo = 0; lo < n;) {
-      const std::uint64_t wd = seg[lo].word[slot];
+      const std::uint64_t wd = seg[lo].word[f];
       std::size_t hi = lo + 1;
-      while (hi < n && seg[hi].word[slot] == wd) ++hi;
-      if (hi - lo >= 2 && WT::word_continues(wd)) {
+      while (hi < n && seg[hi].word[f] == wd) ++hi;
+      if (hi - lo >= 2 && WT::codec::word_continues(wd)) {
         // Keep the largest continuing run for the loop; recurse on the
         // other one.
         std::size_t rlo = lo;
@@ -498,7 +397,7 @@ void radix_finish_words(std::span<R> seg, R* twin, std::size_t off,
         }
         if (rhi - rlo >= 2)
           radix_finish_words<WT>(seg.subspan(rlo, rhi - rlo), twin + rlo,
-                                 off, f + 1, cached, key_of, tie_from);
+                                 off, f + 1, key_of);
       }
       lo = hi;
     }
@@ -510,11 +409,13 @@ void radix_finish_words(std::span<R> seg, R* twin, std::size_t off,
 }
 
 // The MSD segment driver — the one word-by-word loop behind every sort and
-// every rank-window query. `word_of(rec, w)` yields word w of a record's
-// key; `tie_less` is the true-key order, consulted only when `exhaustive`
-// is false. Precondition of the codec contract: key order implies
+// every rank-window query, over records whose keys have the word view WT
+// (wide_key_traits). `word_of(rec, w)` yields word w of a record's key and
+// `key_of(rec)` its true key, consulted only when WT is not exhaustive:
+// the string continuation reads its bytes, any other codec's tie-break
+// compares it. Precondition of the codec contract: key order implies
 // lexicographic word order (coarsening), so within an equal-prefix segment
-// tie_less alone is a refinement of every remaining word.
+// the true-key order alone is a refinement of every remaining word.
 //
 // `windows` (sorted, disjoint; window_fate in rank_select.hpp) say which
 // segments recurse: every round decides per segment — wholly inside a
@@ -532,15 +433,15 @@ void radix_finish_words(std::span<R> seg, R* twin, std::size_t off,
 // otherwise serially through the caller's workspace — pool arenas would
 // only duplicate its warm arena. Returns the kernel of the root (word-0,
 // whole-input) sort, or std_sort when the root was a selection.
-template <typename Rec, typename WordOf, typename TieLess,
-          typename Cont = no_continuation>
-sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
-                        bool exhaustive, const WordOf& word_of,
-                        const TieLess& tie_less,
+template <typename WT, typename Rec, typename WordOf, typename KeyOf>
+sort_kernel wide_refine(std::span<Rec> data, const WordOf& word_of,
+                        const KeyOf& key_of,
                         std::span<const rank_window> windows,
-                        const auto_sort_options& opt, const Cont& cont = {}) {
-  constexpr bool kContinuation =
-      !std::is_same_v<std::remove_cvref_t<Cont>, no_continuation>;
+                        const auto_sort_options& opt) {
+  constexpr std::size_t word_count = WT::word_count;
+  constexpr bool exhaustive = WT::exhaustive;
+  constexpr std::size_t npos = std::string_view::npos;
+  const auto tie_less = true_key_less<WT>(key_of);
   const std::size_t n = data.size();
   const std::size_t base_case = opt.policy.wide_segment_base_case;
   sort_workspace& ws = *opt.workspace;
@@ -651,16 +552,18 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
         seg_granularity(ncur));
   };
   // The small-segment finish of a round whose segments tie through word f
-  // of the window at byte `off`: an offset codec's finish hook, with the
-  // workspace's record buffer (idle between the dispatcher's sorts, which
-  // size it for n records anyway) as the twin, else one stable comparison
-  // sort over the remaining words and the true-key tie.
-  const auto finish_small = [&](std::size_t off, std::size_t f) {
-    if constexpr (kContinuation) {
+  // of the words in the records' slots, which a string key's records hold
+  // from byte `filled` on (0: the materialized prefix): for string keys
+  // the cached-word radix finish, with the workspace's record buffer (idle
+  // between the dispatcher's sorts, which size it for n records anyway) as
+  // the twin, else one stable comparison sort over the remaining words and
+  // the true-key tie.
+  const auto finish_small = [&](std::size_t filled, std::size_t f) {
+    if constexpr (WT::offset_encodable) {
       const std::span<Rec> twin = ws.template record_buffer<Rec>(n, stats);
       finish_segments(base_case, [&](std::size_t lo, std::size_t hi) {
-        cont.finish(data.subspan(lo, hi - lo), twin.subspan(lo, hi - lo),
-                    off, f);
+        radix_finish_words<WT>(data.subspan(lo, hi - lo), twin.data() + lo,
+                               filled, f, key_of);
       });
     } else {
       finish_segments(base_case, [&](std::size_t lo, std::size_t hi) {
@@ -725,44 +628,49 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
     ncur = nnext;
   };
 
-  // One refinement round of the current table at word w of the window at
-  // byte `off` (0 for the materialized prefix). Small segments finish ALL
-  // remaining words (and the true-key order beyond them when the codec is
-  // a prefix) with finish_small, in parallel across segments; they never
-  // re-enter the refinement. Large segments go back through the front
-  // door (or the selector).
-  const auto refine_round = [&](std::size_t off, std::size_t w) {
+  // The refinement rounds of the materialized words. Each round's small
+  // segments finish ALL remaining words (and the true-key order beyond
+  // them when the codec is a prefix) with finish_small, in parallel across
+  // segments; they never re-enter the refinement. Large segments go back
+  // through the front door (or the selector).
+  for (std::size_t w = 1; w < word_count && ncur > 0; ++w) {
     ++rounds;
     segments += ncur;
-    finish_small(off, w);
+    finish_small(0, w);
     step_round(w);
-  };
-
-  for (std::size_t w = 1; w < word_count && ncur > 0; ++w) refine_round(0, w);
+  }
 
   // Residual segments are equal on every word so far. An exhaustive codec
   // is done (equal words == equal keys); a non-exhaustive codec owes the
   // order beyond the words.
-  if constexpr (kContinuation) {
-    // MSD continuation (the offset-codec form): keep refining by radix on
-    // the next slice of the true keys, window after window. Each round:
-    // still-tied segments at or below the base case finish with the
-    // continuation's finish hook from the current offset; larger ones are
-    // PROBED at the next window first. A window every key shares costs
-    // exactly that scan: segments whose keys continue past it are
-    // deferred to the next offset untouched (long shared prefixes walk
-    // forward one cheap scan per window, never paying a radix round that
-    // would not split anything), and segments whose keys end inside it
-    // are dropped (all equal, stability keeps their order). Only windows
-    // where keys actually differ re-encode and re-enter the word rounds.
-    // Distinct keys differ at some byte or end at different lengths, so
-    // every segment eventually splits or ends: the loop terminates, and
-    // no above-base-case segment ever meets a comparison sort
-    // (tiebreak_fallbacks stays 0 by construction).
+  if constexpr (WT::offset_encodable) {
+    // MSD continuation of string keys: keep refining by radix on the next
+    // 7-byte window of the true keys, window after window. Each round:
+    // still-tied segments at or below the base case finish with
+    // finish_small from the current offset; larger ones take one
+    // refill_words pass at the offset, which finds their keys' earliest
+    // divergence and, for a split, writes their next words. A window every
+    // key shares
+    // costs exactly that pass: segments whose keys continue past it are
+    // deferred to the next offset (long shared prefixes walk forward one
+    // scan per window, never paying a radix round that would not split
+    // anything), and segments whose keys end inside it are dropped (all
+    // equal, stability keeps their order). Only windows where keys
+    // actually differ re-enter the word rounds, on the words the pass just
+    // wrote. Distinct keys differ at some byte or end at different
+    // lengths, so every segment eventually splits or ends: the loop
+    // terminates, and no above-base-case segment ever meets a comparison
+    // sort (tiebreak_fallbacks stays 0 by construction).
+    constexpr std::size_t kStride = WT::codec::word_bytes;
     std::span<wide_seg> deferred;
     sort_workspace::lease def_lease =
         ws.acquire_array<wide_seg>(seg_cap, deferred, stats);
-    std::size_t offset = cont.prefix_bytes;
+    std::size_t offset = kStride * word_count;  // past the prefix words
+    // Where the words in the slots of every record of a small segment
+    // start: the prefix in the first round, later the last split round's
+    // refill (small segments only come out of its splits, and a round
+    // with splits advances `offset` one stride past it).
+    std::size_t filled = 0;
     while (ncur > 0) {
       std::size_t nsmall = 0;
       for (std::size_t i = 0; i < ncur; ++i)
@@ -773,24 +681,25 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
         // Every segment here is key-equal through byte `offset` (actives
         // re-enter one stride past the window they sorted; deferred
         // segments were verified tied at least that far), so the finish
-        // orders suffixes only — under a long shared prefix, tie_less
-        // from byte 0 would re-scan the whole prefix per comparison.
-        finish_small(offset, 0);
+        // orders suffixes only — under a long shared prefix, the true-key
+        // order from byte 0 would re-scan the whole prefix per comparison.
+        finish_small(filled, (offset - filled) / kStride);
       }
-      // Probe each large segment some window needs BEFORE re-encoding:
-      // skip == 0 splits (sort it now), k > 0 defers k whole windows,
-      // cont_probe_done drops the segment (keys equal to the end).
+      // Refill each large segment some window needs: a divergence inside
+      // the window splits it (sort it now), a later one defers it that
+      // many whole windows, none drops it (keys equal to the end).
       std::size_t m = 0;
       std::size_t ndef = 0;
-      std::size_t min_skip = cont_probe_done;
+      std::size_t min_skip = npos;
       for (std::size_t i = 0; i < ncur; ++i) {
         const auto [lo, hi] = cur[i];
         if (hi - lo <= base_case ||
             fate_of(windows, lo, hi) == window_fate::outside)
           continue;
-        const std::size_t skip = cont.probe(
-            std::span<const Rec>(data.data() + lo, hi - lo), offset);
-        if (skip == cont_probe_done) continue;
+        const std::size_t d =
+            refill_words<WT>(data.subspan(lo, hi - lo), offset, key_of, true);
+        if (d == npos) continue;
+        const std::size_t skip = (d - offset) / kStride;
         if (skip == 0) {
           next[m++] = cur[i];
         } else {
@@ -803,37 +712,30 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
       if (m + ndef == 0) break;
       ++cont_rounds;
       cont_segments += m + ndef;
-      max_offset = static_cast<std::uint64_t>(offset + cont.stride);
+      max_offset = static_cast<std::uint64_t>(offset + kStride);
       if (m > 0) {
-        for (std::size_t i = 0; i < ncur; ++i) {
-          const auto [lo, hi] = cur[i];
-          cont.reencode(data.subspan(lo, hi - lo), offset);
-        }
-        // The re-encoded window runs the same machinery as the prefix:
-        // word 0 per segment (every survivor is above the base case by
-        // construction), then the regular refine rounds for the window's
-        // remaining words — none for the one-word-per-round string codecs,
-        // whose probe already skipped every tied word.
+        // The refilled window runs the same machinery as the prefix: word
+        // 0 per segment (every survivor is above the base case by
+        // construction).
+        filled = offset;
         ++rounds;
         segments += ncur;
         step_round(0);
-        for (std::size_t w = 1; w < cont.words && ncur > 0; ++w)
-          refine_round(offset, w);
       }
-      // Deferred segments rejoin the table for the next window's probe.
+      // Deferred segments rejoin the table for the next window's refill.
       // When every surviving segment is deferred, jump the smallest
-      // verified-tied distance in one step instead of re-probing window
+      // verified-tied distance in one step instead of re-scanning window
       // by window (a round with active segments advances one stride, so
       // actives re-enter at the very next window).
       for (std::size_t j = 0; j < ndef; ++j) cur[ncur++] = deferred[j];
-      offset += cont.stride * ((m == 0 && ndef > 0) ? min_skip : 1);
+      offset += kStride * ((m == 0 && ndef > 0) ? min_skip : 1);
     }
   } else if (ncur > 0 && !exhaustive) {
-    // The comparison tie-break — the route for non-exhaustive codecs
-    // without the offset form: segments here share their whole prefix, so
+    // The comparison tie-break — the route for every non-exhaustive codec
+    // but the string codec: segments here share their whole prefix, so
     // each is one sequential comparison sort — parallel across segments
     // only. Above-base-case segments finished here are the degenerate case
-    // the continuation removes for offset codecs — counted so tests and
+    // the continuation removes for string keys — counted so tests and
     // benchmarks can tell the two routes apart.
     ++rounds;
     segments += ncur;
@@ -860,79 +762,6 @@ sort_kernel wide_refine(std::span<Rec> data, std::size_t word_count,
         (stats->*snap_fields[f]).store(snap[f], std::memory_order_relaxed);
   }
   return root;
-}
-
-// Continuation hooks over records whose true key is key_of(record): the
-// probe walks each key's suffix straight from the true keys (no store) —
-// at memcmp speed when the key reads as raw bytes, via the codec words
-// otherwise, prefetching the keys ahead of the scan — and the finishes
-// order keys by tie_from, the suffixes past the verified-tied bytes. The
-// record shape decides `reencode` (see the two callers below) and the
-// finish: kCachedWords records (enc_words) take the cached-word radix
-// finish, any other record one stable comparison sort by tie_from.
-template <typename WT, typename Rec, bool kCachedWords, typename KeyOf,
-          typename Reencode>
-auto continuation_for(const KeyOf& key_of, const Reencode& reencode) {
-  constexpr bool kByteKeys = std::is_convertible_v<
-      std::invoke_result_t<const KeyOf&, const Rec&>, std::string_view>;
-  const auto probe = [&key_of](std::span<const Rec> seg,
-                               std::size_t off) -> std::size_t {
-    if constexpr (kByteKeys) {
-      return probe_tied_bytes(
-          seg.size(), off, WT::continuation_stride, [&](std::size_t i) {
-            prefetch_key_ahead(seg, i, key_of, off);
-            return std::string_view(key_of(seg[i]));
-          });
-    } else {
-      return probe_tied_windows<WT::continuation_words>(
-          seg.size(), off, WT::continuation_stride,
-          [&](std::size_t i) -> decltype(auto) {
-            prefetch_key_ahead(seg, i, key_of, off);
-            return key_of(seg[i]);
-          },
-          [](const auto& k, std::size_t w, std::size_t o) {
-            return WT::word_at(k, w, o);
-          },
-          [](std::uint64_t wd) { return WT::word_continues(wd); });
-    }
-  };
-  const auto tie_from = [&key_of](const Rec& a, const Rec& b,
-                                  std::size_t off) {
-    if constexpr (kByteKeys) {
-      // string_view order IS the codec's true order (char_traits compares
-      // unsigned), restricted to the suffixes past the verified-tied
-      // bytes.
-      std::string_view sa(key_of(a));
-      std::string_view sb(key_of(b));
-      sa.remove_prefix(std::min(off, sa.size()));
-      sb.remove_prefix(std::min(off, sb.size()));
-      return sa < sb;
-    } else {
-      return suffix_words_less<WT>(key_of(a), key_of(b), off);
-    }
-  };
-  const auto finish = [&key_of, tie_from](std::span<Rec> seg,
-                                          std::span<Rec> twin,
-                                          std::size_t off, std::size_t f) {
-    if constexpr (kCachedWords) {
-      // The prefix words sit in the records' slots until a finish
-      // level rewrites them; continuation windows start uncached.
-      radix_finish_words<WT>(seg, twin.data(), off, f,
-                             off == 0 ? 0 : std::string_view::npos, key_of,
-                             tie_from);
-    } else {
-      const std::size_t woff = window_offset<WT>(off, f);
-      stable_segment_sort(seg, [&](const Rec& a, const Rec& b) {
-        return tie_from(a, b, woff);
-      });
-    }
-  };
-  // Materialized prefix bytes: the continuation picks up where the prefix
-  // words end (bytes-per-word x word_count).
-  constexpr std::size_t prefix_bytes =
-      WT::continuation_stride / WT::continuation_words * WT::word_count;
-  return continuation_hooks{WT::continuation_stride, WT::continuation_words,
-                            prefix_bytes, reencode, probe, finish};
 }
 
 // ---------------------------------------------------------------------------
@@ -964,7 +793,7 @@ struct enc_words {
 };
 
 // Refine encode-once records R of key type K; key_at(idx) is the true key
-// of the record with source index idx.
+// of the record with source index idx. The only route of string keys.
 template <typename K, typename R, typename KeyAt>
 sort_kernel refine_encoded(std::span<R> recs, const KeyAt& key_at,
                            std::span<const rank_window> windows,
@@ -981,32 +810,13 @@ sort_kernel refine_encoded(std::span<R> recs, const KeyAt& key_at,
   const auto key_of = [&key_at](const R& r) -> decltype(auto) {
     return key_at(static_cast<std::size_t>(r.idx));
   };
-  const auto tie = true_key_less<WT>(key_of);
-  if constexpr (WT::offset_encodable) {
-    // Re-encode refreshes the materialized words from the true keys at
-    // the chosen offset (one parallel pass per segment, prefetching the
-    // keys ahead; every later word read is back to a cache-resident array
-    // hit).
-    const auto reencode = [&key_of](std::span<R> seg, std::size_t off) {
-      par::parallel_for(0, seg.size(), [&](std::size_t i) {
-        prefetch_key_ahead(std::span<const R>(seg), i, key_of, off);
-        auto&& k = key_of(seg[i]);
-        for (std::size_t w = 0; w < WT::continuation_words; ++w)
-          seg[i].word[w] = WT::word_at(k, w, off);
-      });
-    };
-    return wide_refine(recs, WT::word_count, WT::exhaustive, word_of, tie,
-                       windows, opt,
-                       continuation_for<WT, R, true>(key_of, reencode));
-  } else {
-    return wide_refine(recs, WT::word_count, WT::exhaustive, word_of, tie,
-                       windows, opt);
-  }
+  return wide_refine<WT>(recs, word_of, key_of, windows, opt);
 }
 
-// Fused refine — trivially copyable records under a cheap codec: the
-// records are scattered as-is and each word pass re-derives its radix key
-// from the record, with no memory beyond the dispatcher's own scratch.
+// Fused refine — trivially copyable records under a cheap codec other
+// than the string codec: the records are scattered as-is and each word
+// pass re-derives its radix key from the record, with no memory beyond
+// the dispatcher's own scratch.
 template <typename Rec, typename KeyFn>
 sort_kernel refine_fused(std::span<Rec> data, const KeyFn& key,
                          std::span<const rank_window> windows,
@@ -1014,32 +824,12 @@ sort_kernel refine_fused(std::span<Rec> data, const KeyFn& key,
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
   using WT = wide_key_traits<K>;
-  const auto tie = true_key_less<WT>(key);
-  if constexpr (WT::offset_encodable) {
-    // Offset-capable (std::string_view records): there are no
-    // materialized words to refresh, so the continuation offset lives in
-    // one shared variable read by every word access. The driver writes it
-    // (reencode) strictly between parallel phases — the fork of the next
-    // segment sort publishes the store to its workers — and every
-    // continuing segment of a round shares the same offset (the rounds
-    // are globally lockstep), so a single variable is enough.
-    std::size_t cont_off = 0;
-    const auto word_of = [&key, &cont_off](const Rec& r, std::size_t w) {
-      return WT::word_at(key(r), w, cont_off);
-    };
-    const auto reencode = [&cont_off](std::span<Rec>, std::size_t off) {
-      cont_off = off;
-    };
-    return wide_refine(data, WT::word_count, WT::exhaustive, word_of, tie,
-                       windows, opt,
-                       continuation_for<WT, Rec, false>(key, reencode));
-  } else {
-    const auto word_of = [&key](const Rec& r, std::size_t w) {
-      return WT::word(key(r), w);
-    };
-    return wide_refine(data, WT::word_count, WT::exhaustive, word_of, tie,
-                       windows, opt);
-  }
+  static_assert(!WT::offset_encodable,
+                "string keys continue on encode-once records");
+  const auto word_of = [&key](const Rec& r, std::size_t w) {
+    return WT::word(key(r), w);
+  };
+  return wide_refine<WT>(data, word_of, key, windows, opt);
 }
 
 }  // namespace detail

@@ -1,6 +1,6 @@
 // Variable-length string engine tests — the adversarial corpus battery
 // pinning the MSD continuation beyond the materialized prefix
-// (wide_sort.hpp + key_codec.hpp's offset-codec form):
+// (wide_sort.hpp + the offset form of key_codec.hpp's string codec):
 //   * corpora built to break a prefix-only engine — all-equal keys, keys
 //     that are prefixes of each other ("a" < "ab" < "aba"), embedded NUL
 //     and 0xFF bytes, empty strings, lengths straddling every word
@@ -14,11 +14,14 @@
 //   * the no-fallback guarantee — sort_stats::wide_tiebreak_fallbacks is
 //     0 whenever the continuation runs, even when equal-prefix segments
 //     dwarf wide_segment_base_case;
-//   * the comparison tie-break — the route for a non-exhaustive multi-word
-//     key_codec WITHOUT the offset form (a user customization point):
-//     dovetail::sort, top_k and stream_sorter over such a codec match
-//     std::stable_sort byte for byte, and all three count the
-//     above-base-case segments it finishes in wide_tiebreak_fallbacks;
+//   * the comparison tie-break — the route for every non-exhaustive
+//     multi-word key_codec but the string codec (a user customization
+//     point): dovetail::sort, top_k and stream_sorter over such a codec
+//     match std::stable_sort byte for byte, and all three count the
+//     above-base-case segments it finishes in wide_tiebreak_fallbacks; a
+//     case-folding codec on a string_view-convertible key, which declares
+//     byte-offset members of its own, is ordered by its key's operator<,
+//     not by raw bytes;
 //   * queries over string keys — top_k and partial_sort continue past a
 //     long shared prefix by radix, on the sort's own segment driver;
 //   * the cached-word radix finish of segments at or below the base case
@@ -28,15 +31,23 @@
 //     earliest divergence sits in any one block, queries cutting a
 //     finished segment, and refine counters that do not depend on the
 //     worker count — byte-identical to std::stable_sort, with stability
-//     witnessed by tagged records, at 1 and 4 workers.
+//     witnessed by tagged records, at 1 and 4 workers;
+//   * std::string_view records (plain and in trivially copyable rows),
+//     which take the same encode-once route as std::string and count the
+//     same refine work; and a key functor that throws inside the
+//     continuation, which leaves the input and the workspace usable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
@@ -484,7 +495,9 @@ TEST(StringEngine, ProbeFindsTheEarliestDivergenceInAnyBlock) {
     std::vector<std::string> keys(kN, std::string(60, 'q'));
     for (std::size_t i = 0; i < kN; ++i) {
       keys[i] += digits(rnd(i + 7 * b) % 50, 2);
-      // Key i sits at probe index i; block b covers [1 + b*B, 1 + (b+1)*B).
+      // The differing keys [1 + b*B, 1 + (b+1)*B) reach into refill blocks b
+  // and b + 1 (block c covers [c*B, (c+1)*B)); every other block sees
+  // the keys tied through byte 60.
       if (i >= 1 + b * detail::kProbeBlock &&
           i < 1 + (b + 1) * detail::kProbeBlock)
         keys[i][20] = static_cast<char>('a' + rnd(i) % 20);
@@ -555,6 +568,152 @@ TEST(StringEngine, RefineCountersDoNotDependOnWorkers) {
       EXPECT_EQ(counters, first) << "threads=" << threads;
     }
     EXPECT_GE(first[2], 1u);  // the continuation ran
+  }
+}
+
+namespace {
+
+// A string key inside a trivially copyable row: the router sends it to the
+// encode-once route, exactly like a std::string.
+struct view_row {
+  std::string_view key;
+  std::uint32_t id;
+  friend bool operator==(const view_row&, const view_row&) = default;
+};
+static_assert(std::is_trivially_copyable_v<view_row>);
+
+constexpr auto key_of_view_row = [](const view_row& r) { return r.key; };
+
+std::vector<std::uint64_t> wide_counters(const sort_stats& st) {
+  return {st.refine_rounds.load(),
+          st.wide_segments.load(),
+          st.wide_continuation_rounds.load(),
+          st.wide_continuation_segments.load(),
+          st.wide_max_byte_offset.load(),
+          st.wide_tiebreak_fallbacks.load()};
+}
+
+}  // namespace
+
+TEST(StringEngine, StringViewRecordsMatchStringRecords) {
+  // The same keys as std::string_view and as std::string, under shared
+  // prefixes of 0 to 80 bytes: sort, sort_by_key, rank and top_k return
+  // the stable order (ids and values witness stability) and count the
+  // same refine work on both key types.
+  const gen::distribution d{gen::dist_kind::zipfian, 1.2, "Zipf-1.2"};
+  constexpr std::size_t kN = 20000;
+  constexpr std::size_t kTop = 3000;
+  for (const std::size_t lcp : {std::size_t{0}, std::size_t{13},
+                                std::size_t{40}, std::size_t{80}}) {
+    const auto keys = gen::generate_lcp_string_keys(d, kN, 12, lcp);
+    const std::vector<std::string_view> views(keys.begin(), keys.end());
+    std::vector<view_row> rows(kN);
+    for (std::size_t i = 0; i < kN; ++i)
+      rows[i] = {views[i], static_cast<std::uint32_t>(i)};
+    const auto ref = stable_ref(tag(keys));
+    std::vector<std::uint32_t> ref_ids(kN);
+    for (std::size_t i = 0; i < kN; ++i) ref_ids[i] = ref[i].id;
+    for (const int threads : {1, 4}) {
+      sort_stats sv_st;
+      sort_stats s_st;
+      auto_sort_options opt;
+      opt.num_threads = threads;
+      opt.policy.wide_segment_base_case = 256;
+      const auto on = [&](sort_stats& st) {
+        auto_sort_options o = opt;
+        o.stats = &st;
+        return o;
+      };
+      const std::string where =
+          "lcp=" + std::to_string(lcp) + " threads=" + std::to_string(threads);
+
+      auto sv = views;
+      dovetail::sort(std::span<std::string_view>(sv), on(sv_st));
+      auto s = keys;
+      dovetail::sort(std::span<std::string>(s), on(s_st));
+      for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(sv[i], ref[i].key) << where << " i=" << i;
+      EXPECT_EQ(wide_counters(sv_st), wide_counters(s_st)) << where;
+
+      auto r = rows;
+      dovetail::sort(std::span<view_row>(r), key_of_view_row, on(sv_st));
+      auto t = tag(keys);
+      dovetail::sort(std::span<tagged>(t), key_of_tagged, on(s_st));
+      for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(r[i], (view_row{ref[i].key, ref[i].id})) << where;
+      EXPECT_EQ(wide_counters(sv_st), wide_counters(s_st)) << where;
+
+      auto kv = views;
+      auto ks = keys;
+      std::vector<std::uint32_t> vals(kN);
+      for (std::size_t i = 0; i < kN; ++i) vals[i] = rows[i].id;
+      auto svals = vals;
+      dovetail::sort_by_key(std::span<std::string_view>(kv),
+                            std::span<std::uint32_t>(vals), on(sv_st));
+      dovetail::sort_by_key(std::span<std::string>(ks),
+                            std::span<std::uint32_t>(svals), on(s_st));
+      ASSERT_EQ(vals, ref_ids) << where;
+      ASSERT_EQ(svals, ref_ids) << where;
+      EXPECT_EQ(wide_counters(sv_st), wide_counters(s_st)) << where;
+
+      const auto perm = dovetail::rank(
+          std::span<const std::string_view>(views.data(), kN), on(sv_st));
+      const auto sperm = dovetail::rank(
+          std::span<const std::string>(keys.data(), kN), on(s_st));
+      for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(perm[i], ref_ids[i]) << where << " i=" << i;
+      EXPECT_EQ(perm, sperm) << where;
+      EXPECT_EQ(wide_counters(sv_st), wide_counters(s_st)) << where;
+
+      auto qr = rows;
+      const auto got = dovetail::top_k(std::span<view_row>(qr), kTop,
+                                       key_of_view_row, rank_side::smallest,
+                                       on(sv_st));
+      auto qt = tag(keys);
+      dovetail::top_k(std::span<tagged>(qt), kTop, key_of_tagged,
+                      rank_side::smallest, on(s_st));
+      ASSERT_EQ(got.size(), kTop);
+      for (std::size_t i = 0; i < kTop; ++i)
+        ASSERT_EQ(got[i], (view_row{ref[i].key, ref[i].id})) << where;
+      EXPECT_EQ(wide_counters(sv_st), wide_counters(s_st)) << where;
+    }
+  }
+}
+
+TEST(StringEngine, ThrowingKeyInTheContinuationLeavesInputUnchanged) {
+  // Keys tied through 64 bytes, so every call after the n encode calls
+  // comes from the continuation (the refill of a large segment or the
+  // finish of a small one); the key functor throws on the first of them.
+  constexpr std::size_t kN = 6000;
+  std::vector<std::string> input(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    input[i] = std::string(64, 'p') + digits(rnd(i) % 2000, 3);
+  auto ref = input;
+  std::stable_sort(ref.begin(), ref.end());
+  for (const int threads : {1, 4}) {
+    for (const std::size_t base_case : {std::size_t{64}, kN}) {
+      sort_workspace ws;
+      auto_sort_options opt;
+      opt.workspace = &ws;
+      opt.num_threads = threads;
+      opt.policy.wide_segment_base_case = base_case;
+      std::atomic<std::size_t> calls{0};
+      const auto key = [&calls](const std::string& s) -> const std::string& {
+        if (calls.fetch_add(1, std::memory_order_relaxed) >= kN)
+          throw std::runtime_error("key functor failed");
+        return s;
+      };
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " base_case=" + std::to_string(base_case);
+      auto v = input;
+      EXPECT_THROW(dovetail::sort(std::span<std::string>(v), key, opt),
+                   std::runtime_error)
+          << where;
+      EXPECT_GT(calls.load(), kN) << where;
+      EXPECT_EQ(v, input) << where;
+      dovetail::sort(std::span<std::string>(v), opt);
+      EXPECT_EQ(v, ref) << where;
+    }
   }
 }
 
@@ -647,5 +806,90 @@ TEST(StringEngine, PrefixCodecWithoutOffsetFormTieBreaks) {
                                        std::min(kN, lo + 7000) - lo));
     ASSERT_EQ(s.finish(), ref) << "stream_sorter threads=" << threads;
     EXPECT_GE(sst.wide_tiebreak_fallbacks.load(), 1u);
+  }
+}
+
+namespace {
+
+// ASCII case folding, the order of folded_key.
+unsigned char fold(char c) {
+  const auto u = static_cast<unsigned char>(c);
+  return u >= 'A' && u <= 'Z' ? static_cast<unsigned char>(u + 32) : u;
+}
+
+// A string key that converts to std::string_view but orders by its
+// case-folded bytes: keys equal up to case are equivalent.
+struct folded_key {
+  std::string s;
+  operator std::string_view() const noexcept { return s; }
+  friend bool operator<(const folded_key& a, const folded_key& b) {
+    return std::lexicographical_compare(
+        a.s.begin(), a.s.end(), b.s.begin(), b.s.end(),
+        [](char x, char y) { return fold(x) < fold(y); });
+  }
+};
+
+}  // namespace
+
+// A contract-abiding prefix codec over the folded bytes (the string
+// codec's 7 content bytes + count byte, case-folded), declaring the
+// members of a byte-offset form as well. Only string_prefix_codec's
+// words are raw bytes; this key must be ordered by its operator<.
+template <>
+struct dovetail::key_codec<folded_key> {
+  static constexpr std::size_t encoded_words = 2;
+  static constexpr bool exhaustive = false;
+  static constexpr bool cheap = true;
+  static constexpr std::size_t continuation_words = 1;
+  static constexpr std::size_t continuation_stride = 7;
+  static std::uint64_t encode_word(const folded_key& k, std::size_t w,
+                                   std::size_t byte_offset = 0) {
+    const std::size_t base = byte_offset + 7 * w;
+    std::uint64_t out = 0;
+    for (std::size_t j = 0; j < 7; ++j)
+      out = (out << 8) | (base + j < k.s.size() ? fold(k.s[base + j]) : 0u);
+    const std::size_t rem = k.s.size() > base ? k.s.size() - base : 0;
+    return (out << 8) | std::min<std::size_t>(rem, 7);
+  }
+  static constexpr bool word_continues(std::uint64_t word) {
+    return (word & 0xFF) == 7;
+  }
+};
+
+TEST(StringEngine, CaseFoldingCodecOrdersByItsKey) {
+  // Groups tied through 14 and 20 bytes whose tails differ only in case
+  // or in folded content ("...Zzc" sorts after "...zZa"), of 12 and 24
+  // records (at or below the insertion threshold) and of 100 records
+  // (above the base case of 64). Raw byte order would put every upper-
+  // case byte first.
+  const std::vector<std::string> tails = {"zza", "zzc", "zzb", "abcdefghij",
+                                          "abcdefghik", "q"};
+  std::vector<folded_key> input;
+  char g = 'a';
+  for (const std::size_t tied : {std::size_t{14}, std::size_t{20}}) {
+    for (const std::size_t size :
+         {std::size_t{12}, std::size_t{24}, std::size_t{100}}) {
+      const std::string prefix(tied, g++);
+      for (std::size_t i = 0; i < size; ++i) {
+        std::string tail = tails[rnd(input.size()) % tails.size()];
+        for (std::size_t j = 0; j < tail.size(); ++j)
+          if (rnd(input.size() * 31 + j) % 2 == 0)
+            tail[j] = static_cast<char>(tail[j] - 'a' + 'A');
+        input.push_back({prefix + tail});
+      }
+    }
+  }
+  for (std::size_t i = input.size(); i > 1; --i)
+    std::swap(input[i - 1].s, input[rnd(i + 8) % i].s);
+  auto ref = input;
+  std::stable_sort(ref.begin(), ref.end());
+  for (const int threads : {1, 4}) {
+    auto_sort_options opt;
+    opt.num_threads = threads;
+    opt.policy.wide_segment_base_case = 64;
+    auto v = input;
+    dovetail::sort(std::span<folded_key>(v), opt);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      ASSERT_EQ(v[i].s, ref[i].s) << "threads=" << threads << " i=" << i;
   }
 }
