@@ -2,7 +2,8 @@
 // cf. Sec 2.5). Sorts a heavy-duplicate Zipfian stream with DovetailSort,
 // then scans runs of equal keys to produce a frequency histogram — the kind
 // of groupby/count kernel the paper's heavy-key machinery targets. Also
-// contrasts DTSort against the plain radix baseline on this input.
+// contrasts DTSort against the plain radix baseline on this input, and
+// exits 1 when the two sorts disagree or DTSort's output is not sorted.
 //   ./build/examples/duplicate_histogram [n]
 #include <algorithm>
 #include <cstdint>
@@ -32,6 +33,10 @@ int main(int argc, char** argv) {
   dovetail::timer t2;
   dovetail::baseline::msd_radix_sort(std::span<std::uint64_t>(keys2));
   const double plain_time = t2.seconds();
+  if (!std::is_sorted(keys.begin(), keys.end()) || keys != keys2) {
+    std::printf("  DTSort output NOT SORTED or differs from MSD radix!\n");
+    return 1;
+  }
 
   // Run-length scan over the sorted keys = frequency histogram.
   struct freq {

@@ -79,7 +79,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <iterator>
 #include <span>
 #include <string_view>
@@ -241,16 +240,13 @@ void prefetch_key_ahead(std::span<const Rec> seg, std::size_t i,
 // parallel.
 inline constexpr std::size_t kProbeBlock = 2048;
 
-// Move `m` to `v` when before(v, m) — std::less lowers it to a minimum,
-// std::greater raises it to a maximum; returns the new value.
-template <typename Before>
-std::size_t fetch_extreme(std::atomic<std::size_t>& m, std::size_t v,
-                          Before before) {
+// Lower `m` to `v` when v is smaller; returns the new minimum.
+inline std::size_t fetch_min(std::atomic<std::size_t>& m, std::size_t v) {
   std::size_t cur = m.load(std::memory_order_relaxed);
-  while (before(v, cur) &&
+  while (v < cur &&
          !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-  return before(v, cur) ? v : cur;
+  return std::min(cur, v);
 }
 
 // The string continuation's one refill routine over a segment of
@@ -263,16 +259,18 @@ std::size_t fetch_extreme(std::atomic<std::size_t>& m, std::size_t v,
 // far, and no key is scanned once it falls inside the first window (the
 // answer is "split" by then), so the result is the exact minimum, or some
 // value below off + 7, whatever the schedule: the callers' split / skip /
-// drop decision never depends on it.
+// drop decision never depends on it. Each key is scanned while it is
+// alive: a key functor may return its key by value.
 //
 // Sequentially (`parallel` false: the radix finish) every key is chased
 // once, and its words are written whatever the answer. In parallel —
 // blocks of kProbeBlock keys under par::parallel_for, the minimum merged
 // through an atomic — words are written only once the answer is known to
 // be a split, the one case whose caller sorts on them: a segment that is
-// dropped or deferred costs a scan and no writes, and a split segment
-// writes each block's keys past its first few as it goes, then fills in
-// those first few (still in cache) after the blocks join.
+// dropped or deferred costs a scan and no writes. A block that learns of
+// the split writes its keys, the few it already scanned first (still in
+// cache); only a block that scanned all its keys before any split was
+// found is written again after the blocks join.
 template <typename WT, typename R, typename KeyOf>
 std::size_t refill_words(std::span<R> seg, std::size_t off,
                          const KeyOf& key_of, bool parallel) {
@@ -281,51 +279,57 @@ std::size_t refill_words(std::span<R> seg, std::size_t off,
   auto&& k0 = key_of(seg[0]);
   const std::string_view v0(k0);
   std::atomic<std::size_t> min_d{std::string_view::npos};
-  // The longest block prefix scanned before the answer was known.
-  std::atomic<std::size_t> unwritten{0};
-  const auto refill = [&](std::size_t i, bool write) {
+  // Chases key i, writes its words when `write`, and returns its
+  // divergence from key 0 below `cap` (cap itself, unscanned, once
+  // cap < decided).
+  const auto refill = [&](std::size_t i, bool write, std::size_t cap) {
     prefetch_key_ahead(std::span<const R>(seg), i, key_of, off);
     auto&& k = key_of(seg[i]);
     const std::string_view v(k);
     if (write)
       for (std::size_t j = 0; j < WT::word_count; ++j)
         seg[i].word[j] = WT::codec::encode_word(v, j, off);
-    return v;
+    return cap < decided ? cap : string_first_divergence(v0, v, off, cap);
   };
+  // Keys [lo, hi); true when it scanned them all before a split was
+  // known, writing none of them in parallel.
   const auto block = [&](std::size_t lo, std::size_t hi) {
     std::size_t cap = min_d.load(std::memory_order_relaxed);
     std::size_t i = lo;
     for (; i < hi && cap >= decided; ++i) {
-      const std::size_t d =
-          string_first_divergence(v0, refill(i, !parallel), off, cap);
-      cap = d < cap ? fetch_extreme(min_d, d, std::less<>())
+      const std::size_t d = refill(i, !parallel, cap);
+      cap = d < cap ? fetch_min(min_d, d)
                     : std::min(cap, min_d.load(std::memory_order_relaxed));
     }
-    fetch_extreme(unwritten, i - lo, std::greater<>());
-    for (; i < hi; ++i) refill(i, true);
+    if (cap >= decided) return true;
+    for (std::size_t j = parallel ? lo : i; j < hi; ++j) refill(j, true, 0);
+    return false;
   };
-  const std::size_t nblocks = (n + kProbeBlock - 1) / kProbeBlock;
   if (!parallel) {
     block(0, n);
-  } else {
+    return min_d.load(std::memory_order_relaxed);
+  }
+  const std::size_t nblocks = (n + kProbeBlock - 1) / kProbeBlock;
+  const auto lo_of = [](std::size_t b) { return b * kProbeBlock; };
+  const auto hi_of = [n](std::size_t b) {
+    return std::min(n, (b + 1) * kProbeBlock);
+  };
+  std::vector<char> unwritten(nblocks);
+  par::parallel_for(
+      0, nblocks,
+      [&](std::size_t b) { unwritten[b] = block(lo_of(b), hi_of(b)); }, 1);
+  const std::size_t d = min_d.load(std::memory_order_relaxed);
+  if (d < decided &&
+      std::find(unwritten.begin(), unwritten.end(), 1) != unwritten.end())
     par::parallel_for(
         0, nblocks,
         [&](std::size_t b) {
-          block(b * kProbeBlock, std::min(n, (b + 1) * kProbeBlock));
+          if (unwritten[b])
+            for (std::size_t i = lo_of(b); i < hi_of(b); ++i)
+              refill(i, true, 0);
         },
         1);
-    const std::size_t head = unwritten.load(std::memory_order_relaxed);
-    if (min_d.load(std::memory_order_relaxed) < decided)
-      par::parallel_for(
-          0, nblocks,
-          [&](std::size_t b) {
-            const std::size_t lo = b * kProbeBlock;
-            const std::size_t hi = std::min(n, lo + head);
-            for (std::size_t i = lo; i < hi; ++i) refill(i, true);
-          },
-          1);
-  }
-  return min_d.load(std::memory_order_relaxed);
+  return d;
 }
 
 // The cached-word radix finish of one segment of encode-once string

@@ -485,21 +485,25 @@ TEST(StringEngine, UrlKeysProbeAcrossManyBlocks) {
 }
 
 TEST(StringEngine, ProbeFindsTheEarliestDivergenceInAnyBlock) {
-  // One tied segment of 4 probe blocks: every key equals the others
-  // through byte 60 except the keys of ONE block, which differ already at
-  // byte 20. A probe that trusted any single block's minimum would skip
-  // past byte 20 and mis-sort them.
+  // One tied segment of 4 refill blocks (block c covers keys [c*B, (c+1)*B)):
+  // every key equals key 0 through byte 60 except the keys of ONE block,
+  // which differ from it already at byte 20 (key 0 itself stays tied, so
+  // in block 0 the differing keys are [1, B)). A refill that trusted any
+  // single block's minimum would skip past byte 20 and mis-sort them, and
+  // so would one that left the words of a block that finished scanning
+  // before the split was found: the shared bytes vary, so the words the
+  // slots held before the refill differ from the refilled ones.
   constexpr std::size_t kBlocks = 4;
-  constexpr std::size_t kN = kBlocks * detail::kProbeBlock + 1;
+  constexpr std::size_t kB = detail::kProbeBlock;
+  constexpr std::size_t kN = kBlocks * kB;
+  std::string shared(60, ' ');
+  for (std::size_t j = 0; j < shared.size(); ++j)
+    shared[j] = static_cast<char>('a' + j % 26);
   for (std::size_t b = 0; b < kBlocks; ++b) {
-    std::vector<std::string> keys(kN, std::string(60, 'q'));
+    std::vector<std::string> keys(kN, shared);
     for (std::size_t i = 0; i < kN; ++i) {
       keys[i] += digits(rnd(i + 7 * b) % 50, 2);
-      // The differing keys [1 + b*B, 1 + (b+1)*B) reach into refill blocks b
-  // and b + 1 (block c covers [c*B, (c+1)*B)); every other block sees
-  // the keys tied through byte 60.
-      if (i >= 1 + b * detail::kProbeBlock &&
-          i < 1 + (b + 1) * detail::kProbeBlock)
+      if (i >= std::max<std::size_t>(1, b * kB) && i < (b + 1) * kB)
         keys[i][20] = static_cast<char>('a' + rnd(i) % 20);
     }
     expect_stable_everywhere(keys, 64);
@@ -713,6 +717,37 @@ TEST(StringEngine, ThrowingKeyInTheContinuationLeavesInputUnchanged) {
       EXPECT_EQ(v, input) << where;
       dovetail::sort(std::span<std::string>(v), opt);
       EXPECT_EQ(v, ref) << where;
+    }
+  }
+}
+
+TEST(StringEngine, KeyReturnedByValueInTheContinuation) {
+  // A key functor that returns a copy of the record's std::string: every
+  // key the continuation reads dies at the end of the read. Three groups
+  // of ~2000 keys tie through 72 bytes (past the materialized prefix and
+  // far past the small-string buffer), so base case 64 takes the parallel
+  // refill of large segments and base case kN the sequential refill inside
+  // the radix finish of one small segment; either must scan each key while
+  // it is alive (run under ASan to see a dangling read).
+  constexpr std::size_t kN = 6000;
+  std::vector<std::string> keys(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    keys[i] = std::string(40, 'v') + digits(rnd(i) % 3, 1) +
+              std::string(31, 'w') + digits(rnd(i + 1) % 500, 2);
+  const auto input = tag(keys);
+  const auto ref = stable_ref(input);
+  const auto by_value = [](const tagged& t) { return t.key; };
+  for (const int threads : {1, 4}) {
+    for (const std::size_t base_case : {std::size_t{64}, kN}) {
+      sort_workspace ws;
+      auto_sort_options opt;
+      opt.workspace = &ws;
+      opt.num_threads = threads;
+      opt.policy.wide_segment_base_case = base_case;
+      auto v = input;
+      dovetail::sort(std::span<tagged>(v), by_value, opt);
+      EXPECT_TRUE(v == ref) << "threads=" << threads
+                            << " base_case=" << base_case;
     }
   }
 }
