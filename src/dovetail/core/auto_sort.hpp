@@ -8,7 +8,8 @@
 // (wide_sort.hpp). This header decides how a typed key reaches them, in
 // ONE router (detail::sort_windows) shared by dovetail::sort and the
 // queries of order_stats.hpp, which pass their rank windows where a sort
-// passes [0, n):
+// passes [0, n) (a fused single-word sort calls the router's fused step,
+// detail::sort_fused_word, directly):
 //   * cheap single-word codecs (all built-ins) on trivially copyable
 //     records FUSE the encode into the key function, so every kernel, the
 //     sketch and the dispatch operate on encoded keys with no extra pass
@@ -318,20 +319,45 @@ sort_kernel sort_arrays(std::span<A> a, std::span<B> b, const KeyAt& key_at,
   return k;
 }
 
-// The one router behind dovetail::sort and every order-statistics query
-// (order_stats.hpp): rearrange `data` so each of the `windows` (sorted,
-// disjoint, clipped to [0, n); the single window [0, n) for a sort) holds
-// its slice of the stable order by key(record). Returns the root kernel.
-//   * Fused single-word — cheap single-word codecs on trivially copyable
-//     records: a sort hands the caller's functor (or its encoded_key_fn
-//     wrapper) straight to the dispatcher, with no added pass, lease or
-//     allocation — the functor type is what marks pure-key spans for the
-//     in-place kernel; a query runs the driver's one-word case, the rank
-//     selector on word 0.
+// Cheap codecs on trivially copyable records fuse the encode into every
+// key access, with no added pass, lease or allocation — except the string
+// codec, whose continuation refills words into encode-once records.
+template <typename Rec, typename K>
+inline constexpr bool kFused = std::is_trivially_copyable_v<Rec> &&
+                               wide_key_traits<K>::cheap &&
+                               !wide_key_traits<K>::offset_encodable;
+
+// The fused single-word sort: the caller's functor (or its encoded_key_fn
+// wrapper) goes straight to the dispatcher, so kernels, sketch and
+// dispatch all see encoded keys; records are scattered as-is and never
+// decoded. Identity codecs (unsigned keys) skip even the encode wrapper.
+// The named wrapper (not a lambda) keeps the purity of the inner functor
+// visible to the dispatcher: encoded_key_fn over a pure-key functor is
+// itself pure-key (is_pure_key_fn_v), which is what lets plain
+// signed/float spans use the in-place kernel.
+template <typename Rec, typename KeyFn>
+sort_kernel sort_fused_word(std::span<Rec> data, const KeyFn& key,
+                            const auto_sort_options& opt) {
+  using K =
+      std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
+  if constexpr (codec_traits<K>::identity)
+    return sort_unsigned(data, key, opt);
+  else
+    return sort_unsigned(
+        data, encoded_key_fn<typename codec_traits<K>::codec, KeyFn>{key},
+        opt);
+}
+
+// The one router behind every order-statistics query (order_stats.hpp)
+// and every dovetail::sort that is not a fused single-word sort:
+// rearrange `data` so each of the `windows` (sorted, disjoint, clipped to
+// [0, n); the single window [0, n) for a sort) holds its slice of the
+// stable order by key(record). Returns the root kernel.
+//   * Fused single-word: a sort is sort_fused_word (the functor type is
+//     what marks pure-key spans for the in-place kernel); a query runs the
+//     driver's one-word case, the rank selector on word 0.
 //   * Fused wide — cheap wide codecs on trivially copyable records: the
-//     segment driver re-derives each word from the records. String keys
-//     are excluded: their continuation refills words into encode-once
-//     records.
+//     segment driver re-derives each word from the records.
 //   * Everything else takes the encode-once route with one record kernel.
 template <typename Rec, typename KeyFn>
 sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
@@ -339,28 +365,12 @@ sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
                          const auto_sort_options& opt) {
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
-  using WT = wide_key_traits<K>;
-  constexpr bool fused = std::is_trivially_copyable_v<Rec> && WT::cheap &&
-                        !WT::offset_encodable;
-  if constexpr (fused && WT::single_word) {
-    if (covers_all(windows, data.size())) {
-      // Kernels, sketch and dispatch all see encoded keys; records are
-      // scattered as-is and never decoded. Identity codecs (unsigned keys)
-      // skip even the encode wrapper. The named wrapper (not a lambda)
-      // keeps the purity of the inner functor visible to the dispatcher:
-      // encoded_key_fn over a pure-key functor is itself pure-key
-      // (is_pure_key_fn_v), which is what lets plain signed/float spans
-      // use the in-place kernel.
-      if constexpr (codec_traits<K>::identity)
-        return sort_unsigned(data, key, opt);
-      else
-        return sort_unsigned(
-            data, encoded_key_fn<typename codec_traits<K>::codec, KeyFn>{key},
-            opt);
-    }
+  if constexpr (kFused<Rec, K> && wide_key_traits<K>::single_word) {
+    if (covers_all(windows, data.size()))
+      return sort_fused_word(data, key, opt);
   }
   const call_scope call(opt);
-  if constexpr (fused) {
+  if constexpr (kFused<Rec, K>) {
     return refine_fused(data, key, windows, call.opt());
   } else {
     // Also the route for string keys and for non-trivially-copyable
@@ -395,8 +405,8 @@ sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
 // Guarantees:
 //   * Stable, whatever kernel runs (every kernel is stable; the dispatcher
 //     never selects the unstable scatter).
-//   * Deterministic for fixed seeds (opt.seed, opt.sketch.seed): the sketch,
-//     the dispatch and every kernel are deterministic.
+//   * Deterministic: the sketch, the dispatch and every kernel draw from
+//     fixed seeds, so the same input always takes the same route.
 //   * Within a few percent of the best hand-picked kernel across the
 //     BENCH_suite.json scenario matrix — measured, not promised: the
 //     bench_suite "auto" family re-checks it on every run (see
@@ -421,8 +431,14 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
       "packed width), a 128-bit integer, std::string/string_view, or "
       "specialize dovetail::key_codec<K> (see core/key_codec.hpp)");
   detail::note_entry<K>(opt.stats, sort_entry::sort);
-  const rank_window all{0, data.size()};
-  return detail::sort_windows(data, key, {&all, 1}, opt);
+  // Compiled apart from the router, so a fused sort does not instantiate
+  // the query and wide-key machinery it can never reach.
+  if constexpr (detail::kFused<Rec, K> && wide_key_traits<K>::single_word) {
+    return detail::sort_fused_word(data, key, opt);
+  } else {
+    const rank_window all{0, data.size()};
+    return detail::sort_windows(data, key, {&all, 1}, opt);
+  }
 }
 
 // Convenience overload for spans of plain keys — unsigned (as before) or

@@ -28,12 +28,13 @@
 //   dtsort    — dovetail_sort with auto gamma and the overflow-bucket range
 //               trick: the heavy-duplicate / wide-key workhorse.
 //
-// The default thresholds are derived from the committed BENCH_suite.json
-// baseline and cross-checked by the bench_suite "auto" family; docs/
-// TUNING.md walks through the evidence behind each one and how to re-derive
-// them on your machine. policy::always(kernel) pins a kernel (parameter
-// tuning still applies) — that is what the "auto" benchmarks use to compare
-// the dispatcher against every hand-picked kernel.
+// The routing thresholds are constants of dispatch_policy, derived from the
+// committed BENCH_suite.json baseline and cross-checked by the bench_suite
+// "auto" family; docs/TUNING.md walks through the evidence behind each one
+// and how to re-derive them on your machine (edit the constant, rebuild).
+// policy::always(kernel) pins a kernel (parameter tuning still applies) —
+// that is what the "auto" benchmarks use to compare the dispatcher against
+// every hand-picked kernel.
 //
 // This is the single-word layer every other entry point builds on: the
 // MSD segment driver (wide_sort.hpp) and its rank selector
@@ -153,29 +154,25 @@ struct kernel_plan {
   const char* reason = "";  // the rule that fired (for logs/debugging)
 };
 
-// The pluggable routing policy. Every threshold is a public field so a
-// deployment can re-derive them for its hardware (docs/TUNING.md has the
-// recipe); the defaults are fitted to the committed BENCH_suite.json
-// baseline. `policy::always(k)` skips the kernel choice but keeps the
-// sketch-driven parameter tuning, so pinned kernels in benchmarks run
-// exactly what the dispatcher would run.
+// The routing policy. The thresholds are compile-time constants fitted to
+// the committed BENCH_suite.json baseline; docs/TUNING.md has the evidence
+// behind each one and the recipe for re-deriving them on other hardware
+// (edit the constant and rebuild). What stays settable is what a caller
+// needs to reach a kernel or a route that the data alone never picks.
+// `policy::always(k)` skips the kernel choice but keeps the sketch-driven
+// parameter tuning, so pinned kernels in benchmarks run exactly what the
+// dispatcher would run.
 struct dispatch_policy {
-  // Forced kernel (policy::always); kernel choice is skipped when set.
-  bool forced = false;
-  sort_kernel forced_kernel = sort_kernel::dtsort;
-
-  // n at or below this sorts with sequential std::stable_sort. The radix
-  // kernels overtake a comparison sort astonishingly early (measured
-  // crossover ~2^9-2^10 records on the baseline box: LSD 7.6us vs
-  // std::stable_sort 4.5us at n=512, and 2x ahead by n=1024), so this only
-  // guards the regime where sketching + workspace setup are not worth it.
-  std::size_t serial_threshold = 512;
-  // The stability contract (enum above): strict keeps every
-  // auto-chosen kernel stable; relaxed certifies the caller cannot observe
-  // the order of equal records, unlocking the unstable in-place kernel for
-  // the memory-budget rule below and for policy::always(inplace) on
+  // The kernel policy::always pins; kernel choice is skipped when set.
+  std::optional<sort_kernel> forced;
+  // The stability contract (enum above): strict keeps every auto-chosen
+  // kernel stable; relaxed certifies the caller cannot observe the order
+  // of equal records, unlocking the unstable in-place kernel for the
+  // memory-budget rule below and for policy::always(inplace) on
   // payload-carrying records. Pure-key records (detected from the key
-  // functor, input_sketch::pure_key_records) never need relaxed.
+  // functor, input_sketch::pure_key_records) never need relaxed. Settable
+  // because, with memory_budget_bytes, it is the only way the in-place
+  // kernel is chosen automatically.
   stability stability_mode = stability::strict;
   // Peak extra workspace the caller will tolerate, in bytes; 0 = no budget.
   // When the out-of-place kernels' O(n) record ping-pong lease
@@ -183,63 +180,19 @@ struct dispatch_policy {
   // keys or relaxed), the dispatcher routes to the in-place kernel, whose
   // scratch is O(2^gamma * block) — see core/inplace_sort.hpp and
   // sort_stats::peak_workspace_bytes for the measured high-water mark.
+  // Settable because no sketch reveals the caller's memory limit.
   std::size_t memory_budget_bytes = 0;
-  // Try the run-merge kernel when no sampled adjacent pair descends (or
-  // none ascends — reverse-sorted). Confirmed by an exact run scan; inputs
-  // with more than run_merge_max_runs(n) runs fall through to the radix
-  // kernels, where merging would cost more than O(n sqrt(log r)) work.
-  // 0 = auto: max(64, 4 log2 n) runs, i.e. merge depth ≲ log2 log-ish n.
-  std::size_t run_merge_max_runs = 0;
-  // One-pass counting sort when the exact key range (max - min) is at most
-  // this. The competitor is not a full-width radix sort but LSD over the
-  // *detected* bits — two 8-bit passes for any range up to 2^16 — so the
-  // single pass only wins while its bucket cursors stay cache-resident:
-  // measured crossover ~2^12 (n=1e6: counting 7.9ms vs LSD 11.3ms at range
-  // 2^10, 14.4 vs 11.2 by 2^13).
-  std::size_t counting_max_range = std::size_t{1} << 12;
-  // Duplicate regime => dtsort (heavy-key buckets skip all recursion,
-  // Thm 4.6/4.7): fires when the most frequent sampled key exceeds
-  // dtsort_top_freq, or when the sample is nearly all duplicates
-  // (distinct_ratio below dtsort_distinct_ratio), or when key_bits is
-  // large (see lsd_max_key_bits). Evidence: BENCH_suite.json table3-32
-  // rows Unif-10 / BExp-100 / BExp-300 (DTSort 2-4x over LSD) vs
-  // Zipf-1.5 / BExp-30 (LSD ahead; top_freq below the bar).
-  double dtsort_top_freq = 0.45;
-  double dtsort_distinct_ratio = 0.05;
-  // Moderate-duplicate tier, consulted only after the digit-skew rule: a
-  // top key above ~20% (Zipf s >= ~1.5) is worth a heavy bucket even on
-  // 32-bit keys (BENCH_auto.json: Zipf-1.5/32 DTSort 22ms vs LSD 32ms),
-  // but bitwise-skewed inputs with a moderate top key (BExp-30/32,
-  // top ~34%) still belong to direct-scatter LSD — hence the ordering.
-  double dtsort_mid_top_freq = 0.20;
-  // Low-digit skew => LSD with direct stores: when one byte value owns
-  // this share of the sampled low digit, few scatter cursors are hot and
-  // buffered staging only adds copies (BENCH_suite.json: BExp-10/30 LSD
-  // beats RD by 1.3-1.6x; hashed-uniform digits favour buffered).
-  double direct_digit_share = 0.25;
-  // Keys at most this wide with no duplicate/skew signal go to LSD: at
-  // most 4 fixed passes (3 where tune() plans 11-bit digits, see
-  // kLsdDigits), which beat MSD recursion on every 32-bit BENCH_suite.json
-  // instance outside the duplicate regime. Wider keys default to dtsort
-  // (the paper's 64-bit headline, Tab 3 right).
-  int lsd_max_key_bits = 32;
-  // n at or below this runs the chosen kernel single-threaded even when
-  // more workers are available: below the crossover, fork/join setup, the
-  // per-block counting matrices and the extra cache traffic of a parallel
-  // distribution cost more than they save. Like every threshold here the
-  // default is fitted to the committed baselines (docs/TUNING.md has the
-  // re-derivation recipe and the evidence); the serial/parallel decision
-  // lands in sort_stats::chosen_parallelism, the kernel's twin snapshot.
-  std::size_t parallel_crossover_n = std::size_t{1} << 15;
   // Wide (multi-word) keys, sorts and queries alike: the segment driver's
   // per-segment base case — equal-prefix segments at or below this size
   // finish in one sequential step instead of re-entering the radix front
-  // door (wide_sort.hpp): a cache-resident radix pass over words
-  // refilled into the encode-once records for string keys, one stable
-  // comparison sort over the remaining words otherwise. A segment must amortise a full dispatch +
-  // distribution pass to be worth sending through the front door again;
-  // below ~2^15 records the sequential finish — run in parallel ACROSS
-  // segments — wins on every wide BENCH_wide.json instance.
+  // door (wide_sort.hpp): a cache-resident radix pass over words refilled
+  // into the encode-once records for string keys, one stable comparison
+  // sort over the remaining words otherwise. A segment must amortise a
+  // full dispatch + distribution pass to be worth sending through the
+  // front door again; below ~2^15 records the sequential finish — run in
+  // parallel ACROSS segments — wins on every wide BENCH_wide.json
+  // instance. Settable so tests reach the string continuation and the
+  // parallel segment path at small n.
   std::size_t wide_segment_base_case = std::size_t{1} << 15;
   // Order-statistics queries (core/order_stats.hpp) only: the rank
   // selector's base case within one word (core/rank_select.hpp) — a
@@ -250,9 +203,55 @@ struct dispatch_policy {
   // (the next pass touches only the window straddlers), so another
   // distribution pass stays profitable on segments far below the size
   // where a full-sort refinement would give up — the query-topk bench
-  // family is the evidence, same recipe as every threshold here
-  // (docs/TUNING.md).
+  // family is the evidence. Settable so tests reach the pruned selection
+  // at small n.
   std::size_t select_base_case = std::size_t{1} << 11;
+
+  // n at or below this sorts with sequential std::stable_sort. The radix
+  // kernels overtake a comparison sort astonishingly early (measured
+  // crossover ~2^9-2^10 records on the baseline box: LSD 7.6us vs
+  // std::stable_sort 4.5us at n=512, and 2x ahead by n=1024), so this only
+  // guards the regime where sketching + workspace setup are not worth it.
+  static constexpr std::size_t serial_threshold = 512;
+  // One-pass counting sort when the exact key range (max - min) is at most
+  // this. The competitor is not a full-width radix sort but LSD over the
+  // *detected* bits — two 8-bit passes for any range up to 2^16 — so the
+  // single pass only wins while its bucket cursors stay cache-resident:
+  // measured crossover ~2^12 (n=1e6: counting 7.9ms vs LSD 11.3ms at range
+  // 2^10, 14.4 vs 11.2 by 2^13).
+  static constexpr std::size_t counting_max_range = std::size_t{1} << 12;
+  // Duplicate regime => dtsort (heavy-key buckets skip all recursion,
+  // Thm 4.6/4.7): fires when the most frequent sampled key exceeds
+  // dtsort_top_freq, or when the sample is nearly all duplicates
+  // (distinct_ratio below dtsort_distinct_ratio), or when key_bits is
+  // large (see lsd_max_key_bits). Evidence: BENCH_suite.json table3-32
+  // rows Unif-10 / BExp-100 / BExp-300 (DTSort 2-4x over LSD) vs
+  // Zipf-1.5 / BExp-30 (LSD ahead; top_freq below the bar).
+  static constexpr double dtsort_top_freq = 0.45;
+  static constexpr double dtsort_distinct_ratio = 0.05;
+  // Moderate-duplicate tier, consulted only after the digit-skew rule: a
+  // top key above ~20% (Zipf s >= ~1.5) is worth a heavy bucket even on
+  // 32-bit keys (BENCH_auto.json: Zipf-1.5/32 DTSort 22ms vs LSD 32ms),
+  // but bitwise-skewed inputs with a moderate top key (BExp-30/32,
+  // top ~34%) still belong to direct-scatter LSD — hence the ordering.
+  static constexpr double dtsort_mid_top_freq = 0.20;
+  // Low-digit skew => LSD with direct stores: when one byte value owns
+  // this share of the sampled low digit, few scatter cursors are hot and
+  // buffered staging only adds copies (BENCH_suite.json: BExp-10/30 LSD
+  // beats RD by 1.3-1.6x; hashed-uniform digits favour buffered).
+  static constexpr double direct_digit_share = 0.25;
+  // Keys at most this wide with no duplicate/skew signal go to LSD: at
+  // most 4 fixed passes (3 where tune() plans 11-bit digits, see
+  // kLsdDigits), which beat MSD recursion on every 32-bit BENCH_suite.json
+  // instance outside the duplicate regime. Wider keys default to dtsort
+  // (the paper's 64-bit headline, Tab 3 right).
+  static constexpr int lsd_max_key_bits = 32;
+  // n at or below this runs the chosen kernel single-threaded even when
+  // more workers are available: below the crossover, fork/join setup, the
+  // per-block counting matrices and the extra cache traffic of a parallel
+  // distribution cost more than they save. The serial/parallel decision
+  // lands in sort_stats::chosen_parallelism, the kernel's twin snapshot.
+  static constexpr std::size_t parallel_crossover_n = std::size_t{1} << 15;
 
   // The decision tree. `disallow` is a bitmask of sort_kernel values the
   // caller has ruled out (the dispatcher uses it when a cheap-branch
@@ -317,7 +316,7 @@ struct dispatch_policy {
   // Sketch-driven parameter tuning, applied to chosen and forced kernels
   // alike (so policy::always benchmarks measure the kernel the dispatcher
   // would actually run).
-  void tune(kernel_plan& p, const input_sketch& s) const {
+  static void tune(kernel_plan& p, const input_sketch& s) {
     p.parallelism =
         p.kernel == sort_kernel::std_sort ? 1 : plan_parallelism(s.n);
     if (p.kernel == sort_kernel::lsd) {
@@ -336,12 +335,15 @@ struct dispatch_policy {
   // which is sequential regardless), else every worker the scope allows —
   // par::effective_workers(), which already reflects the per-call
   // auto_sort_options::num_threads cap.
-  [[nodiscard]] int plan_parallelism(std::size_t n) const {
+  [[nodiscard]] static int plan_parallelism(std::size_t n) {
     return n <= parallel_crossover_n ? 1 : par::effective_workers();
   }
 
-  [[nodiscard]] std::size_t max_merge_runs(std::size_t n) const {
-    if (run_merge_max_runs != 0) return run_merge_max_runs;
+  // Run-merge is confirmed by an exact run scan: inputs with more runs
+  // than this fall through to the radix kernels, where merging would cost
+  // more than O(n sqrt(log r)) work — max(64, 4 log2 n) runs keeps the
+  // merge depth near log2 log n.
+  [[nodiscard]] static std::size_t max_merge_runs(std::size_t n) {
     return std::max<std::size_t>(
         64, 4 * static_cast<std::size_t>(
                     ceil_log2(std::max<std::size_t>(2, n))));
@@ -360,8 +362,7 @@ inline dispatch_policy automatic() { return {}; }
 // range would need an infeasibly large counting matrix.
 inline dispatch_policy always(sort_kernel k) {
   dispatch_policy p;
-  p.forced = true;
-  p.forced_kernel = k;
+  p.forced = k;
   return p;
 }
 
@@ -373,8 +374,6 @@ inline dispatch_policy always(sort_kernel k) {
 // workspace.
 struct auto_sort_options {
   dispatch_policy policy{};
-  sketch_options sketch{};                // sample/probe budget and seed
-  std::uint64_t seed = 42;                // dtsort kernel determinism seed
   // Per-call parallelism cap, same contract as sort_options::num_threads:
   // 0 = all scheduler workers; 1 = run the whole call on the calling
   // thread (exact); 2..p caps forking/granularity decisions while actual
@@ -514,8 +513,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
         static_cast<std::uint64_t>(par::effective_workers()),
         std::memory_order_relaxed);
 
-  input_sketch sk =
-      sketch_input(std::span<const Rec>(data.data(), n), key, opt.sketch);
+  input_sketch sk = sketch_input(std::span<const Rec>(data.data(), n), key);
   // Type-level facts the sampling pass cannot know: the record footprint
   // (drives the memory-budget rule) and whether equal encoded keys imply
   // byte-identical records (makes the unstable in-place kernel safe).
@@ -559,8 +557,8 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   for (;;) {
     kernel_plan plan;
     if (opt.policy.forced) {
-      plan.kernel = opt.policy.forced_kernel;
-      opt.policy.tune(plan, sk);
+      plan.kernel = *opt.policy.forced;
+      dispatch_policy::tune(plan, sk);
     } else {
       plan = opt.policy.choose(sk, disallow);
     }
@@ -594,7 +592,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
         }
         if (st != nullptr)
           st->sketch_runs.store(runs, std::memory_order_relaxed);
-        if (!opt.policy.forced && runs > opt.policy.max_merge_runs(n)) {
+        if (!opt.policy.forced && runs > dispatch_policy::max_merge_runs(n)) {
           // The probes lied (descents exist but were all missed, or the
           // reversal bailed): rule the branch out and re-dispatch.
           disallow |= 1U << static_cast<int>(sort_kernel::run_merge);
@@ -618,7 +616,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
             throw std::invalid_argument(
                 "dovetail::sort: policy::always(counting) needs an exact "
                 "key range below 2^20");
-        } else if (range > opt.policy.counting_max_range) {
+        } else if (range > dispatch_policy::counting_max_range) {
           // Rare keys above the sampled range (the overflow phenomenon of
           // Sec 5) made the estimate optimistic: re-dispatch without the
           // counting branch.
@@ -645,7 +643,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
       case sort_kernel::dtsort: {
         record_choice(plan);
         sort_options dopt;
-        dopt.seed = opt.seed;
         dopt.workspace = &ws;
         dopt.stats = st;
         dovetail_sort(data, key, dopt);

@@ -23,7 +23,7 @@
 //
 // Everything is a deterministic function of (seed, position), so a sketch —
 // and hence every dispatch decision built on it — is reproducible. Cost is
-// O(samples log samples + probes) with ~1.5k random reads at the defaults:
+// O(samples log samples + probes) with ~1.5k random reads:
 // microseconds, against milliseconds for the cheapest sort of a
 // dispatch-sized input.
 #pragma once
@@ -43,14 +43,14 @@
 
 namespace dovetail {
 
+// The sketch's budget: keys sampled for the range/duplicate statistics
+// (capped at n) and adjacent pairs probed for the order statistics (capped
+// at n - 1). The heavy-key rule subsamples at subsample_stride(n), the
+// stride dovetail_sort uses.
+inline constexpr std::size_t kSketchSamples = 1024;
+inline constexpr std::size_t kSketchProbes = 512;
+
 struct sketch_options {
-  // Keys sampled for the range/duplicate statistics (capped at n).
-  std::size_t max_samples = 1024;
-  // Adjacent pairs probed for the order statistics (capped at n - 1).
-  std::size_t max_probes = 512;
-  // Subsample stride for the heavy-key rule of sampling.hpp; 0 = auto
-  // (subsample_stride(n), the stride dovetail_sort uses).
-  std::size_t sample_stride = 0;
   // Seed for the deterministic sample/probe positions.
   std::uint64_t seed = 42;
 };
@@ -168,12 +168,10 @@ input_sketch sketch_input(std::span<const Rec> data, const KeyFn& key,
   // sampling scheme dovetail_sort runs internally (sampling.hpp): same
   // positions for the same seed, so the sketch predicts what the sort
   // would itself detect.
-  const std::size_t ns = std::min(s.n, std::max<std::size_t>(1, opt.max_samples));
-  const std::size_t stride =
-      opt.sample_stride != 0 ? opt.sample_stride : subsample_stride(s.n);
+  const std::size_t ns = std::min(s.n, kSketchSamples);
   std::vector<std::uint64_t> sample;
   const sample_result sr =
-      sample_keys(data, keyof, ~std::uint64_t{0}, ns, stride,
+      sample_keys(data, keyof, ~std::uint64_t{0}, ns, subsample_stride(s.n),
                   /*detect_heavy=*/true, opt.seed, &sample);
   s.heavy_keys = sr.heavy_keys.size();
   s.num_samples = sr.num_samples;
@@ -202,7 +200,7 @@ input_sketch sketch_input(std::span<const Rec> data, const KeyFn& key,
   // the sample gather, the probes are latency-bound random reads: the part
   // of the o(n) pre-work worth spreading across workers.
   if (s.n >= 2) {
-    s.probes = std::min(s.n - 1, std::max<std::size_t>(1, opt.max_probes));
+    s.probes = std::min(s.n - 1, kSketchProbes);
     struct tally {
       std::size_t asc = 0, eq = 0, desc = 0;
     };

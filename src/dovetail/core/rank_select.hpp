@@ -48,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,7 +57,6 @@
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/primitives.hpp"
-#include "dovetail/util/simd.hpp"
 
 namespace dovetail {
 
@@ -105,12 +103,6 @@ inline bool covers_all(std::span<const rank_window> windows, std::size_t n) {
 template <typename Rec, typename Less>
 void stable_segment_sort(std::span<Rec> a, const Less& less) {
   if (a.size() <= 32) {
-    // Tiniest segments first try the branchless fixed-comparator network
-    // (util/simd.hpp): same stable permutation as the insertion sort,
-    // byte-identical output, no data-dependent branches.
-    if constexpr (std::is_trivially_copyable_v<Rec>) {
-      if (simd::stable_network_sort(a, less)) return;
-    }
     for (std::size_t i = 1; i < a.size(); ++i) {
       Rec x = std::move(a[i]);
       std::size_t j = i;

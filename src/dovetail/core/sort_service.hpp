@@ -22,13 +22,12 @@
 //     shared pool keeps their workspaces warm.
 //
 // Determinism: the front door is deterministic per call for a fixed
-// (policy, seed) regardless of worker count, so a batched run is
-// byte-identical to sorting each request serially one at a time.
+// policy regardless of worker count, so a batched run is byte-identical to
+// sorting each request serially one at a time.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -77,7 +76,6 @@ struct sort_request {
 // Batch-level options for sort_batch.
 struct service_options {
   dispatch_policy policy{};
-  std::uint64_t seed = 42;  // per-request front-door determinism seed
   // Cap on requests in flight (a scoped worker limit around the batch):
   // 0 = all scheduler workers. Per-request num_threads nests inside it.
   int concurrency = 0;
@@ -110,7 +108,6 @@ void sort_batch(std::span<sort_request<Rec, KeyFn>> requests,
         workspace_pool::handle ws = pool.checkout();
         auto_sort_options aopt;
         aopt.policy = opt.policy;
-        aopt.seed = opt.seed;
         aopt.num_threads = req.num_threads;
         aopt.workspace = ws.get();
         aopt.pool = &pool;

@@ -20,7 +20,7 @@
 // Byte-identical contract: finish() returns exactly the record sequence
 // dovetail::sort would produce on the concatenation of the chunks. Three
 // properties make that hold (test_stream_sort.cpp exercises each edge):
-//   1. each chunk is sorted by the same front door (same policy/seed);
+//   1. each chunk is sorted by the same front door (same policy);
 //   2. the merge comparator reproduces the front door's total preorder —
 //      the codec word sequence (wide_key_traits) compared most-significant
 //      word first, with the true-key `<` tie-break that the wide refine
@@ -86,7 +86,6 @@ struct codec_order_less {
 // Options for stream_sorter; the front-door knobs match auto_sort_options.
 struct stream_options {
   dispatch_policy policy{};
-  std::uint64_t seed = 42;
   // Parallelism cap for chunk sorts and the finish() merge (0 = inherit;
   // scoped-limit contract, composes by min).
   int num_threads = 0;
@@ -186,7 +185,6 @@ class stream_sorter {
     workspace_pool::handle ws = p.checkout();
     auto_sort_options aopt;
     aopt.policy = opt_.policy;
-    aopt.seed = opt_.seed;
     aopt.num_threads = opt_.num_threads;
     aopt.workspace = ws.get();
     aopt.pool = &p;

@@ -12,8 +12,8 @@
 //     runtime so the byte-identity pins (scalar vs SIMD output) can compare
 //     both paths inside one process.
 //
-// Three families of helpers, matching the two hottest loops named by the
-// ROADMAP item plus the in-place kernel's histogram:
+// Two families of helpers: the distribution engine's counting loops and the
+// in-place kernel's raw-key base case:
 //   * histogram_u16 / histogram_digit — bucket counting. The vector paths
 //     widen 8/16 lanes per load and split the `++count[bucket]` increments
 //     across four interleaved sub-histograms (the serial dependency on a
@@ -24,12 +24,6 @@
 //     networks for tiny pure-key base cases (<= 32 x u32, <= 16 x u64).
 //     Pure keys have a unique sorted byte sequence, so any correct network
 //     is byte-identical to any correct sort.
-//   * stable_network_sort(records, less) — a fixed Batcher schedule over
-//     (record, input position): position breaks ties, making the comparator
-//     a strict total order, so the network's output is exactly the stable
-//     permutation — byte-identical to insertion sort — while executing a
-//     data-independent comparator schedule (no branch misprediction on the
-//     shuffled segments wide_refine feeds it).
 #pragma once
 
 #include <atomic>
@@ -37,7 +31,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <type_traits>
 
 #if !defined(DOVETAIL_DISABLE_SIMD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -253,42 +246,6 @@ inline void histogram_digit(const std::uint64_t* keys, std::size_t n,
 #endif
   for (std::size_t i = 0; i < n; ++i) ++counts[(keys[i] >> shift) & mask];
 }
-
-// ---------------------------------------------------------------------------
-// Batcher odd-even mergesort comparator schedule, truncated to n wires.
-// The network is generated for next_pow2(n) wires; a comparator whose upper
-// wire is >= n is a provable no-op against the implicit +infinity padding
-// (the max would stay on the missing wire), so it is simply skipped —
-// truncation preserves correctness for every n.
-
-namespace detail {
-
-template <typename Emit>
-inline void batcher_merge(std::size_t lo, std::size_t cnt, std::size_t r,
-                          std::size_t n, const Emit& emit) {
-  const std::size_t step = r * 2;
-  if (step < cnt) {
-    batcher_merge(lo, cnt, step, n, emit);
-    batcher_merge(lo + r, cnt, step, n, emit);
-    for (std::size_t i = lo + r; i + r < lo + cnt; i += step)
-      if (i + r < n) emit(i, i + r);
-  } else if (lo + r < n) {
-    emit(lo, lo + r);
-  }
-}
-
-// cnt must be a power of two (the wire count); n is the live prefix.
-template <typename Emit>
-inline void batcher_sort(std::size_t lo, std::size_t cnt, std::size_t n,
-                         const Emit& emit) {
-  if (cnt <= 1) return;
-  const std::size_t m = cnt / 2;
-  batcher_sort(lo, m, n, emit);
-  batcher_sort(lo + m, m, n, emit);
-  batcher_merge(lo, cnt, 1, n, emit);
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // In-register sorting networks for tiny pure-key spans. Return true iff the
@@ -517,50 +474,6 @@ inline bool network_sort(std::span<std::uint64_t> a) {
 #else
   return false;
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Stable sorting network over generic records: a fixed Batcher schedule on
-// an index permutation with position-breaks-ties ordering. Returns true iff
-// it sorted (n <= 16, trivially-copyable records, SIMD level on); the
-// caller keeps its insertion sort as the fallback — and because the
-// tie-broken comparator is a strict total order, both paths produce the
-// identical byte sequence.
-template <typename Rec, typename Less>
-inline bool stable_network_sort(std::span<Rec> a, const Less& less) {
-  static_assert(std::is_trivially_copyable_v<Rec>);
-  const std::size_t n = a.size();
-  if (n > 16 || level() == isa::scalar) return false;
-  if (n < 2) return true;
-  // Fast path: wide_refine's segments are usually runs of equal keys — a
-  // sortedness scan is n-1 compares vs the network's fixed ~4n.
-  bool sorted = true;
-  for (std::size_t i = 1; i < n; ++i)
-    if (less(a[i], a[i - 1])) {
-      sorted = false;
-      break;
-    }
-  if (sorted) return true;
-  std::uint8_t idx[16];
-  for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint8_t>(i);
-  std::size_t p2 = 1;
-  while (p2 < n) p2 <<= 1;
-  detail::batcher_sort(0, p2, n, [&](std::size_t i, std::size_t j) {
-    const std::uint8_t x = idx[i];
-    const std::uint8_t y = idx[j];
-    // Strict total order: key order, then original position.
-    const bool y_first = less(a[y], a[x]) || (!less(a[x], a[y]) && y < x);
-    if (y_first) {
-      idx[i] = y;
-      idx[j] = x;
-    }
-  });
-  alignas(alignof(Rec)) unsigned char raw[16 * sizeof(Rec)];
-  Rec* tmp = reinterpret_cast<Rec*>(raw);
-  for (std::size_t k = 0; k < n; ++k)
-    std::memcpy(tmp + k, &a[idx[k]], sizeof(Rec));
-  std::memcpy(a.data(), tmp, n * sizeof(Rec));
-  return true;
 }
 
 }  // namespace dovetail::simd

@@ -216,16 +216,150 @@ TEST(AutoSortPolicy, ForcedCountingOnWideRangeThrows) {
   opt.policy = policy::always(sort_kernel::counting);
   EXPECT_THROW(dovetail::sort(std::span<kv32>(v), key32, opt),
                std::invalid_argument);
+
+  // At the exact cap: a key range of 2^20 - 1 sorts and 2^20 throws,
+  // serial and parallel alike.
+  constexpr std::uint32_t cap = std::uint32_t{1} << 20;
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    keys[i] = 7 + static_cast<std::uint32_t>(
+                      dovetail::par::rand_range(5, i, cap - 1));
+  keys[100] = 7;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    opt.num_threads = threads;
+    keys[200] = 7 + cap - 1;
+    EXPECT_EQ(sort_and_check(records_from_keys(keys), opt),
+              sort_kernel::counting);
+    keys[200] = 7 + cap;
+    v = records_from_keys(keys);
+    EXPECT_THROW(dovetail::sort(std::span<kv32>(v), key32, opt),
+                 std::invalid_argument);
+  }
 }
 
-TEST(AutoSortPolicy, ThresholdOverridesShiftDecisions) {
-  // Raising the serial threshold reroutes a mid-size input to std_sort.
-  const auto keys = gen::generate_keys<std::uint32_t>(
-      gen::distribution{gen::dist_kind::uniform, 1e9, "Unif-1e9"}, 100'000);
-  auto_sort_options opt;
-  opt.policy.serial_threshold = 1 << 20;
-  EXPECT_EQ(sort_and_check(records_from_keys(keys), opt),
-            sort_kernel::std_sort);
+// ---------------------------------------------------------------------------
+// Every routing constant of dispatch_policy, pinned at its boundary with
+// hand-built sketches fed straight to choose(). A re-fit of a threshold has
+// to change this test on purpose.
+
+namespace {
+
+// A sketch of 10^6 unsorted records whose 1000 samples are all distinct,
+// with 32-bit keys and uniform low digits: the decision tree's
+// "small dense keys" leaf (LSD, buffered scatter). Each case below moves
+// one statistic across one constant.
+input_sketch neutral_sketch() {
+  input_sketch s;
+  s.n = 1'000'000;
+  s.record_bytes = sizeof(kv32);
+  s.num_samples = 1000;
+  s.min_sample = 0;
+  s.max_sample = 0xFFFFFFFFu;
+  s.key_bits = 32;
+  s.distinct_samples = 1000;
+  s.top_count = 1;
+  s.digit_top_count = 4;
+  s.probes = 512;
+  s.asc_probes = 256;
+  s.desc_probes = 256;
+  return s;
+}
+
+sort_kernel route(const input_sketch& s) {
+  return dovetail::dispatch_policy{}.choose(s).kernel;
+}
+
+}  // namespace
+
+TEST(AutoSortPolicy, RoutingConstantsHoldAtTheirBoundaries) {
+  using P = dovetail::dispatch_policy;
+  input_sketch s = neutral_sketch();
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+
+  // n: 512 sorts serially, 513 does not.
+  s.n = 512;
+  EXPECT_EQ(route(s), sort_kernel::std_sort);
+  s.n = 513;
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+
+  // Sampled key range: 2^12 fits one counting pass, 2^12 + 1 does not.
+  s = neutral_sketch();
+  s.min_sample = 1000;
+  s.max_sample = 1000 + (1u << 12);
+  s.key_bits = 13;
+  EXPECT_EQ(route(s), sort_kernel::counting);
+  ++s.max_sample;
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+
+  // Top share 0.45: the heavy-duplicate rule. Skewed low digits catch the
+  // share just below it, so the two sides land on different kernels.
+  s = neutral_sketch();
+  s.distinct_samples = 500;
+  s.digit_top_count = 250;
+  s.top_count = 450;
+  EXPECT_EQ(route(s), sort_kernel::dtsort);
+  s.top_count = 449;
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+
+  // Distinct ratio 0.05: a sample that is nearly all duplicates.
+  s = neutral_sketch();
+  s.top_count = 100;
+  s.digit_top_count = 1;
+  s.distinct_samples = 50;
+  EXPECT_EQ(route(s), sort_kernel::dtsort);
+  s.distinct_samples = 51;
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+
+  // Low-digit share 0.25: LSD with direct stores, even on 64-bit keys.
+  s = neutral_sketch();
+  s.max_sample = ~std::uint64_t{0};
+  s.key_bits = 64;
+  s.digit_top_count = 250;
+  const dovetail::kernel_plan direct = P{}.choose(s);
+  EXPECT_EQ(direct.kernel, sort_kernel::lsd);
+  EXPECT_EQ(direct.scatter, dovetail::scatter_strategy::direct);
+  s.digit_top_count = 249;
+  EXPECT_EQ(route(s), sort_kernel::dtsort);
+  s.max_sample = 0xFFFFFFFFu;
+  s.key_bits = 32;
+  const dovetail::kernel_plan buffered = P{}.choose(s);
+  EXPECT_EQ(buffered.kernel, sort_kernel::lsd);
+  EXPECT_EQ(buffered.scatter, dovetail::scatter_strategy::automatic);
+
+  // Mid top share 0.20: worth a heavy bucket once digit skew is ruled out.
+  s = neutral_sketch();
+  s.top_count = 200;
+  EXPECT_EQ(route(s), sort_kernel::dtsort);
+  s.top_count = 199;
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+
+  // Key bits: 32 stay with LSD, 33 go to DTSort.
+  s = neutral_sketch();
+  EXPECT_EQ(route(s), sort_kernel::lsd);
+  s.max_sample = std::uint64_t{1} << 32;
+  s.key_bits = 33;
+  EXPECT_EQ(route(s), sort_kernel::dtsort);
+
+  // Serial/parallel crossover at 2^15 records.
+  const int workers = dovetail::par::effective_workers();
+  EXPECT_EQ(P::plan_parallelism(std::size_t{1} << 15), 1);
+  EXPECT_EQ(P::plan_parallelism((std::size_t{1} << 15) + 1), workers);
+  s = neutral_sketch();
+  s.n = std::size_t{1} << 15;
+  EXPECT_EQ(P{}.choose(s).parallelism, 1);
+  s.n = (std::size_t{1} << 15) + 1;
+  EXPECT_EQ(P{}.choose(s).parallelism, workers);
+
+  // Run merge: no sampled descent routes there; the run budget is
+  // max(64, 4 ceil(log2 n)).
+  s = neutral_sketch();
+  s.asc_probes = 512;
+  s.desc_probes = 0;
+  EXPECT_EQ(route(s), sort_kernel::run_merge);
+  EXPECT_EQ(P::max_merge_runs(2), 64u);
+  EXPECT_EQ(P::max_merge_runs(std::size_t{1} << 16), 64u);
+  EXPECT_EQ(P::max_merge_runs((std::size_t{1} << 16) + 1), 68u);
+  EXPECT_EQ(P::max_merge_runs(std::size_t{1} << 20), 80u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 // histograms, and the in-register sorting networks.
 //
 // The binding contract throughout is BYTE-IDENTITY with the scalar paths:
-// histograms are exact integer sums, pure-key networks produce the unique
-// sorted sequence, and the stable record network executes a tie-broken
-// strict total order — so every assertion here compares against a plain
+// histograms are exact integer sums and pure-key networks produce the
+// unique sorted sequence — so every assertion here compares against a plain
 // scalar reference, both with the vector units enabled and with
 // force_scalar(true). Under -DDOVETAIL_DISABLE_SIMD (the CI scalar build)
 // the network entry points simply return false and the same assertions
@@ -13,18 +12,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <random>
 #include <span>
 #include <vector>
 
-#include "dovetail/util/record.hpp"
 #include "dovetail/util/simd.hpp"
 
 namespace {
 
 namespace simd = dovetail::simd;
-using dovetail::kv32;
 
 // RAII so a failing assertion cannot leak force_scalar(true) into the
 // next test.
@@ -116,41 +112,6 @@ TEST(SimdNetwork, AllMaxValuesSurvivePadding) {
       for (const std::uint64_t x : v) ASSERT_EQ(x, ~std::uint64_t{0}) << n;
     }
   }
-}
-
-// --- stable record network -------------------------------------------------
-
-TEST(SimdStableNetwork, ByteIdenticalToStableSort) {
-  const auto less = [](const kv32& a, const kv32& b) { return a.key < b.key; };
-  std::mt19937_64 rng(99);
-  for (std::size_t n = 0; n <= 16; ++n) {
-    for (int rep = 0; rep < 16; ++rep) {
-      std::vector<kv32> v(n);
-      for (std::size_t i = 0; i < n; ++i)
-        v[i] = kv32{static_cast<std::uint32_t>(rng() % 4),  // duplicate-heavy
-                    static_cast<std::uint32_t>(i)};
-      std::vector<kv32> want = v;
-      std::stable_sort(want.begin(), want.end(), less);
-      std::vector<kv32> got = v;
-      if (!simd::stable_network_sort(std::span<kv32>(got), less)) {
-        ASSERT_EQ(simd::level(), simd::isa::scalar);
-        continue;
-      }
-      if (n != 0) {
-        ASSERT_EQ(0, std::memcmp(got.data(), want.data(), n * sizeof(kv32)))
-            << "n=" << n << " rep=" << rep;
-      }
-    }
-  }
-}
-
-TEST(SimdStableNetwork, DeclinesOversizedAndScalar) {
-  const auto less = [](const kv32& a, const kv32& b) { return a.key < b.key; };
-  std::vector<kv32> big(17);
-  EXPECT_FALSE(simd::stable_network_sort(std::span<kv32>(big), less));
-  scalar_guard g(true);
-  std::vector<kv32> v{{2, 0}, {1, 1}};
-  EXPECT_FALSE(simd::stable_network_sort(std::span<kv32>(v), less));
 }
 
 // --- histograms ------------------------------------------------------------
