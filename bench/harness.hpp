@@ -171,16 +171,10 @@ void run_warmups(int warmups, RunFn&& one_run) {
   for (int w = 0; w < warmups; ++w) one_run();
 }
 
-// Appends `reps` timed runs to res.times_s; when `stats` is non-null each
-// rep is also recorded via note_timed_run (res.n must be set first).
+// Appends `reps` timed runs to res.times_s.
 template <typename RunFn>
-void run_timed_reps(int reps, scenario_result& res, RunFn&& one_run,
-                    dovetail::sort_stats* stats = nullptr) {
-  for (int r = 0; r < reps; ++r) {
-    const double s = one_run();
-    res.times_s.push_back(s);
-    if (stats != nullptr) stats->note_timed_run(s, res.n);
-  }
+void run_timed_reps(int reps, scenario_result& res, RunFn&& one_run) {
+  for (int r = 0; r < reps; ++r) res.times_s.push_back(one_run());
 }
 
 // Paired A-vs-baseline timing: `reps` interleaved rounds, alternating
@@ -188,26 +182,19 @@ void run_timed_reps(int reps, scenario_result& res, RunFn&& one_run,
 // cache/heap-predecessor effect (e.g. std::stable_sort's allocation churn
 // vs a workspace-resident radix pass) on one variant, the measured 5-15%
 // systematic bias documented in scenarios_auto.hpp. Primary times land in
-// res.times_s (+ note_timed_run when stats is non-null); the baseline's
-// times are returned.
+// res.times_s; the baseline's times are returned.
 template <typename RunA, typename RunB>
 std::vector<double> run_interleaved_reps(int reps, scenario_result& res,
                                          RunA&& run_primary,
-                                         RunB&& run_baseline,
-                                         dovetail::sort_stats* stats) {
+                                         RunB&& run_baseline) {
   std::vector<double> baseline_times;
-  const auto primary = [&] {
-    const double s = run_primary();
-    res.times_s.push_back(s);
-    if (stats != nullptr) stats->note_timed_run(s, res.n);
-  };
   for (int r = 0; r < reps; ++r) {
     if (r % 2 == 0) {
-      primary();
+      res.times_s.push_back(run_primary());
       baseline_times.push_back(run_baseline());
     } else {
       baseline_times.push_back(run_baseline());
-      primary();
+      res.times_s.push_back(run_primary());
     }
   }
   return baseline_times;
@@ -369,7 +356,7 @@ scenario_result run_timed_sort(const run_config& cfg,
   const std::uint64_t reuse0 =
       stats.workspace_reuses.load(std::memory_order_relaxed);
 
-  run_timed_reps(reps, res, one_run, &stats);
+  run_timed_reps(reps, res, one_run);
 
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);

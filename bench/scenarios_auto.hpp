@@ -13,9 +13,10 @@
 //       serial std_sort), pinned against the same candidates.
 //
 // Verification per scenario, on top of the harness's std::sort cross-check
-// for every timed kernel: the dispatcher's decision must be recorded
-// (stats.chosen_kernel) and every pinned run must report exactly the kernel
-// it was pinned to — a silently ignored policy::always fails the suite.
+// for every timed kernel: the dispatcher's decision (the kernel
+// dovetail::sort returns) lands in stats.chosen_kernel, and every pinned
+// run must report exactly the kernel it was pinned to — a silently
+// ignored policy::always fails the suite.
 #pragma once
 
 #include <map>
@@ -138,7 +139,6 @@ scenario_result run_auto_cell(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
 
   res.times_s = vars[0].times_s;  // the scenario's primary time = Auto's
-  for (double s : res.times_s) stats.note_timed_run(s, res.n);
   res.stats["chosen_kernel"] = static_cast<double>(vars[0].ran);
 
   double best_pinned = 0, best_pinned_min = 0;

@@ -79,13 +79,14 @@ scenario_result run_codec_cell(const run_config& rc,
 
   std::vector<Rec> work(input.size());
   dovetail::sort_stats stats;
+  dovetail::sort_kernel ran{};
   const auto run_auto = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
     dovetail::timer t;
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
-    dovetail::sort(std::span<Rec>(work), key, opt);
+    ran = dovetail::sort(std::span<Rec>(work), key, opt);
     return t.seconds();
   };
   const auto run_std = [&]() -> double {
@@ -128,15 +129,15 @@ scenario_result run_codec_cell(const run_config& rc,
       stats.workspace_allocations.load(std::memory_order_relaxed);
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   const std::vector<double> std_times =
-      run_interleaved_reps(reps, res, run_auto, run_std, &stats);
+      run_interleaved_reps(reps, res, run_auto, run_std);
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
-  res.stats["chosen_kernel"] = static_cast<double>(
-      stats.chosen_kernel.load(std::memory_order_relaxed));
-  res.stats["codec_kind"] = static_cast<double>(
-      stats.codec_kind_id.load(std::memory_order_relaxed));
-  res.stats["codec_bits"] = static_cast<double>(
-      stats.codec_encoded_bits.load(std::memory_order_relaxed));
+  // Kernel and codec as 1 + the enum value, the committed baseline's
+  // encoding.
+  res.stats["chosen_kernel"] = 1.0 + static_cast<double>(ran);
+  res.stats["codec_kind"] =
+      1.0 + static_cast<double>(dovetail::wide_key_traits<K>::kind);
+  res.stats["codec_bits"] = dovetail::wide_key_traits<K>::encoded_bits;
   scenario_result sr;
   sr.times_s = std_times;
   res.stats["ms_StdStable"] = sr.median_s() * 1e3;
@@ -262,7 +263,7 @@ inline scenario_result run_soa_cell(const run_config& rc,
       stats.workspace_allocations.load(std::memory_order_relaxed);
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   const std::vector<double> aos_times =
-      run_interleaved_reps(reps, res, run_soa, run_aos, &stats);
+      run_interleaved_reps(reps, res, run_soa, run_aos);
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
   scenario_result ar;
@@ -306,8 +307,7 @@ inline scenario_result run_rank_cell(const run_config& rc,
   }
   const std::uint64_t alloc0 =
       stats.workspace_allocations.load(std::memory_order_relaxed);
-  run_timed_reps(std::max(rc.reps, rc.quick ? rc.reps : 3), res, one_run,
-                 &stats);
+  run_timed_reps(std::max(rc.reps, rc.quick ? rc.reps : 3), res, one_run);
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
   return res;

@@ -65,7 +65,7 @@ inline scenario_result run_distribute_once(
   run_warmups(cfg.warmups, one_run);
   const std::uint64_t alloc0 =
       stats.workspace_allocations.load(std::memory_order_relaxed);
-  run_timed_reps(cfg.reps, res, one_run, &stats);
+  run_timed_reps(cfg.reps, res, one_run);
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
 

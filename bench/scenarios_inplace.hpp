@@ -97,7 +97,6 @@ scenario_result run_inplace_cell(const run_config& cfg,
       timed(run_oop, t_oop);
       timed(run_inplace, t_in);
     }
-    st_in.note_timed_run(t_in.back(), res.n);
   }
   res.times_s = t_in;
 

@@ -133,11 +133,7 @@ inline scenario_result run_topk_cell(const run_config& rc,
       stats.records_pruned.load(std::memory_order_relaxed);
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   std::vector<double> partial_times, full_times;
-  const auto primary = [&] {
-    const double s = run_topk();
-    res.times_s.push_back(s);
-    stats.note_timed_run(s, res.n);
-  };
+  const auto primary = [&] { res.times_s.push_back(run_topk()); };
   for (int r = 0; r < reps; ++r) {
     switch (r % 3) {
       case 0:
@@ -260,11 +256,7 @@ inline scenario_result run_select_cell(const run_config& rc,
       stats.records_pruned.load(std::memory_order_relaxed);
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   std::vector<double> nth_times, full_times;
-  const auto primary = [&] {
-    const double s = run_select();
-    res.times_s.push_back(s);
-    stats.note_timed_run(s, res.n);
-  };
+  const auto primary = [&] { res.times_s.push_back(run_select()); };
   for (int r = 0; r < reps; ++r) {
     switch (r % 3) {
       case 0:
@@ -437,7 +429,7 @@ inline scenario_result run_groupby_cell(const run_config& rc,
 
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   const std::vector<double> std_times =
-      run_interleaved_reps(reps, res, run_gb, run_sort_scan, &stats);
+      run_interleaved_reps(reps, res, run_gb, run_sort_scan);
   res.stats["groups"] = static_cast<double>(num_groups);
   res.stats["baseline_groups"] = static_cast<double>(scan_groups);
   scenario_result ss;

@@ -158,7 +158,7 @@ inline scenario_result run_service_batch_cell(const run_config& rc,
       stats.workspace_allocations.load(std::memory_order_relaxed);
   const std::uint64_t co0 = pool.checkouts(), hit0 = pool.pool_hits(),
                       cr0 = pool.creations();
-  run_timed_reps(rc.reps, res, one_run, &stats);
+  run_timed_reps(rc.reps, res, one_run);
   res.stats["ws_alloc_timed"] = static_cast<double>(
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
   res.stats["pool_checkouts_timed"] =
@@ -248,7 +248,7 @@ inline scenario_result run_service_stream_cell(const run_config& rc,
   const std::uint64_t co0 = pool.checkouts(), hit0 = pool.pool_hits(),
                       cr0 = pool.creations();
   const std::vector<double> one_shot_times =
-      run_interleaved_reps(rc.reps, res, run_stream, run_one_shot, &stats);
+      run_interleaved_reps(rc.reps, res, run_stream, run_one_shot);
   res.stats["stream_chunks_timed"] = static_cast<double>(
       stats.stream_chunks.load(std::memory_order_relaxed) - ch0);
   res.stats["stream_merge_records_timed"] = static_cast<double>(

@@ -33,7 +33,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -123,15 +125,22 @@ scenario_result run_wide_cell(const run_config& rc,
   res.n = input.size();
 
   std::vector<Rec> work(input.size());
+  // The refine counters describe the last call (reset before each); the
+  // workspace allocations are summed over the timed calls.
   dovetail::sort_stats stats;
+  dovetail::sort_kernel ran{};
+  std::uint64_t allocs = 0;
   const auto run_auto = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
+    stats.reset();
     dovetail::timer t;
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
-    dovetail::sort(std::span<Rec>(work), key, opt);
-    return t.seconds();
+    ran = dovetail::sort(std::span<Rec>(work), key, opt);
+    const double s = t.seconds();
+    allocs += stats.workspace_allocations.load(std::memory_order_relaxed);
+    return s;
   };
   const auto run_std = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
@@ -163,17 +172,15 @@ scenario_result run_wide_cell(const run_config& rc,
     }
   }
 
-  const std::uint64_t alloc0 =
-      stats.workspace_allocations.load(std::memory_order_relaxed);
+  allocs = 0;
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   const std::vector<double> std_times =
-      run_interleaved_reps(reps, res, run_auto, run_std, &stats);
-  res.stats["ws_alloc_timed"] = static_cast<double>(
-      stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
-  res.stats["chosen_kernel"] = static_cast<double>(
-      stats.chosen_kernel.load(std::memory_order_relaxed));
-  res.stats["codec_bits"] = static_cast<double>(
-      stats.codec_encoded_bits.load(std::memory_order_relaxed));
+      run_interleaved_reps(reps, res, run_auto, run_std);
+  using K = std::remove_cvref_t<std::invoke_result_t<KeyFn, const Rec&>>;
+  res.stats["ws_alloc_timed"] = static_cast<double>(allocs);
+  // 1 + sort_kernel, the committed baseline's encoding.
+  res.stats["chosen_kernel"] = 1.0 + static_cast<double>(ran);
+  res.stats["codec_bits"] = dovetail::wide_key_traits<K>::encoded_bits;
   res.stats["refine_rounds"] = static_cast<double>(
       stats.refine_rounds.load(std::memory_order_relaxed));
   res.stats["wide_segments"] = static_cast<double>(
@@ -194,9 +201,10 @@ inline scenario_result run_wide_string_cell(
   res.n = input.size();
 
   std::vector<std::string> work(input.size());
-  dovetail::sort_stats stats;
+  dovetail::sort_stats stats;  // describes the last call: reset before each
   const auto run_auto = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
+    stats.reset();
     dovetail::timer t;
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
@@ -226,9 +234,9 @@ inline scenario_result run_wide_string_cell(
 
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   const std::vector<double> std_times =
-      run_interleaved_reps(reps, res, run_auto, run_std, &stats);
-  res.stats["codec_bits"] = static_cast<double>(
-      stats.codec_encoded_bits.load(std::memory_order_relaxed));
+      run_interleaved_reps(reps, res, run_auto, run_std);
+  res.stats["codec_bits"] =
+      dovetail::wide_key_traits<std::string>::encoded_bits;
   res.stats["refine_rounds"] = static_cast<double>(
       stats.refine_rounds.load(std::memory_order_relaxed));
   res.stats["wide_segments"] = static_cast<double>(
@@ -249,22 +257,25 @@ inline scenario_result run_wide_lcp_cell(
   res.n = input.size();
 
   std::vector<std::string> work(input.size());
+  // The refine counters describe the last call (reset before each);
+  // tiebreak_fallbacks and the workspace allocations are summed over the
+  // timed calls, because the acceptance bar is that the continuation never
+  // falls back to a comparison sort above the base case.
   dovetail::sort_stats stats;
   std::uint64_t cont_fallbacks = 0;
+  std::uint64_t allocs = 0;
   const auto run_cont = [&]() -> double {
     std::copy(input.begin(), input.end(), work.begin());
+    stats.reset();
     dovetail::timer t;
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
     dovetail::sort(std::span<std::string>(work), opt);
     const double s = t.seconds();
-    // wide_refine stores last-run snapshots; tiebreak_fallbacks is
-    // accumulated across runs, because the acceptance bar is that the
-    // continuation never falls back to a comparison sort above the base
-    // case.
     cont_fallbacks +=
         stats.wide_tiebreak_fallbacks.load(std::memory_order_relaxed);
+    allocs += stats.workspace_allocations.load(std::memory_order_relaxed);
     return s;
   };
   const auto run_std = [&]() -> double {
@@ -289,13 +300,10 @@ inline scenario_result run_wide_lcp_cell(
   }
 
   cont_fallbacks = 0;
-  const std::uint64_t alloc0 =
-      stats.workspace_allocations.load(std::memory_order_relaxed);
+  allocs = 0;
   const int reps = std::max(rc.reps, rc.quick ? rc.reps : 3);
   scenario_result sr;
-  sr.times_s = run_interleaved_reps(reps, res, run_cont, run_std, &stats);
-  // std::stable_sort leaves the snapshots alone: they describe the last
-  // continuation run.
+  sr.times_s = run_interleaved_reps(reps, res, run_cont, run_std);
   res.stats["refine_rounds"] = static_cast<double>(
       stats.refine_rounds.load(std::memory_order_relaxed));
   res.stats["wide_segments"] = static_cast<double>(
@@ -306,8 +314,7 @@ inline scenario_result run_wide_lcp_cell(
       stats.wide_continuation_segments.load(std::memory_order_relaxed));
   res.stats["max_byte_offset"] = static_cast<double>(
       stats.wide_max_byte_offset.load(std::memory_order_relaxed));
-  res.stats["ws_alloc_timed"] = static_cast<double>(
-      stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
+  res.stats["ws_alloc_timed"] = static_cast<double>(allocs);
   res.stats["tiebreak_fallbacks"] = static_cast<double>(cont_fallbacks);
   res.stats["ms_StdStable"] = sr.median_s() * 1e3;
   if (res.median_s() > 0)

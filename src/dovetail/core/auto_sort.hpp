@@ -35,11 +35,8 @@
 //     hauling 32-byte rows through every scatter);
 //   * rank(data, key) returns the stable sorted permutation (argsort)
 //     without moving — or even being able to write — the records.
-// Which entry point ran and which codec it used land in sort_stats
-// (entry_point / codec_kind_id / codec_encoded_bits snapshots).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -64,80 +61,20 @@ namespace dovetail {
 // Stable argsort / permutation index type returned by dovetail::rank.
 using index_t = std::size_t;
 
-// Which public front-door entry point ran last — recorded as
-// 1 + static_cast<int>(sort_entry) in sort_stats::entry_point, next to the
-// codec snapshots (codec_kind_id = 1 + codec_kind, codec_encoded_bits).
-enum class sort_entry : std::uint8_t { sort, sort_by_key, rank };
-
-inline constexpr int kNumSortEntries = 3;
-inline constexpr int kNumCodecKinds =
-    1 + static_cast<int>(codec_kind::custom);
-
-inline const char* entry_name(sort_entry e) {
-  switch (e) {
-    case sort_entry::sort: return "sort";
-    case sort_entry::sort_by_key: return "sort_by_key";
-    case sort_entry::rank: return "rank";
-  }
-  return "?";
-}
-
-// Decode sort_stats::entry_point / codec_kind_id (0 = nothing recorded).
-inline std::optional<sort_entry> entry_point_of(const sort_stats& st) {
-  const std::uint64_t v = st.entry_point.load(std::memory_order_relaxed);
-  if (v == 0 || v > static_cast<std::uint64_t>(kNumSortEntries))
-    return std::nullopt;
-  return static_cast<sort_entry>(v - 1);
-}
-
-inline std::optional<codec_kind> codec_kind_of(const sort_stats& st) {
-  const std::uint64_t v = st.codec_kind_id.load(std::memory_order_relaxed);
-  if (v == 0 || v > static_cast<std::uint64_t>(kNumCodecKinds))
-    return std::nullopt;
-  return static_cast<codec_kind>(v - 1);
-}
-
 namespace detail {
-
-// Snapshot which entry point ran with which codec (last write wins,
-// matching chosen_kernel's contract): `slot` is sort_stats::entry_point
-// for the sort entries and sort_stats::query_kind for the queries, `id`
-// is 1 + the entry's enum value.
-template <typename K>
-void note_call(sort_stats* st, std::atomic<std::uint64_t> sort_stats::*slot,
-               std::uint64_t id) {
-  if (st == nullptr) return;
-  using WT = wide_key_traits<K>;
-  (st->*slot).store(id, std::memory_order_relaxed);
-  st->codec_kind_id.store(1 + static_cast<std::uint64_t>(WT::kind),
-                          std::memory_order_relaxed);
-  st->codec_encoded_bits.store(static_cast<std::uint64_t>(WT::encoded_bits),
-                               std::memory_order_relaxed);
-}
-
-template <typename K>
-void note_entry(sort_stats* st, sort_entry entry) {
-  note_call<K>(st, &sort_stats::entry_point,
-               1 + static_cast<std::uint64_t>(entry));
-}
 
 // The per-call preamble of every typed entry point except the fused
 // single-word sort (whose dispatcher installs the same cap itself): the
 // caller's worker cap for the WHOLE call — encode, kernel and gather
-// passes alike, not just the nested sort_unsigned calls — recorded in
-// sort_stats::effective_workers, and the workspace every scratch lease
-// comes from (the caller's, else one local to the call). opt() is the
-// caller's options with that workspace filled in; everything below the
-// entry points reads its workspace from there.
+// passes alike, not just the nested sort_unsigned calls — and the
+// workspace every scratch lease comes from (the caller's, else one local
+// to the call). opt() is the caller's options with that workspace filled
+// in; everything below the entry points reads its workspace from there.
 class call_scope {
  public:
   explicit call_scope(const auto_sort_options& opt)
       : cap_(opt.num_threads), opt_(opt) {
     if (opt_.workspace == nullptr) opt_.workspace = &local_ws_;
-    if (opt.stats != nullptr)
-      opt.stats->effective_workers.store(
-          static_cast<std::uint64_t>(par::effective_workers()),
-          std::memory_order_relaxed);
   }
   call_scope(const call_scope&) = delete;
   call_scope& operator=(const call_scope&) = delete;
@@ -387,8 +324,8 @@ sort_kernel sort_windows(std::span<Rec> data, const KeyFn& key,
 
 // Sort `data` in place by `key(record)` in non-decreasing key order,
 // choosing the kernel adaptively (or as pinned by opt.policy). Returns the
-// kernel that ran; the same value, the sketch behind the decision, and the
-// entry-point/codec snapshot are recorded in opt.stats when provided.
+// kernel that ran (for a wide key, the kernel of the word-0 pass); the
+// work counters land in opt.stats when provided.
 //
 // `key` may return ANY codec-covered type (key_codec.hpp): unsigned — the
 // native path — or signed integers, float/double (IEEE total order; see
@@ -430,7 +367,6 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
       "unsigned/signed integer, float/double, a pair/tuple of those (any "
       "packed width), a 128-bit integer, std::string/string_view, or "
       "specialize dovetail::key_codec<K> (see core/key_codec.hpp)");
-  detail::note_entry<K>(opt.stats, sort_entry::sort);
   // Compiled apart from the router, so a fused sort does not instantiate
   // the query and wide-key machinery it can never reach.
   if constexpr (detail::kFused<Rec, K> && wide_key_traits<K>::single_word) {
@@ -477,7 +413,6 @@ sort_kernel sort_by_key(std::span<K> keys, std::span<V> values,
   if (keys.size() != values.size())
     throw std::invalid_argument(
         "dovetail::sort_by_key: keys and values differ in size");
-  detail::note_entry<K>(opt.stats, sort_entry::sort_by_key);
   const detail::call_scope call(opt);
   const rank_window all{0, keys.size()};
   return detail::sort_arrays(
@@ -502,7 +437,6 @@ std::vector<index_t> rank(std::span<Rec> data, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::rank: the key type has no key_codec "
                 "(see core/key_codec.hpp)");
-  detail::note_entry<K>(opt.stats, sort_entry::rank);
   const detail::call_scope call(opt);
   std::vector<index_t> out(data.size());
   const auto key_at = [&](std::size_t i) -> decltype(auto) {

@@ -82,8 +82,6 @@ enum class sort_kernel : std::uint8_t {
   inplace,
 };
 
-inline constexpr int kNumSortKernels = 6;
-
 inline const char* kernel_name(sort_kernel k) {
   switch (k) {
     case sort_kernel::std_sort: return "StdSort";
@@ -94,14 +92,6 @@ inline const char* kernel_name(sort_kernel k) {
     case sort_kernel::inplace: return "InPlace";
   }
   return "?";
-}
-
-// Decode sort_stats::chosen_kernel (0 = no dispatch recorded).
-inline std::optional<sort_kernel> chosen_kernel_of(const sort_stats& st) {
-  const std::uint64_t v = st.chosen_kernel.load(std::memory_order_relaxed);
-  if (v == 0 || v > static_cast<std::uint64_t>(kNumSortKernels))
-    return std::nullopt;
-  return static_cast<sort_kernel>(v - 1);
 }
 
 namespace detail {
@@ -149,7 +139,7 @@ struct kernel_plan {
   int gamma = 0;
   scatter_strategy scatter = scatter_strategy::automatic;
   // Workers the kernel runs under (1 = serial; see parallel_crossover_n).
-  // Recorded in sort_stats::chosen_parallelism next to chosen_kernel.
+  // Recorded in sort_stats::chosen_parallelism.
   int parallelism = 1;
   const char* reason = "";  // the rule that fired (for logs/debugging)
 };
@@ -250,7 +240,7 @@ struct dispatch_policy {
   // more workers are available: below the crossover, fork/join setup, the
   // per-block counting matrices and the extra cache traffic of a parallel
   // distribution cost more than they save. The serial/parallel decision
-  // lands in sort_stats::chosen_parallelism, the kernel's twin snapshot.
+  // lands in sort_stats::chosen_parallelism.
   static constexpr std::size_t parallel_crossover_n = std::size_t{1} << 15;
 
   // The decision tree. `disallow` is a bitmask of sort_kernel values the
@@ -508,10 +498,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   // kernel — and is what dispatch_policy::plan_parallelism() sees as the
   // available worker count.
   const par::scoped_worker_limit worker_cap(opt.num_threads);
-  if (st != nullptr)
-    st->effective_workers.store(
-        static_cast<std::uint64_t>(par::effective_workers()),
-        std::memory_order_relaxed);
 
   input_sketch sk = sketch_input(std::span<const Rec>(data.data(), n), key);
   // Type-level facts the sampling pass cannot know: the record footprint
@@ -519,34 +505,14 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   // byte-identical records (makes the unstable in-place kernel safe).
   sk.record_bytes = sizeof(Rec);
   sk.pure_key_records = is_pure_key_fn_v<KeyFn>;
-  if (st != nullptr) {
-    const auto permille = [](std::size_t part, std::size_t whole) {
-      return whole == 0 ? std::uint64_t{0}
-                        : static_cast<std::uint64_t>(1000 * part / whole);
-    };
-    st->sketch_key_bits.store(static_cast<std::uint64_t>(sk.key_bits),
-                              std::memory_order_relaxed);
-    st->sketch_distinct_permille.store(
-        permille(sk.distinct_samples, sk.num_samples),
-        std::memory_order_relaxed);
-    st->sketch_top_permille.store(permille(sk.top_count, sk.num_samples),
-                                  std::memory_order_relaxed);
-    st->sketch_desc_permille.store(permille(sk.desc_probes, sk.probes),
-                                   std::memory_order_relaxed);
-    st->sketch_heavy_keys.store(sk.heavy_keys, std::memory_order_relaxed);
-    st->sketch_runs.store(0, std::memory_order_relaxed);
-  }
 
   sort_workspace local_ws;
   sort_workspace& ws =
       opt.workspace != nullptr ? *opt.workspace : local_ws;
   const auto record_choice = [&](const kernel_plan& p) {
-    if (st != nullptr) {
-      st->chosen_kernel.store(1 + static_cast<std::uint64_t>(p.kernel),
-                              std::memory_order_relaxed);
-      st->chosen_parallelism.store(static_cast<std::uint64_t>(p.parallelism),
-                                   std::memory_order_relaxed);
-    }
+    if (st != nullptr)
+      sort_stats::note_max(st->chosen_parallelism,
+                           static_cast<std::uint64_t>(p.parallelism));
   };
 
   const auto key_less = [&](const Rec& x, const Rec& y) {
@@ -590,8 +556,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
           bounds = {0, n};
           runs = 1;
         }
-        if (st != nullptr)
-          st->sketch_runs.store(runs, std::memory_order_relaxed);
         if (!opt.policy.forced && runs > dispatch_policy::max_merge_runs(n)) {
           // The probes lied (descents exist but were all missed, or the
           // reversal bailed): rule the branch out and re-dispatch.

@@ -320,9 +320,7 @@ class dt_sorter {
       st->distributed_records.fetch_add(n, std::memory_order_relaxed);
       st->num_distributions.fetch_add(1, std::memory_order_relaxed);
       st->sampled_keys.fetch_add(sr.num_samples, std::memory_order_relaxed);
-      st->num_heavy_buckets.fetch_add(sr.heavy_keys.size(),
-                                      std::memory_order_relaxed);
-      st->note_depth(depth);
+      sort_stats::note_max(st->max_depth, depth);
       st->overflow_records.fetch_add(offs[nb] - offs[bt.overflow_id()],
                                      std::memory_order_relaxed);
       // Heavy records = everything outside the light buckets and overflow.
@@ -432,12 +430,8 @@ void dovetail_sort(std::span<Rec> data, const KeyFn& key,
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
   // Honor the per-call parallelism cap for the whole sort, sampling and
-  // distribution included; records the effective count when stats are on.
+  // distribution included.
   const par::scoped_worker_limit worker_cap(opt.num_threads);
-  if (opt.stats != nullptr)
-    opt.stats->effective_workers.store(
-        static_cast<std::uint64_t>(par::effective_workers()),
-        std::memory_order_relaxed);
   if constexpr (std::is_unsigned_v<K>) {
     detail::dt_sorter<Rec, KeyFn> s(data, key, opt);
     s.run();

@@ -24,8 +24,7 @@
 //
 // Workspace/stats contract as dovetail::sort: scratch is leased, warm
 // repeated calls on one workspace allocate nothing beyond the returned
-// offsets vector; the query is recorded in sort_stats::query_kind as
-// query_kind::group_by.
+// offsets vector.
 #pragma once
 
 #include <concepts>
@@ -137,7 +136,6 @@ grouped_view<K, V> group_by(std::span<K> keys, std::span<V> values,
   if (keys.size() != values.size())
     throw std::invalid_argument(
         "dovetail::group_by: keys and values differ in size");
-  detail::note_query<K>(opt.stats, query_kind::group_by);
   if (!detail::group_by_fingerprint(keys, values, opt, order))
     dovetail::sort_by_key(keys, values, opt);
   return grouped_view<K, V>{
@@ -154,7 +152,6 @@ grouped_view<K, K> group_by(std::span<K> keys,
   static_assert(any_sortable_key<K>,
                 "dovetail::group_by: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query<K>(opt.stats, query_kind::group_by);
   if (!detail::group_by_fingerprint(keys, std::span<K>{}, opt, order))
     dovetail::sort(keys, opt);
   return grouped_view<K, K>{

@@ -110,8 +110,8 @@
 
 namespace dovetail {
 
-// How a codec transforms keys — recorded in sort_stats::codec_kind_id
-// (1 + the enum value) by the front-door entry points.
+// How a codec transforms keys, known at compile time as
+// codec_traits<K>::kind and wide_key_traits<K>::kind.
 enum class codec_kind : std::uint8_t {
   identity,           // unsigned keys, encode is a no-op
   sign_flip,          // signed integers

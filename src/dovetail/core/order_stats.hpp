@@ -12,8 +12,7 @@
 // query-topk family measures the gap against a full dovetail::sort,
 // speedup_vs_fullsort in BENCH_query.json), and segments outside every
 // window are dropped. Pruning decisions land in sort_stats
-// (buckets_pruned / records_pruned, cumulative) and the query entry point
-// in sort_stats::query_kind (snapshot; decode with query_kind_of).
+// (buckets_pruned / records_pruned).
 //
 // Semantics are defined by ONE reference: every query result is exactly a
 // slice of the stable full sort. top_k == stable_sort(data)[0..k) byte
@@ -36,13 +35,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -57,50 +54,8 @@
 
 namespace dovetail {
 
-// Which query entry point ran last — recorded as 1 + static_cast<int>(..)
-// in sort_stats::query_kind (snapshot, last-write-wins like chosen_kernel).
-enum class query_kind : std::uint8_t {
-  top_k,
-  nth_element,
-  partial_sort,
-  percentiles,
-  group_by,
-};
-
-inline constexpr int kNumQueryKinds = 5;
-
-inline const char* query_kind_name(query_kind q) {
-  switch (q) {
-    case query_kind::top_k: return "top_k";
-    case query_kind::nth_element: return "nth_element";
-    case query_kind::partial_sort: return "partial_sort";
-    case query_kind::percentiles: return "percentiles";
-    case query_kind::group_by: return "group_by";
-  }
-  return "?";
-}
-
-// Decode sort_stats::query_kind (0 = no query recorded).
-inline std::optional<query_kind> query_kind_of(const sort_stats& st) {
-  const std::uint64_t v = st.query_kind.load(std::memory_order_relaxed);
-  if (v == 0 || v > static_cast<std::uint64_t>(kNumQueryKinds))
-    return std::nullopt;
-  return static_cast<query_kind>(v - 1);
-}
-
 // Which end of the sorted order top_k selects.
 enum class rank_side : std::uint8_t { smallest, largest };
-
-namespace detail {
-
-// Snapshot the query/codec stats fields (last write wins; the pruning
-// counters are cumulative and bumped by the driver itself).
-template <typename K>
-void note_query(sort_stats* st, query_kind q) {
-  note_call<K>(st, &sort_stats::query_kind, 1 + static_cast<std::uint64_t>(q));
-}
-
-}  // namespace detail
 
 // The k smallest (or largest) records by key(record), stable: the result
 // is byte-identical to the first (last) k entries of a stable full sort —
@@ -125,7 +80,6 @@ std::span<Rec> top_k(std::span<Rec> data, std::size_t k, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::top_k: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query<K>(opt.stats, query_kind::top_k);
   const std::size_t n = data.size();
   k = std::min(k, n);
   if (k > 0) {
@@ -159,7 +113,6 @@ Rec& nth_element(std::span<Rec> data, std::size_t nth, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::nth_element: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query<K>(opt.stats, query_kind::nth_element);
   if (nth >= data.size())
     throw std::out_of_range("dovetail::nth_element: nth out of range");
   const rank_window w{nth, nth + 1};
@@ -188,7 +141,6 @@ void partial_sort(std::span<Rec> data, std::size_t m, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::partial_sort: the key type has no key_codec "
                 "(see core/key_codec.hpp)");
-  detail::note_query<K>(opt.stats, query_kind::partial_sort);
   m = std::min(m, data.size());
   if (m == 0) return;
   const rank_window w{0, m};
@@ -219,7 +171,6 @@ template <typename K>
 std::vector<K> percentiles(std::span<const K> data,
                            std::span<const double> qs,
                            const auto_sort_options& opt = {}) {
-  detail::note_query<K>(opt.stats, query_kind::percentiles);
   if (qs.empty()) return {};
   if (data.empty())
     throw std::invalid_argument("dovetail::percentiles: empty input");

@@ -67,8 +67,8 @@ struct sort_request {
   // completes (the request is never abandoned mid-flight) and recorded in
   // result.deadline_met so callers can count SLO misses.
   double deadline_s = 0.0;
-  // Optional per-request stats: the front door's counters and snapshots
-  // for THIS request only.
+  // Optional per-request stats: the front door's counters and marks for
+  // THIS request only (the kernel it ran is in result.kernel).
   sort_stats* stats = nullptr;
   request_result result{};
 };
@@ -84,10 +84,10 @@ struct service_options {
   // concurrency for a zero-allocation steady state.
   workspace_pool* pool = nullptr;
   // Batch-level stats: service_requests/service_batches accounting plus
-  // the front door's cumulative counters aggregated across every request
-  // that does not carry its own stats object. (Snapshot fields like
-  // chosen_kernel are last-write-wins across concurrent requests — use
-  // per-request stats when you need them exact.)
+  // the front door's counters and marks aggregated across every request
+  // that does not carry its own stats object — the field-wise sum of the
+  // counters (max of the marks) that per-request stats objects would have
+  // recorded, whatever the interleaving.
   sort_stats* stats = nullptr;
 };
 

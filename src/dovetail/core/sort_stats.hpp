@@ -15,10 +15,21 @@
 //
 // Counters are updated at subproblem granularity (one atomic add per
 // counting-sort call, not per record), so overhead is negligible.
+//
+// Every field obeys one rule: between reset() calls it only grows — either
+// a fetch_add counter or a CAS-max mark (max_depth, peak_workspace_bytes,
+// wide_max_byte_offset, chosen_parallelism). That rule stays well-defined
+// when several concurrent sorts share one stats object (sort_batch's
+// batch-level stats, foreign threads sorting into one object): the shared
+// object reads as the field-wise sum, or max, of per-sort objects. What a
+// single call decided — the kernel it ran, the codec it used — is returned
+// by value (dovetail::sort's sort_kernel, request_result::kernel) or known
+// at compile time (wide_key_traits<K>), not stored here.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 namespace dovetail {
 
@@ -39,8 +50,6 @@ struct sort_stats {
   std::atomic<std::uint64_t> sampled_keys{0};
   // Number of recursive subproblems that performed a distribution.
   std::atomic<std::uint64_t> num_distributions{0};
-  // Number of heavy buckets created.
-  std::atomic<std::uint64_t> num_heavy_buckets{0};
   // Deepest recursion level that performed a distribution (root = 1).
   std::atomic<std::uint64_t> max_depth{0};
 
@@ -63,85 +72,49 @@ struct sort_stats {
   std::atomic<std::uint64_t> inplace_passes{0};
   // High-water mark of workspace bytes simultaneously checked out (leased
   // slabs + the record-buffer arena), sampled at every lease point and
-  // maxed via note_peak_workspace(). The out-of-place ping-pong path holds
+  // raised with note_max(). The out-of-place ping-pong path holds
   // >= n * sizeof(Rec) here; the in-place kernel's bound is
   // O(buckets * block) — the memory claim of ISSUE 10, asserted by
   // tests/test_inplace_sort.cpp. Monotone within a stats window; read it
   // with peak_workspace() and clear with reset().
   std::atomic<std::uint64_t> peak_workspace_bytes{0};
 
-  // --- Adaptive front door (auto_sort.hpp / input_sketch.hpp) ---
-  // Unlike the cumulative counters above these are last-write-wins
-  // snapshots: each dovetail::sort() call overwrites them, so after a run
-  // they describe the most recent dispatch through this stats object.
-  // `chosen_kernel` holds 1 + static_cast<int>(sort_kernel) (0 = no
-  // dispatch recorded yet); decode with chosen_kernel_of() in dispatch.hpp.
-  std::atomic<std::uint64_t> chosen_kernel{0};
-  // Sketch summary behind the decision (permille = 0..1000 of the sampled
-  // keys / probed pairs; see input_sketch.hpp for the exact definitions).
-  std::atomic<std::uint64_t> sketch_key_bits{0};
-  std::atomic<std::uint64_t> sketch_distinct_permille{0};
-  std::atomic<std::uint64_t> sketch_top_permille{0};
-  std::atomic<std::uint64_t> sketch_desc_permille{0};
-  std::atomic<std::uint64_t> sketch_heavy_keys{0};
-  // Exact run count measured by the run-merge confirmation scan (0 when
-  // that branch was never entered).
-  std::atomic<std::uint64_t> sketch_runs{0};
-  // Typed front door (key_codec.hpp): which public entry point ran last
-  // (1 + sort_entry: sort / sort_by_key / rank; decode with
-  // entry_point_of()) and the key codec it used (1 + codec_kind, decode
-  // with codec_kind_of(); encoded key width in bits). Snapshots, like
-  // chosen_kernel.
-  std::atomic<std::uint64_t> entry_point{0};
-  std::atomic<std::uint64_t> codec_kind_id{0};
-  std::atomic<std::uint64_t> codec_encoded_bits{0};
-  // Wide-key refine driver (wide_sort.hpp) snapshots, last-write-wins like
-  // the codec fields: refinement rounds run beyond the word-0 pass (the
-  // final comparison tie-break round of a non-exhaustive codec included)
-  // and the total number of equal-prefix segments those rounds refined.
-  // Both stay 0 for single-word keys and for wide inputs whose word-0 sort
-  // already separated every key.
+  // --- Wide-key refine driver (wide_sort.hpp) ---
+  // Refinement rounds run beyond the word-0 pass (the final comparison
+  // tie-break round of a non-exhaustive codec included) and the
+  // equal-prefix segments those rounds refined. Both stay 0 for
+  // single-word keys and for wide inputs whose word-0 sort already
+  // separated every key.
   std::atomic<std::uint64_t> refine_rounds{0};
   std::atomic<std::uint64_t> wide_segments{0};
-  // Offset-continuation (MSD recursion beyond the materialized prefix,
-  // offset-capable codecs like std::string only) snapshots, stored by the
-  // same driver: continuation rounds run (one per byte-offset window the
-  // driver re-entered), the segment re-entries those rounds refined, and
-  // the deepest key byte any round inspected (offset + stride of the last
-  // window). wide_tiebreak_fallbacks counts ABOVE-base-case segments a
-  // non-exhaustive codec finished with the true-key comparison sort —
-  // always 0 when the continuation runs (its acceptance property); > 0
-  // for a codec without the offset form whenever an equal-prefix segment
-  // outgrew wide_segment_base_case.
+  // Offset continuation (MSD recursion beyond the materialized prefix,
+  // string keys only): continuation rounds run (one per byte-offset window
+  // the driver re-entered), the segment re-entries those rounds refined,
+  // and — a CAS-max mark — the deepest key byte any round inspected
+  // (offset + stride of the last window). wide_tiebreak_fallbacks counts
+  // ABOVE-base-case segments a non-exhaustive codec finished with the
+  // true-key comparison sort: always 0 for string keys (the continuation's
+  // acceptance property); > 0 for a user codec whenever an equal-prefix
+  // segment outgrew wide_segment_base_case.
   std::atomic<std::uint64_t> wide_continuation_rounds{0};
   std::atomic<std::uint64_t> wide_continuation_segments{0};
   std::atomic<std::uint64_t> wide_max_byte_offset{0};
   std::atomic<std::uint64_t> wide_tiebreak_fallbacks{0};
-  // Order-statistics queries (order_stats.hpp / group_by.hpp). query_kind
-  // is a snapshot like chosen_kernel: 1 + static_cast<int>(query_kind) of
-  // the last query entry point that ran through this stats object (0 = no
-  // query recorded; decode with query_kind_of() in order_stats.hpp).
-  // buckets_pruned / records_pruned are CUMULATIVE, like the engine
-  // counters: buckets the rank selector (rank_select.hpp) proved wholly
-  // outside every requested window after a distribution pass — and the
-  // records inside them — which therefore skipped all further refinement.
-  // A full sort never bumps them; a top-k with k << n prunes almost
-  // everything (the bench_suite query-topk family records the ratio).
-  std::atomic<std::uint64_t> query_kind{0};
+  // --- Order-statistics queries (order_stats.hpp / group_by.hpp) ---
+  // Buckets the rank selector (rank_select.hpp) proved wholly outside
+  // every requested window after a distribution pass — and the records
+  // inside them — which therefore skipped all further refinement. A full
+  // sort never bumps them; a top-k with k << n prunes almost everything
+  // (the bench_suite query-topk family records the ratio).
   std::atomic<std::uint64_t> buckets_pruned{0};
   std::atomic<std::uint64_t> records_pruned{0};
-  // Parallelism snapshots (last-write-wins like chosen_kernel): the worker
-  // count the dispatcher decided to run the kernel under (1 = it chose the
-  // serial path, e.g. n below dispatch_policy::parallel_crossover_n) and
-  // the workers available under the innermost scoped cap when the engine
-  // last recorded it (par::effective_workers()). Because the planned
-  // parallelism is itself enforced with a scoped limit around the kernel,
-  // a serial-planned sort reports effective_workers == 1 even on a large
-  // pool — the value describes what the executed kernel really had, not
-  // the pool size. chosen_parallelism <= effective_workers always; both 0
-  // until a dispatch records them.
+  // --- Adaptive front door (dispatch.hpp) ---
+  // CAS-max of the worker count the dispatcher ran a kernel under (1 = the
+  // serial path, e.g. n at or below dispatch_policy::parallel_crossover_n
+  // or a num_threads = 1 cap; 0 = no dispatch yet). For one call it is the
+  // root plan: a wide sort's segment sorts are smaller than its word-0
+  // pass, and plan_parallelism is monotone in n.
   std::atomic<std::uint64_t> chosen_parallelism{0};
-  std::atomic<std::uint64_t> effective_workers{0};
 
   // --- Service layer (sort_service.hpp / stream_sort.hpp) ---
   // Cumulative, like the engine counters: the serving layer's request
@@ -156,101 +129,19 @@ struct sort_stats {
   std::atomic<std::uint64_t> stream_chunks{0};
   std::atomic<std::uint64_t> stream_merge_records{0};
 
-  // --- Timing / throughput (bench harness, dtsort_cli) ---
-  // Wall-clock totals for whole-sort runs attributed to this stats object.
-  // Unlike the work counters above, these are filled by the caller that
-  // owns the clock, via note_timed_run(): the sort itself never reads the
-  // time. `timed_records` counts input records across all timed runs, so
-  // throughput_mrec_per_s() is the harness's headline number.
-  std::atomic<std::uint64_t> timed_runs{0};
-  std::atomic<std::uint64_t> timed_ns{0};
-  std::atomic<std::uint64_t> timed_records{0};
-
-  void note_timed_run(double seconds, std::uint64_t records) {
-    timed_runs.fetch_add(1, std::memory_order_relaxed);
-    timed_ns.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
-    timed_records.fetch_add(records, std::memory_order_relaxed);
-  }
-
-  // Mean seconds per timed run; 0 when nothing was timed.
-  [[nodiscard]] double seconds_per_run() const {
-    const std::uint64_t runs = timed_runs.load(std::memory_order_relaxed);
-    if (runs == 0) return 0.0;
-    return static_cast<double>(timed_ns.load(std::memory_order_relaxed)) /
-           1e9 / static_cast<double>(runs);
-  }
-
-  // Millions of records sorted per second across all timed runs.
-  [[nodiscard]] double throughput_mrec_per_s() const {
-    const std::uint64_t ns = timed_ns.load(std::memory_order_relaxed);
-    if (ns == 0) return 0.0;
-    return static_cast<double>(timed_records.load(std::memory_order_relaxed)) *
-           1e3 / static_cast<double>(ns);
-  }
-
+  // Back to the default-constructed state: every counter and mark 0. Not
+  // while a sort writes into this object.
   void reset() {
-    distributed_records = 0;
-    heavy_records = 0;
-    base_case_records = 0;
-    overflow_records = 0;
-    merged_records = 0;
-    sampled_keys = 0;
-    num_distributions = 0;
-    num_heavy_buckets = 0;
-    max_depth = 0;
-    workspace_allocations = 0;
-    workspace_reuses = 0;
-    workspace_bytes_allocated = 0;
-    scatter_direct_calls = 0;
-    scatter_buffered_calls = 0;
-    scatter_unstable_calls = 0;
-    inplace_passes = 0;
-    peak_workspace_bytes = 0;
-    chosen_kernel = 0;
-    sketch_key_bits = 0;
-    sketch_distinct_permille = 0;
-    sketch_top_permille = 0;
-    sketch_desc_permille = 0;
-    sketch_heavy_keys = 0;
-    sketch_runs = 0;
-    entry_point = 0;
-    codec_kind_id = 0;
-    codec_encoded_bits = 0;
-    refine_rounds = 0;
-    wide_segments = 0;
-    wide_continuation_rounds = 0;
-    wide_continuation_segments = 0;
-    wide_max_byte_offset = 0;
-    wide_tiebreak_fallbacks = 0;
-    query_kind = 0;
-    buckets_pruned = 0;
-    records_pruned = 0;
-    chosen_parallelism = 0;
-    effective_workers = 0;
-    service_requests = 0;
-    service_batches = 0;
-    stream_chunks = 0;
-    stream_merge_records = 0;
-    timed_runs = 0;
-    timed_ns = 0;
-    timed_records = 0;
+    std::destroy_at(this);
+    std::construct_at(this);
   }
 
-  void note_depth(std::uint64_t d) {
-    std::uint64_t cur = max_depth.load(std::memory_order_relaxed);
-    while (cur < d && !max_depth.compare_exchange_weak(
-                          cur, d, std::memory_order_relaxed)) {
-    }
-  }
-
-  // CAS-max, like note_depth: called by the workspace at every lease point
-  // with its current outstanding-bytes figure.
-  void note_peak_workspace(std::uint64_t bytes) {
-    std::uint64_t cur = peak_workspace_bytes.load(std::memory_order_relaxed);
-    while (cur < bytes &&
-           !peak_workspace_bytes.compare_exchange_weak(
-               cur, bytes, std::memory_order_relaxed)) {
+  // Raise a CAS-max mark (max_depth, peak_workspace_bytes,
+  // wide_max_byte_offset, chosen_parallelism) to at least v.
+  static void note_max(std::atomic<std::uint64_t>& mark, std::uint64_t v) {
+    std::uint64_t cur = mark.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !mark.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
 

@@ -63,8 +63,9 @@
 // between the dispatcher's sorts) — warm calls allocate nothing from the
 // workspace, continuation rounds included (they reuse the same tables
 // and rewrite the word array in place). The
-// refine work lands in sort_stats as refine_rounds / wide_segments /
-// wide_continuation_* / wide_tiebreak_fallbacks snapshots.
+// refine work lands in sort_stats as the refine_rounds / wide_segments /
+// wide_continuation_* / wide_tiebreak_fallbacks counters and the
+// wide_max_byte_offset mark.
 //
 // Layering: this header sits on the single-word dispatcher (dispatch.hpp)
 // and the rank-window selector (rank_select.hpp), and is included by the
@@ -79,7 +80,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -507,27 +507,10 @@ sort_kernel wide_refine(std::span<Rec> data, const WordOf& word_of,
         .run(lo, hi);
   };
 
-  // The root round. chosen_kernel and the sketch_* fields are
-  // last-write-wins snapshots, so the per-segment dispatches of later
-  // rounds would leave them describing the LAST refined segment. The
-  // contract is that they describe the ROOT dispatch — the kernel this
-  // function returns — so the root's values are captured here and
-  // restored after the refine rounds.
-  std::atomic<std::uint64_t> sort_stats::*const snap_fields[] = {
-      &sort_stats::chosen_kernel,          &sort_stats::sketch_key_bits,
-      &sort_stats::sketch_distinct_permille, &sort_stats::sketch_top_permille,
-      &sort_stats::sketch_desc_permille,   &sort_stats::sketch_heavy_keys,
-      &sort_stats::sketch_runs,            &sort_stats::chosen_parallelism,
-      &sort_stats::effective_workers};
-  constexpr std::size_t kNumSnap = std::size(snap_fields);
-  std::uint64_t snap[kNumSnap] = {};
+  // The root round.
   sort_kernel root = sort_kernel::std_sort;
-  const bool sorted_root = covers_all(windows, n);
-  if (sorted_root) {
+  if (covers_all(windows, n)) {
     root = sort_seg(0, n, 0, ws);
-    if (stats != nullptr)
-      for (std::size_t f = 0; f < kNumSnap; ++f)
-        snap[f] = (stats->*snap_fields[f]).load(std::memory_order_relaxed);
     if (n >= 2) split(0, n, 0);
   } else {
     select(0, n, 0);
@@ -752,18 +735,15 @@ sort_kernel wide_refine(std::span<Rec> data, const WordOf& word_of,
     });
   }
   if (stats != nullptr) {
-    stats->refine_rounds.store(rounds, std::memory_order_relaxed);
-    stats->wide_segments.store(segments, std::memory_order_relaxed);
-    stats->wide_continuation_rounds.store(cont_rounds,
-                                          std::memory_order_relaxed);
-    stats->wide_continuation_segments.store(cont_segments,
-                                            std::memory_order_relaxed);
-    stats->wide_max_byte_offset.store(max_offset, std::memory_order_relaxed);
-    stats->wide_tiebreak_fallbacks.store(tiebreak_fallbacks,
-                                         std::memory_order_relaxed);
-    if (sorted_root)
-      for (std::size_t f = 0; f < kNumSnap; ++f)
-        (stats->*snap_fields[f]).store(snap[f], std::memory_order_relaxed);
+    stats->refine_rounds.fetch_add(rounds, std::memory_order_relaxed);
+    stats->wide_segments.fetch_add(segments, std::memory_order_relaxed);
+    stats->wide_continuation_rounds.fetch_add(cont_rounds,
+                                              std::memory_order_relaxed);
+    stats->wide_continuation_segments.fetch_add(cont_segments,
+                                                std::memory_order_relaxed);
+    sort_stats::note_max(stats->wide_max_byte_offset, max_offset);
+    stats->wide_tiebreak_fallbacks.fetch_add(tiebreak_fallbacks,
+                                             std::memory_order_relaxed);
   }
   return root;
 }

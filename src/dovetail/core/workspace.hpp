@@ -265,7 +265,8 @@ class sort_workspace {
       stats->workspace_reuses.fetch_add(1, std::memory_order_relaxed);
   }
   void note_outstanding(std::size_t now, sort_stats* stats) noexcept {
-    if (stats != nullptr) stats->note_peak_workspace(now);
+    if (stats != nullptr)
+      sort_stats::note_max(stats->peak_workspace_bytes, now);
   }
 
   std::mutex mu_;

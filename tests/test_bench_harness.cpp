@@ -348,17 +348,4 @@ TEST(BenchJson, ServiceEntriesNeedConcurrencyAndLoadStats) {
   EXPECT_TRUE(dtb::json::validate_bench_schema(root, err)) << err;
 }
 
-TEST(BenchHarness, SortStatsTimingFields) {
-  dovetail::sort_stats st;
-  EXPECT_DOUBLE_EQ(st.seconds_per_run(), 0.0);
-  EXPECT_DOUBLE_EQ(st.throughput_mrec_per_s(), 0.0);
-  st.note_timed_run(0.5, 1'000'000);
-  st.note_timed_run(1.5, 1'000'000);
-  EXPECT_DOUBLE_EQ(st.seconds_per_run(), 1.0);
-  EXPECT_NEAR(st.throughput_mrec_per_s(), 1.0, 1e-9);
-  st.reset();
-  EXPECT_EQ(st.timed_runs.load(), 0u);
-  EXPECT_DOUBLE_EQ(st.seconds_per_run(), 0.0);
-}
-
 }  // namespace

@@ -175,7 +175,6 @@ TEST(InplaceDispatch, BudgetFlipsKernelForPureKeys) {
   opt_a.stats = &st_a;
   const auto k_a = dovetail::sort(std::span<std::uint32_t>(a), opt_a);
   EXPECT_NE(k_a, dovetail::sort_kernel::inplace);
-  EXPECT_EQ(dovetail::chosen_kernel_of(st_a), k_a);
 
   // A budget below n * sizeof(record): pure keys make instability
   // unobservable, so the dispatcher may (and must, to fit) go in-place.
@@ -186,8 +185,6 @@ TEST(InplaceDispatch, BudgetFlipsKernelForPureKeys) {
   opt_b.stats = &st_b;
   const auto k_b = dovetail::sort(std::span<std::uint32_t>(b), opt_b);
   EXPECT_EQ(k_b, dovetail::sort_kernel::inplace);
-  EXPECT_EQ(dovetail::chosen_kernel_of(st_b),
-            dovetail::sort_kernel::inplace);
   EXPECT_GT(st_b.inplace_passes.load(), 0u);
   ASSERT_TRUE(std::is_sorted(b.begin(), b.end()));
   std::vector<std::uint32_t> want = input;

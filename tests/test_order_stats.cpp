@@ -3,7 +3,7 @@
 // every query result is a slice of the stable full sort — so every check
 // here compares byte-for-byte against a std::stable_sort-derived
 // reference, per codec kind (u32 / i64 / f64 / u128 / string), plus the
-// observability (buckets_pruned, query_kind) and workspace-reuse
+// observability (buckets_pruned) and workspace-reuse
 // contracts.
 #include <gtest/gtest.h>
 
@@ -295,7 +295,7 @@ TEST(OrderStats, PercentilesValidation) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: pruning counters, query_kind, workspace reuse
+// Observability: pruning counters, workspace reuse
 
 TEST(OrderStats, PruningIsObserved) {
   auto v = gen::generate_keys<std::uint64_t>(
@@ -309,8 +309,6 @@ TEST(OrderStats, PruningIsObserved) {
   EXPECT_GT(st.records_pruned.load(), 0u);
   // k << n: almost everything is pruned after the first pass.
   EXPECT_GT(st.records_pruned.load(), v.size() / 2);
-  ASSERT_TRUE(query_kind_of(st).has_value());
-  EXPECT_EQ(*query_kind_of(st), query_kind::top_k);
   // The wide path prunes too.
   sort_stats st2;
   auto_sort_options opt2;
@@ -320,27 +318,6 @@ TEST(OrderStats, PruningIsObserved) {
   dovetail::nth_element(std::span<tkv<unsigned __int128>>(ws), 50000,
                         key_of_tkv<unsigned __int128>, opt2);
   EXPECT_GT(st2.buckets_pruned.load(), 0u);
-  EXPECT_EQ(*query_kind_of(st2), query_kind::nth_element);
-}
-
-TEST(OrderStats, QueryKindSnapshots) {
-  std::vector<std::uint32_t> v = gen::generate_keys<std::uint32_t>(
-      {gen::dist_kind::uniform, 1e6, "u"}, 10000, 63);
-  sort_stats st;
-  auto_sort_options opt;
-  opt.stats = &st;
-  EXPECT_FALSE(query_kind_of(st).has_value());
-  auto a = v;
-  partial_sort(std::span<std::uint32_t>(a), 100, opt);
-  EXPECT_EQ(*query_kind_of(st), query_kind::partial_sort);
-  percentiles(std::span<const std::uint32_t>(v), {0.5}, opt);
-  EXPECT_EQ(*query_kind_of(st), query_kind::percentiles);
-  auto b = v;
-  std::vector<std::uint32_t> vals(v.size());
-  group_by(std::span<std::uint32_t>(b), std::span<std::uint32_t>(vals), opt);
-  EXPECT_EQ(*query_kind_of(st), query_kind::group_by);
-  st.reset();
-  EXPECT_FALSE(query_kind_of(st).has_value());
 }
 
 TEST(OrderStats, ZeroAllocWarmReuse) {

@@ -13,24 +13,28 @@
 //     arena from one workspace_pool: all outputs record-exact and stable,
 //     and a second warm round performs zero pool creations (the
 //     zero-steady-state-allocation property);
-//   * determinism — byte-identical outputs across num_threads ∈ {1, 2, 4}
-//     for flat keys, and between the serial and the pool-backed wide
+//   * determinism — byte-identical outputs across pool sizes 1 to 4 for
+//     every entry point (kv64 and string sort, sort_by_key, rank, the
+//     requested windows of top_k and percentiles, sort_batch and
+//     stream_sorter), and between the serial and the pool-backed wide
 //     refine;
 //   * the per-call cap — num_threads = 1 keeps every pass of the
 //     encode-once routes (rank, sort_by_key, group_by(fingerprint), sort of
 //     non-trivially-copyable records, top_k) on the calling thread;
-//   * the dispatch record — sort_stats.chosen_parallelism/effective_workers
-//     mirror the decision: 1 below parallel_crossover_n or under a
-//     num_threads=1 cap, the worker count above it, the per-call cap in
-//     between.
+//   * the dispatch record — sort_stats.chosen_parallelism mirrors the
+//     decision on every kernel: 1 below parallel_crossover_n, for std_sort
+//     or under a num_threads=1 cap, the worker count above it, the
+//     per-call cap in between.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,6 +43,8 @@
 #include "dovetail/core/dovetail_sort.hpp"
 #include "dovetail/core/group_by.hpp"
 #include "dovetail/core/order_stats.hpp"
+#include "dovetail/core/sort_service.hpp"
+#include "dovetail/core/stream_sort.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/scheduler.hpp"
@@ -282,25 +288,108 @@ TEST(ConcurrentSorts, SharedPoolLeasesAndWarmReuse) {
 // ---------------------------------------------------------------------------
 // Determinism across thread counts and refine modes.
 
-TEST(Determinism, IdenticalOutputAcrossNumThreads) {
-  worker_count_guard guard;
-  par::scheduler::set_num_workers(4);
-  const auto input = gen::generate_records<kv64>(zipf_dist(), 120'000, 7);
+namespace {
 
-  std::vector<std::vector<kv64>> outs;
-  for (const int p : {1, 2, 4}) {
+// What every entry point returns at one pool size. Sorts keep their whole
+// output; queries keep only what they promise — the requested window or
+// the returned values — since records outside a window are only
+// bucket-partitioned.
+struct entry_point_outputs {
+  std::vector<kv64> sorted;
+  std::vector<kv64> sorted_cap2;
+  std::vector<std::string> strings;
+  std::vector<std::uint64_t> soa_keys;
+  std::vector<std::uint32_t> soa_values;
+  std::vector<index_t> perm;
+  std::vector<kv64> top;
+  std::vector<std::uint64_t> pct;
+  std::vector<std::vector<kv64>> batch;
+  std::vector<kv64> stream;
+};
+
+entry_point_outputs run_every_entry_point(
+    const std::vector<kv64>& input, const std::vector<std::string>& strings) {
+  entry_point_outputs out;
+  sort_workspace ws;
+  auto_sort_options opt;
+  opt.workspace = &ws;
+  const auto sorted_copy = [&](int num_threads) {
     std::vector<kv64> work = input;
-    sort_workspace ws;
-    auto_sort_options opt;
-    opt.workspace = &ws;
-    opt.num_threads = p;
-    dovetail::sort(std::span<kv64>(work), key_of_kv64, opt);
-    outs.push_back(std::move(work));
+    auto_sort_options o = opt;
+    o.num_threads = num_threads;
+    dovetail::sort(std::span<kv64>(work), key_of_kv64, o);
+    return work;
+  };
+  out.sorted = sorted_copy(0);
+  out.sorted_cap2 = sorted_copy(2);
+
+  out.strings = strings;
+  dovetail::sort(std::span<std::string>(out.strings), opt);
+
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    out.soa_keys.push_back(input[i].key);
+    out.soa_values.push_back(static_cast<std::uint32_t>(i));
   }
-  EXPECT_EQ(outs[0], outs[1]);
-  EXPECT_EQ(outs[0], outs[2]);
-  EXPECT_TRUE(dtt::sorted_by_key(std::span<const kv64>(outs[0]),
-                                 key_of_kv64));
+  out.pct = dovetail::percentiles(std::span<const std::uint64_t>(out.soa_keys),
+                                  {0.0, 0.01, 0.5, 0.9, 0.999, 1.0}, opt);
+  dovetail::sort_by_key(std::span<std::uint64_t>(out.soa_keys),
+                        std::span<std::uint32_t>(out.soa_values), opt);
+
+  out.perm =
+      dovetail::rank(std::span<const kv64>(input), key_of_kv64, opt);
+
+  std::vector<kv64> work = input;
+  const auto top = dovetail::top_k(std::span<kv64>(work), 1000, key_of_kv64,
+                                   rank_side::smallest, opt);
+  out.top.assign(top.begin(), top.end());
+
+  for (const std::size_t n : {std::size_t{0}, std::size_t{300},
+                              std::size_t{9'000}, std::size_t{70'000}})
+    out.batch.emplace_back(input.begin(),
+                           input.begin() + static_cast<std::ptrdiff_t>(n));
+  std::vector<sort_request<kv64, decltype(key_of_kv64)>> reqs(
+      out.batch.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    reqs[i].data = std::span<kv64>(out.batch[i]);
+  sort_batch(reqs);
+
+  stream_sorter<kv64, decltype(key_of_kv64)> stream({}, key_of_kv64);
+  for (std::size_t lo = 0; lo < input.size(); lo += 17'000)
+    stream.push(std::span<const kv64>(input).subspan(
+        lo, std::min<std::size_t>(17'000, input.size() - lo)));
+  out.stream = stream.finish();
+  return out;
+}
+
+}  // namespace
+
+TEST(Determinism, IdenticalOutputAcrossNumThreads) {
+  // Paper Appendix A: the output depends on the input alone, never on the
+  // schedule — every entry point at pool sizes 2, 3 and 4 must reproduce
+  // its single-worker output byte for byte.
+  worker_count_guard guard;
+  const auto input = gen::generate_records<kv64>(zipf_dist(), 120'000, 7);
+  const auto strings = gen::generate_url_keys(zipf_dist(), 40'000, 8);
+
+  par::scheduler::set_num_workers(1);
+  const entry_point_outputs ref = run_every_entry_point(input, strings);
+  EXPECT_TRUE(dtt::stable_by_index_value(std::span<const kv64>(ref.sorted),
+                                         key_of_kv64));
+  EXPECT_TRUE(std::is_sorted(ref.strings.begin(), ref.strings.end()));
+  for (const int p : {2, 3, 4}) {
+    par::scheduler::set_num_workers(p);
+    const entry_point_outputs got = run_every_entry_point(input, strings);
+    EXPECT_EQ(got.sorted, ref.sorted) << "sort p=" << p;
+    EXPECT_EQ(got.sorted_cap2, ref.sorted) << "sort num_threads=2 p=" << p;
+    EXPECT_EQ(got.strings, ref.strings) << "string sort p=" << p;
+    EXPECT_EQ(got.soa_keys, ref.soa_keys) << "sort_by_key keys p=" << p;
+    EXPECT_EQ(got.soa_values, ref.soa_values) << "sort_by_key values p=" << p;
+    EXPECT_EQ(got.perm, ref.perm) << "rank p=" << p;
+    EXPECT_EQ(got.top, ref.top) << "top_k p=" << p;
+    EXPECT_EQ(got.pct, ref.pct) << "percentiles p=" << p;
+    EXPECT_EQ(got.batch, ref.batch) << "sort_batch p=" << p;
+    EXPECT_EQ(got.stream, ref.stream) << "stream_sorter p=" << p;
+  }
 }
 
 TEST(Determinism, SortOptionsNumThreadsFrontDoor) {
@@ -392,27 +481,59 @@ TEST(DispatchRecord, SerialBelowCrossoverParallelAbove) {
   auto_sort_options opt;
   opt.stats = &st;
 
-  // Below the crossover: one worker, whatever the pool size. The plan's
-  // scoped limit wraps the kernel, so the engine's effective_workers
-  // snapshot records the width it actually ran at — 1 — not the pool size.
+  // Below the crossover: one worker, whatever the pool size.
   auto small = gen::generate_records<kv64>(unif_dist(), 4'096, 21);
   dovetail::sort(std::span<kv64>(small), key_of_kv64, opt);
   EXPECT_EQ(st.chosen_parallelism.load(), 1u);
-  EXPECT_EQ(st.effective_workers.load(), 1u);
 
   // Above it: the full effective worker count.
+  st.reset();
   auto large = gen::generate_records<kv64>(
       unif_dist(), opt.policy.parallel_crossover_n * 4, 22);
   dovetail::sort(std::span<kv64>(large), key_of_kv64, opt);
   EXPECT_EQ(st.chosen_parallelism.load(), 4u);
 
   // A per-call cap of 1 pins the decision (and the record) to serial.
+  st.reset();
   opt.num_threads = 1;
   auto capped = gen::generate_records<kv64>(
       unif_dist(), opt.policy.parallel_crossover_n * 4, 23);
   dovetail::sort(std::span<kv64>(capped), key_of_kv64, opt);
   EXPECT_EQ(st.chosen_parallelism.load(), 1u);
-  EXPECT_EQ(st.effective_workers.load(), 1u);
+}
+
+TEST(DispatchRecord, EveryKernelRecordsItsParallelism) {
+  worker_count_guard guard;
+  par::scheduler::set_num_workers(4);
+  // Pure-key u64 spans (the in-place kernel needs no stability waiver)
+  // with keys below 2^16 (a pinned counting sort stays feasible).
+  const auto keys = [](std::size_t n) {
+    std::vector<std::uint64_t> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = par::hash64(i) & 0xFFFF;
+    return v;
+  };
+  const std::vector<std::uint64_t> small = keys(4'096);
+  const std::vector<std::uint64_t> large =
+      keys(dispatch_policy::parallel_crossover_n * 4);
+  sort_stats st;
+  for (const sort_kernel k :
+       {sort_kernel::std_sort, sort_kernel::run_merge, sort_kernel::counting,
+        sort_kernel::lsd, sort_kernel::dtsort, sort_kernel::inplace}) {
+    auto_sort_options opt;
+    opt.policy = policy::always(k);
+    opt.stats = &st;
+    for (const std::vector<std::uint64_t>* input : {&small, &large}) {
+      st.reset();
+      std::vector<std::uint64_t> v = *input;
+      EXPECT_EQ(dovetail::sort(std::span<std::uint64_t>(v), opt), k);
+      EXPECT_TRUE(std::is_sorted(v.begin(), v.end())) << kernel_name(k);
+      // std_sort is sequential whatever n.
+      const std::uint64_t want =
+          input == &large && k != sort_kernel::std_sort ? 4 : 1;
+      EXPECT_EQ(st.chosen_parallelism.load(), want)
+          << kernel_name(k) << " n=" << v.size();
+    }
+  }
 }
 
 TEST(DispatchRecord, PerCallCapBoundsThePlan) {
@@ -434,7 +555,6 @@ TEST(DispatchRecord, PerCallCapBoundsThePlan) {
       unif_dist(), opt.policy.parallel_crossover_n * 4, 24);
   dovetail::sort(std::span<kv64>(input), key_of_kv64, opt);
   EXPECT_EQ(st.chosen_parallelism.load(), 2u);
-  EXPECT_EQ(st.effective_workers.load(), 2u);
 }
 
 // ---------------------------------------------------------------------------

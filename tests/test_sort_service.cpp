@@ -13,6 +13,9 @@
 //   * per-request num_threads=1 takes the exact serial path (no refine
 //     pool traffic beyond the one per-request lease);
 //   * soft deadlines and the service_* accounting counters;
+//   * stats — per-request objects see only their request, and one object
+//     shared by a whole batch reads as the field-wise sum (max for the
+//     marks) of per-request objects;
 //   * plain-key requests default to the pure-key self_key functor, so the
 //     memory-budget rule picks the in-place kernel as dovetail::sort does.
 #include <gtest/gtest.h>
@@ -21,7 +24,9 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dovetail/core/sort_service.hpp"
@@ -346,20 +351,118 @@ TEST(SortBatch, ServiceCountersAccumulate) {
   EXPECT_EQ(st.service_batches.load(), 0u);
 }
 
-// Per-request stats isolate one request's dispatch record even when the
-// batch runs concurrently.
+namespace {
+
+// The fields a stats object shared by concurrent requests must hold as the
+// field-wise sum (counters) or max (marks) of per-request objects. The
+// workspace_* counters are left out: they depend on which pool arena each
+// request leases.
+std::vector<std::uint64_t> summed_counters(const sort_stats& st) {
+  return {st.distributed_records.load(),
+          st.heavy_records.load(),
+          st.base_case_records.load(),
+          st.refine_rounds.load(),
+          st.wide_segments.load(),
+          st.wide_continuation_rounds.load(),
+          st.wide_continuation_segments.load(),
+          st.wide_tiebreak_fallbacks.load()};
+}
+
+std::vector<std::uint64_t> max_marks(const sort_stats& st) {
+  return {st.chosen_parallelism.load(), st.max_depth.load(),
+          st.wide_max_byte_offset.load()};
+}
+
+// Sorts each input alone through dovetail::sort with its own stats and
+// returns the field-wise sums and maxes over all of them.
+template <typename Rec, typename KeyFn>
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
+one_at_a_time(std::vector<std::vector<Rec>> inputs, const KeyFn& key,
+              const dispatch_policy& policy = {}) {
+  std::vector<std::uint64_t> sums(summed_counters(sort_stats{}).size());
+  std::vector<std::uint64_t> maxes(max_marks(sort_stats{}).size());
+  for (std::vector<Rec>& in : inputs) {
+    sort_stats st;
+    auto_sort_options opt;
+    opt.policy = policy;
+    opt.stats = &st;
+    dovetail::sort(std::span<Rec>(in), key, opt);
+    const auto c = summed_counters(st);
+    const auto m = max_marks(st);
+    for (std::size_t f = 0; f < c.size(); ++f) sums[f] += c[f];
+    for (std::size_t f = 0; f < m.size(); ++f)
+      maxes[f] = std::max(maxes[f], m[f]);
+  }
+  return {sums, maxes};
+}
+
+}  // namespace
+
+// Per-request stats isolate one request's work even when the batch runs
+// concurrently: each equals a private sort of the same input.
 TEST(SortBatch, PerRequestStatsSeeOnlyTheirRequest) {
   std::vector<std::vector<kv64>> inputs = make_inputs({40'000, 300}, 8'000);
+  const std::vector<std::vector<kv64>> copies = inputs;
   std::array<sort_stats, 2> st;
   auto reqs = make_requests(inputs);
   reqs[0].stats = &st[0];
   reqs[1].stats = &st[1];
   sort_batch(reqs);
-  EXPECT_EQ(st[0].timed_records.load(), 0u);  // timing is the harness's job
-  EXPECT_TRUE(chosen_kernel_of(st[0]).has_value());
-  EXPECT_TRUE(chosen_kernel_of(st[1]).has_value());
-  EXPECT_EQ(reqs[0].result.kernel, *chosen_kernel_of(st[0]));
-  EXPECT_EQ(reqs[1].result.kernel, *chosen_kernel_of(st[1]));
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto [sums, maxes] = one_at_a_time<kv64>({copies[i]}, key_of_kv64);
+    EXPECT_EQ(summed_counters(st[i]), sums) << "request " << i;
+    EXPECT_EQ(max_marks(st[i]), maxes) << "request " << i;
+    std::vector<kv64> alone = copies[i];
+    EXPECT_EQ(reqs[i].result.kernel,
+              dovetail::sort(std::span<kv64>(alone), key_of_kv64));
+  }
+  EXPECT_EQ(st[1].chosen_parallelism.load(), 1u);  // below the crossover
+}
+
+// One stats object shared by every request of a concurrent batch reads as
+// the field-wise sum (counters) and max (marks) of per-request objects —
+// no field is last-write-wins, so the interleaving cannot show.
+TEST(SortBatch, SharedStatsAreFieldwiseSumAndMax) {
+  worker_count_guard guard;
+  par::scheduler::set_num_workers(4);
+  {
+    std::vector<std::vector<kv64>> inputs =
+        make_inputs({300, 9'000, 40'000, 70'000, 2'000, 120'000}, 9'000);
+    const auto [sums, maxes] = one_at_a_time(inputs, key_of_kv64);
+    sort_stats shared;
+    service_options opt;
+    opt.stats = &shared;
+    auto reqs = make_requests(inputs);
+    sort_batch(reqs, opt);
+    EXPECT_EQ(summed_counters(shared), sums);
+    EXPECT_EQ(max_marks(shared), maxes);
+    EXPECT_EQ(shared.chosen_parallelism.load(), 4u);
+  }
+  {
+    const gen::distribution zipf{gen::dist_kind::zipfian, 1.2, "Zipf-1.2"};
+    std::vector<std::vector<std::string>> inputs;
+    for (const std::size_t n : {std::size_t{500}, std::size_t{20'000},
+                                std::size_t{50'000}})
+      inputs.push_back(gen::generate_url_keys(zipf, n, 40 + n));
+    inputs.push_back(gen::generate_lcp_string_keys(zipf, 30'000, 41, 40));
+    // A small base case sends the tied segments through the continuation.
+    dispatch_policy policy;
+    policy.wide_segment_base_case = 64;
+    const auto [sums, maxes] = one_at_a_time(inputs, self_key{}, policy);
+    sort_stats shared;
+    service_options opt;
+    opt.policy = policy;
+    opt.stats = &shared;
+    std::vector<sort_request<std::string>> reqs(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      reqs[i].data = std::span<std::string>(inputs[i]);
+    sort_batch(reqs, opt);
+    for (const auto& in : inputs)
+      EXPECT_TRUE(std::is_sorted(in.begin(), in.end()));
+    EXPECT_EQ(summed_counters(shared), sums);
+    EXPECT_EQ(max_marks(shared), maxes);
+    EXPECT_GE(shared.wide_continuation_rounds.load(), 1u);
+  }
 }
 
 // The default key functor is self_key, which the dispatcher recognizes as

@@ -3,12 +3,20 @@
 //   Thm 4.4/4.5: distribution work ~ n * #levels on uniform inputs;
 //   Thm 4.6:     exponential frequency inputs -> almost all records heavy;
 //   Thm 4.7:     few distinct keys -> O(n) total distribution work.
+// Plus the one rule every field obeys — a fetch_add counter or a CAS-max
+// mark — checked through reset() and through foreign threads sharing one
+// object.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "dovetail/core/auto_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/generators/synthetic.hpp"
@@ -144,12 +152,75 @@ TEST(SortStats, MergedRecordsOnlyWhenHeavyExists) {
 }
 
 TEST(SortStats, ResetClearsEverything) {
+  // A string sort with a tiny base case bumps the engine, workspace and
+  // wide-refine counters and raises every mark; reset() must bring every
+  // byte back to a default-constructed object's.
+  const auto keys = gen::generate_lcp_string_keys(
+      {gen::dist_kind::zipfian, 1.2, "z"}, 20000, 8, 40);
   sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  opt.policy.wide_segment_base_case = 64;
+  auto v = keys;
+  dovetail::sort(std::span<std::string>(v), opt);
+  EXPECT_GT(st.refine_rounds.load(), 0u);
+  EXPECT_GT(st.wide_max_byte_offset.load(), 0u);
+  EXPECT_GT(st.chosen_parallelism.load(), 0u);
+  EXPECT_GT(st.peak_workspace(), 0u);
   st.distributed_records = 5;
-  st.heavy_records = 6;
   st.max_depth = 7;
+  st.service_requests = 9;
+
   st.reset();
-  EXPECT_EQ(st.distributed_records.load(), 0u);
-  EXPECT_EQ(st.heavy_records.load(), 0u);
-  EXPECT_EQ(st.max_depth.load(), 0u);
+  const sort_stats fresh;
+  EXPECT_EQ(std::memcmp(static_cast<const void*>(&st),
+                        static_cast<const void*>(&fresh), sizeof(sort_stats)),
+            0);
+}
+
+TEST(SortStats, ForeignThreadsShareOneObject) {
+  // Four foreign threads each run a one-thread dovetail_sort into ONE
+  // stats object: every counter is a fetch_add and every mark a CAS-max,
+  // so the shared object equals the sum (max) of the same sorts run
+  // serially into private objects.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<kv32>> inputs;
+  for (int t = 0; t < kThreads; ++t)
+    inputs.push_back(gen::generate_records<kv32>(
+        {gen::dist_kind::zipfian, 1.2, "z"}, 60000 + 10000 * t,
+        static_cast<std::uint64_t>(20 + t)));
+  const auto run = [&](int t, sort_stats& st) {
+    auto v = inputs[static_cast<std::size_t>(t)];
+    sort_options opt;
+    opt.num_threads = 1;
+    opt.stats = &st;
+    dovetail_sort(std::span<kv32>(v), key_of_kv32, opt);
+  };
+  const auto fields = [](const sort_stats& st) {
+    return std::vector<std::uint64_t>{
+        st.distributed_records.load(), st.heavy_records.load(),
+        st.base_case_records.load(),   st.overflow_records.load(),
+        st.merged_records.load(),      st.sampled_keys.load(),
+        st.num_distributions.load(),   st.scatter_direct_calls.load(),
+        st.scatter_buffered_calls.load()};
+  };
+
+  std::vector<std::uint64_t> sums(fields(sort_stats{}).size());
+  std::uint64_t max_depth = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    sort_stats st;
+    run(t, st);
+    const auto f = fields(st);
+    for (std::size_t i = 0; i < f.size(); ++i) sums[i] += f[i];
+    max_depth = std::max(max_depth, st.max_depth.load());
+  }
+
+  sort_stats shared;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { run(t, shared); });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(fields(shared), sums);
+  EXPECT_EQ(shared.max_depth.load(), max_depth);
+  EXPECT_GT(sums[0], 0u);
 }

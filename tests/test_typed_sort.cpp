@@ -12,7 +12,7 @@
 //   * warm-workspace reuse: repeated sort / sort_by_key / rank through one
 //     workspace reach a zero-fresh-allocation steady state (the
 //     test_workspace.cpp property, extended to the new entry points);
-//   * entry-point/codec stats snapshots.
+//   * codec kind and encoded width as compile-time key traits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,12 +123,9 @@ void acceptance_sweep() {
   for (std::size_t i = 0; i < asc.size(); ++i)
     asc[i].value = static_cast<std::uint32_t>(i);
   auto asc_ref = asc;
-  sort_stats st;
-  auto_sort_options opt;
-  opt.stats = &st;
-  sort(std::span<tkv<T>>(asc), key_of_tkv<T>, opt);
+  EXPECT_EQ(sort(std::span<tkv<T>>(asc), key_of_tkv<T>),
+            sort_kernel::run_merge);
   expect_exact(asc, asc_ref);
-  EXPECT_EQ(chosen_kernel_of(st), sort_kernel::run_merge);
 }
 
 TEST(TypedSortAcceptance, Int32) { acceptance_sweep<std::int32_t>(); }
@@ -415,34 +412,13 @@ TEST(TypedWorkspace, RankAndFusedSortZeroAllocAfterWarmup) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats snapshots.
+// Codec facts are compile-time traits of the key type.
 
-TEST(TypedStats, EntryPointAndCodecRecorded) {
-  sort_stats st;
-  auto_sort_options opt;
-  opt.stats = &st;
-  auto f = gen::generate_typed_keys<float>(
-      {gen::dist_kind::uniform, 100, "Unif-100"}, 4000, 31);
-  sort(std::span<float>(f), opt);
-  EXPECT_EQ(entry_point_of(st), sort_entry::sort);
-  EXPECT_EQ(codec_kind_of(st), codec_kind::float_total_order);
-  EXPECT_EQ(st.codec_encoded_bits.load(), 32u);
-
-  std::vector<std::int64_t> k{3, -1, 2};
-  std::vector<std::uint32_t> v{0, 1, 2};
-  sort_by_key(std::span<std::int64_t>(k), std::span<std::uint32_t>(v), opt);
-  EXPECT_EQ(entry_point_of(st), sort_entry::sort_by_key);
-  EXPECT_EQ(codec_kind_of(st), codec_kind::sign_flip);
-  EXPECT_EQ(st.codec_encoded_bits.load(), 64u);
-
-  const std::vector<std::uint32_t> u{5, 4, 6};
-  (void)rank(std::span<const std::uint32_t>(u), opt);
-  EXPECT_EQ(entry_point_of(st), sort_entry::rank);
-  EXPECT_EQ(codec_kind_of(st), codec_kind::identity);
-  EXPECT_STREQ(entry_name(sort_entry::rank), "rank");
+TEST(TypedCodec, KindAndWidthKnownAtCompileTime) {
+  static_assert(wide_key_traits<float>::kind == codec_kind::float_total_order);
+  static_assert(wide_key_traits<float>::encoded_bits == 32);
+  static_assert(wide_key_traits<std::int64_t>::kind == codec_kind::sign_flip);
+  static_assert(wide_key_traits<std::int64_t>::encoded_bits == 64);
+  static_assert(wide_key_traits<std::uint32_t>::kind == codec_kind::identity);
   EXPECT_STREQ(codec_kind_name(codec_kind::composite), "composite");
-
-  st.reset();
-  EXPECT_EQ(entry_point_of(st), std::nullopt);
-  EXPECT_EQ(codec_kind_of(st), std::nullopt);
 }
