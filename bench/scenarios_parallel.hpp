@@ -9,10 +9,9 @@
 //   parallel-auto  — dovetail::sort on 64-bit keys (kv64) over representative
 //       frequency families × n ∈ {--n/10, --n} × p ∈ --threads. Reports the
 //       dispatcher's decision (the kernel dovetail::sort returns, and
-//       chosen_parallelism from sort_stats, also reported as
-//       effective_workers) and speedup_vs_1t against the p=1 cell of the
-//       same (dist, n) — the committed BENCH_parallel.json is the
-//       multi-thread baseline the acceptance gate reads.
+//       chosen_parallelism from sort_stats) and speedup_vs_1t against the
+//       p=1 cell of the same (dist, n) — the committed BENCH_parallel.json
+//       is the multi-thread baseline the acceptance gate reads.
 //   parallel-codec — the same sweep through the typed-key front door
 //       (tkv<double>, encode → radix → decode), proving the per-call limit
 //       composes with codec dispatch.
@@ -116,12 +115,9 @@ scenario_result run_parallel_cell(const run_config& rc,
       stats.workspace_allocations.load(std::memory_order_relaxed) - alloc0);
   // 1 + sort_kernel, the committed baseline's encoding.
   res.stats["chosen_kernel"] = 1.0 + static_cast<double>(ran);
-  // Every call plans the same width, so the mark is the per-call value;
-  // effective_workers, the width the kernel ran under, is that same plan.
-  const auto width = static_cast<double>(
+  // Every call plans the same width, so the mark is the per-call value.
+  res.stats["chosen_parallelism"] = static_cast<double>(
       stats.chosen_parallelism.load(std::memory_order_relaxed));
-  res.stats["chosen_parallelism"] = width;
-  res.stats["effective_workers"] = width;
   note_parallel_speedup(cell_key, p, res);
   return res;
 }

@@ -373,6 +373,8 @@ TEST(Determinism, IdenticalOutputAcrossNumThreads) {
 
   par::scheduler::set_num_workers(1);
   const entry_point_outputs ref = run_every_entry_point(input, strings);
+  EXPECT_TRUE(dtt::sorted_by_key(std::span<const kv64>(ref.sorted),
+                                 key_of_kv64));
   EXPECT_TRUE(dtt::stable_by_index_value(std::span<const kv64>(ref.sorted),
                                          key_of_kv64));
   EXPECT_TRUE(std::is_sorted(ref.strings.begin(), ref.strings.end()));
