@@ -1,11 +1,11 @@
 #include "dovetail/parallel/scheduler.hpp"
 
+#include <atomic>
+#include <cassert>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -44,29 +44,116 @@ int current_worker_limit() noexcept { return tl_worker_limit; }
 void set_worker_limit(int limit) noexcept { tl_worker_limit = limit; }
 }  // namespace detail
 
-struct alignas(64) worker_deque {
-  std::mutex m;
-  std::deque<detail::job*> q;
+namespace {
+
+// Chase–Lev work-stealing deque on a fixed ring (Chase and Lev, SPAA'05,
+// with the C11 orderings of Lê et al., PPoPP'13, all top/bottom accesses
+// made seq_cst instead of using standalone fences, which TSan cannot
+// model). Only the owner calls push() and pop(); anyone may call steal().
+class alignas(64) ws_deque {
+ public:
+  static constexpr std::int64_t kCap =
+      static_cast<std::int64_t>(scheduler::deque_capacity);
+
+  bool push(detail::job* j) noexcept {
+    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
+    if (b - top_.load() >= kCap) return false;
+    ring_[b % kCap].store(j, std::memory_order_relaxed);
+    bottom_.store(b + 1);
+    return true;
+  }
+
+  detail::job* pop() noexcept {
+    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
+    bottom_.store(b);
+    std::int64_t t = top_.load();
+    if (t > b) {  // empty
+      bottom_.store(b + 1);
+      return nullptr;
+    }
+    detail::job* j = ring_[b % kCap].load(std::memory_order_relaxed);
+    if (t == b) {  // last task: race the thieves for it
+      if (!top_.compare_exchange_strong(t, t + 1)) j = nullptr;
+      bottom_.store(b + 1);
+    }
+    return j;
+  }
+
+  // A task, or nullptr when the deque looked empty. `lost` is set when a
+  // task was there but another thief took it first.
+  detail::job* steal(bool& lost) noexcept {
+    std::int64_t t = top_.load();
+    const std::int64_t b = bottom_.load();
+    if (t >= b) return nullptr;
+    detail::job* j = ring_[t % kCap].load(std::memory_order_relaxed);
+    if (top_.compare_exchange_strong(t, t + 1)) return j;
+    lost = true;
+    return nullptr;
+  }
+
+  // Caller deques only: set while a foreign thread owns this deque.
+  std::atomic<bool> claimed{false};
+
+ private:
+  alignas(64) std::atomic<std::int64_t> top_{0};
+  alignas(64) std::atomic<std::int64_t> bottom_{0};
+  std::atomic<detail::job*> ring_[kCap]{};
 };
 
-struct scheduler::impl {
-  std::vector<worker_deque> deques;
-  std::vector<std::thread> threads;
-  std::atomic<bool> shutdown{false};
-  std::atomic<std::uint64_t> wake_epoch{0};
-  std::atomic<int> num_sleepers{0};
-  std::mutex sleep_mu;
-  std::condition_variable sleep_cv;
+// How long an idle worker keeps scanning before it parks: long enough to
+// bridge the short serial steps between a sort's parallel phases, which a
+// futex wake-up (tens of µs, more when the wakee queues behind a busy
+// thread) would otherwise stall.
+constexpr auto kIdleSpin = std::chrono::microseconds(100);
 
-  explicit impl(int p) : deques(static_cast<std::size_t>(p)) {}
+// A pool worker's parking word.
+enum : std::uint32_t { kAwake = 0, kParked = 1, kWoken = 2 };
+struct alignas(64) park_word {
+  std::atomic<std::uint32_t> state{kAwake};
+};
+
+}  // namespace
+
+struct scheduler::impl {
+  int p;
+  // 2p−1 deques: 1..p−1 for the pool threads, 0 and p..2p−2 for callers.
+  int num_deques;
+  std::unique_ptr<ws_deque[]> deques;
+  std::unique_ptr<park_word[]> park;  // indexed by pool worker id
+  std::vector<std::thread> threads;
+  alignas(64) std::atomic<bool> shutdown{false};
+  // Parked workers no push has woken yet.
+  alignas(64) std::atomic<int> num_sleepers{0};
+
+  explicit impl(int workers)
+      : p(workers),
+        num_deques(2 * p - 1),
+        deques(new ws_deque[2 * p - 1]),
+        park(new park_word[p]) {}
+  ws_deque& own() noexcept { return deques[tl_worker_id]; }
+
+  // Wake one parked worker. The waker takes it off the sleeper count, so
+  // pushes made during its wake-up latency do not wake it again.
+  void wake_one() noexcept {
+    for (int w = 1; w < p; ++w) {
+      std::atomic<std::uint32_t>& state = park[w].state;
+      std::uint32_t expected = kParked;
+      if (state.load() == kParked &&
+          state.compare_exchange_strong(expected, kWoken)) {
+        num_sleepers.fetch_sub(1);
+        state.notify_one();
+        return;
+      }
+    }
+  }
 };
 
 // ---------------------------------------------------------------------------
 // Global instance management.
 namespace {
-std::mutex g_inst_mu;
-std::unique_ptr<scheduler> g_inst;  // guarded by g_inst_mu for (re)creation
-struct scheduler_deleter_token {};
+std::mutex g_inst_mu;               // guards creation and set_num_workers
+std::unique_ptr<scheduler> g_inst;  // the owned instance
+std::atomic<scheduler*> g_current{nullptr};  // g_inst, once published
 }  // namespace
 
 struct scheduler_access {
@@ -98,19 +185,27 @@ int scheduler::default_num_workers() {
 }
 
 scheduler& scheduler::get() {
+  if (scheduler* s = g_current.load(std::memory_order_acquire)) return *s;
   std::lock_guard<std::mutex> lk(g_inst_mu);
-  if (!g_inst) g_inst = scheduler_access::make(default_num_workers());
-  // The creating/calling thread acts as worker 0 if it has no identity yet.
-  if (tl_worker_id < 0) tl_worker_id = 0;
+  if (!g_inst) {
+    g_inst = scheduler_access::make(default_num_workers());
+    g_current.store(g_inst.get(), std::memory_order_release);
+  }
   return *g_inst;
 }
 
 void scheduler::set_num_workers(int p) {
   if (p < 1) throw std::invalid_argument("set_num_workers: p must be >= 1");
+  // Tearing the pool down from one of its own threads would join that
+  // thread, and from inside a region would free deques still holding tasks.
+  if (tl_worker_id >= 0)
+    throw std::logic_error(
+        "set_num_workers: called from a pool worker or a parallel region");
   std::lock_guard<std::mutex> lk(g_inst_mu);
+  g_current.store(nullptr, std::memory_order_release);
   g_inst.reset();  // joins all workers
   g_inst = scheduler_access::make(p);
-  tl_worker_id = 0;
+  g_current.store(g_inst.get(), std::memory_order_release);
 }
 
 int scheduler::worker_id() noexcept { return tl_worker_id; }
@@ -118,83 +213,82 @@ int scheduler::worker_id() noexcept { return tl_worker_id; }
 // ---------------------------------------------------------------------------
 
 scheduler::scheduler(int p) : pimpl_(new impl(p)), num_workers_(p) {
-  tl_worker_id = 0;
-  pimpl_->threads.reserve(static_cast<std::size_t>(p > 0 ? p - 1 : 0));
+  pimpl_->threads.reserve(static_cast<std::size_t>(p - 1));
   for (int id = 1; id < p; ++id) {
     pimpl_->threads.emplace_back([this, id] { worker_loop(id); });
   }
 }
 
 scheduler::~scheduler() {
-  pimpl_->shutdown.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(pimpl_->sleep_mu);
-    pimpl_->sleep_cv.notify_all();
+  pimpl_->shutdown.store(true);
+  for (int w = 1; w < num_workers_; ++w) {
+    pimpl_->park[w].state.store(kWoken);
+    pimpl_->park[w].state.notify_one();
   }
   for (auto& t : pimpl_->threads) t.join();
   delete pimpl_;
 }
 
-void scheduler::push(detail::job* j) {
-  int id = tl_worker_id;
-  auto& d = pimpl_->deques[static_cast<std::size_t>(id)];
-  {
-    std::lock_guard<std::mutex> lk(d.m);
-    d.q.push_back(j);
-  }
-  pimpl_->wake_epoch.fetch_add(1, std::memory_order_release);
-  if (pimpl_->num_sleepers.load(std::memory_order_relaxed) > 0) {
-    std::lock_guard<std::mutex> lk(pimpl_->sleep_mu);
-    pimpl_->sleep_cv.notify_all();
-  }
-}
-
-bool scheduler::pop_if_top(detail::job* j) {
-  int id = tl_worker_id;
-  auto& d = pimpl_->deques[static_cast<std::size_t>(id)];
-  std::lock_guard<std::mutex> lk(d.m);
-  if (!d.q.empty() && d.q.back() == j) {
-    d.q.pop_back();
-    return true;
-  }
-  return false;
-}
-
-detail::job* scheduler::try_get_job(int id, std::uint64_t& rng) noexcept {
-  // Own deque first (LIFO for locality), then random victims (FIFO steal).
-  auto& own = pimpl_->deques[static_cast<std::size_t>(id)];
-  {
-    std::lock_guard<std::mutex> lk(own.m);
-    if (!own.q.empty()) {
-      detail::job* j = own.q.back();
-      own.q.pop_back();
-      return j;
-    }
-  }
+int scheduler::claim_caller_slot() noexcept {
   const int p = num_workers_;
-  int start = static_cast<int>(xorshift64(rng) % static_cast<std::uint64_t>(p));
-  for (int k = 0; k < p; ++k) {
-    int v = start + k;
-    if (v >= p) v -= p;
-    if (v == id) continue;
-    auto& d = pimpl_->deques[static_cast<std::size_t>(v)];
-    std::lock_guard<std::mutex> lk(d.m);
-    if (!d.q.empty()) {
-      detail::job* j = d.q.front();
-      d.q.pop_front();
-      return j;
+  for (int id = 0; id < pimpl_->num_deques; id = id == 0 ? p : id + 1) {
+    std::atomic<bool>& claimed = pimpl_->deques[id].claimed;
+    bool expected = false;
+    if (!claimed.load(std::memory_order_relaxed) &&
+        claimed.compare_exchange_strong(expected, true,
+                                        std::memory_order_acquire)) {
+      tl_worker_id = id;
+      return id;
     }
+  }
+  return -1;
+}
+
+void scheduler::release_caller_slot(int id) noexcept {
+  tl_worker_id = -1;
+  pimpl_->deques[id].claimed.store(false, std::memory_order_release);
+}
+
+bool scheduler::push(detail::job* j) noexcept {
+  if (!pimpl_->own().push(j)) return false;
+  // Dekker order with the parking side of worker_loop: the push above
+  // precedes this load, a sleeper's registration precedes its re-scan.
+  if (pimpl_->num_sleepers.load() > 0) pimpl_->wake_one();
+  return true;
+}
+
+bool scheduler::pop(detail::job* j) noexcept {
+  // Every task pushed after `j` has been joined, and thieves take the
+  // oldest first, so the bottom is `j` or the deque is empty.
+  detail::job* bottom = pimpl_->own().pop();
+  assert(bottom == nullptr || bottom == j);
+  return bottom == j;
+}
+
+detail::job* scheduler::steal(int id, std::uint64_t& rng) noexcept {
+  // Random victims; a victim whose top another thief took is retried, so
+  // nullptr means every other deque was seen empty.
+  const int n = pimpl_->num_deques;
+  const int start = static_cast<int>(xorshift64(rng) % static_cast<std::uint64_t>(n));
+  for (int k = 0; k < n; ++k) {
+    int v = start + k;
+    if (v >= n) v -= n;
+    if (v == id) continue;
+    bool lost;
+    do {
+      lost = false;
+      if (detail::job* j = pimpl_->deques[v].steal(lost)) return j;
+    } while (lost);
   }
   return nullptr;
 }
 
-void scheduler::wait_until_done(detail::job* j) {
-  int id = tl_worker_id;
+void scheduler::wait_until_done(detail::job* j) noexcept {
+  const int id = tl_worker_id;
   std::uint64_t rng = 0x9E3779B97F4A7C15ull ^ (static_cast<std::uint64_t>(id) + 1);
   int idle_spins = 0;
   while (!j->finished()) {
-    detail::job* other = try_get_job(id, rng);
-    if (other != nullptr) {
+    if (detail::job* other = steal(id, rng)) {
       other->run();
       idle_spins = 0;
     } else {
@@ -210,42 +304,31 @@ void scheduler::wait_until_done(detail::job* j) {
 void scheduler::worker_loop(int id) {
   tl_worker_id = id;
   std::uint64_t rng = 0xD1B54A32D192ED03ull ^ (static_cast<std::uint64_t>(id) + 1);
-  auto& st = *pimpl_;
-  while (!st.shutdown.load(std::memory_order_acquire)) {
-    detail::job* j = try_get_job(id, rng);
-    if (j != nullptr) {
-      j->run();
-      continue;
-    }
-    // Brief spinning before sleeping.
-    bool ran = false;
-    for (int spin = 0; spin < 512 && !st.shutdown.load(std::memory_order_relaxed);
-         ++spin) {
-      j = try_get_job(id, rng);
-      if (j != nullptr) {
-        j->run();
-        ran = true;
-        break;
-      }
+  impl& st = *pimpl_;
+  for (;;) {
+    detail::job* j = nullptr;
+    const auto spin_end = std::chrono::steady_clock::now() + kIdleSpin;
+    for (int scan = 1; (j = steal(id, rng)) == nullptr; ++scan) {
       cpu_relax();
+      if (scan % 16 == 0) {
+        if (std::chrono::steady_clock::now() > spin_end) break;
+        // The kernel may have queued a just-woken thread on this CPU; a
+        // spin that never yields would hold it off until this one parks.
+        std::this_thread::yield();
+      }
     }
-    if (ran) continue;
-    // Timed sleep: the 1ms timeout bounds any lost-wakeup window.
-    std::uint64_t epoch = st.wake_epoch.load(std::memory_order_acquire);
-    j = try_get_job(id, rng);
-    if (j != nullptr) {
-      j->run();
-      continue;
+    if (j == nullptr) {
+      // Park: register, re-scan, then wait until a push wakes this worker.
+      std::atomic<std::uint32_t>& state = st.park[id].state;
+      state.store(kParked);
+      st.num_sleepers.fetch_add(1);
+      if (!st.shutdown.load() && (j = steal(id, rng)) == nullptr)
+        state.wait(kParked);
+      // Still kParked: no push took this worker off the count.
+      if (state.exchange(kAwake) == kParked) st.num_sleepers.fetch_sub(1);
+      if (st.shutdown.load()) return;
     }
-    st.num_sleepers.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::unique_lock<std::mutex> lk(st.sleep_mu);
-      st.sleep_cv.wait_for(lk, std::chrono::milliseconds(1), [&] {
-        return st.shutdown.load(std::memory_order_relaxed) ||
-               st.wake_epoch.load(std::memory_order_relaxed) != epoch;
-      });
-    }
-    st.num_sleepers.fetch_sub(1, std::memory_order_relaxed);
+    if (j != nullptr) j->run();
   }
 }
 

@@ -9,16 +9,30 @@
 //  * Forked tasks live on the forking thread's stack; the scheduler only
 //    holds pointers. A task is joined before the frame unwinds, even when
 //    the left branch throws.
-//  * Deques are mutex-protected. With granularity-controlled parallel loops
-//    the fork rate is low, so the lock is uncontended on the fast path.
-//  * Idle workers spin briefly, then sleep on a condition variable with a
-//    bounded timeout, so sequential phases do not burn CPU on idle workers
-//    (important for fair baseline benchmarks).
+//  * Each deque is a fixed-ring Chase–Lev work-stealing deque with one
+//    owner: the owner pushes and pops at the bottom without a lock, thieves
+//    take the top with a CAS. A fork whose ring is full runs inline.
+//  * Pool workers own deques 1..p−1. A thread from outside the pool claims
+//    a free caller deque (0 or p..2p−2, p in all) when it enters its
+//    outermost parallel region and releases it on return; when none is
+//    free, the region runs serially. So no deque is ever shared by two
+//    owners, and a joining thread's own deque holds nothing older than the
+//    task it joins: it steals only from the other deques.
+//  * Idle workers scan for work briefly, then park on their own atomic
+//    word (C++20 atomic::wait). A push wakes one parked worker (notify_one)
+//    only when the sleeper count is above zero. The sleeper registers,
+//    re-scans and only then waits, so a push is either seen by the re-scan
+//    or wakes someone; the waker takes the worker it wakes off the count,
+//    so pushes during that worker's wake-up latency do not wake it again.
+//    Sequential phases cost idle workers no CPU.
+//  * scheduler::get() is one acquire load once the pool exists; a mutex
+//    guards only its creation and set_num_workers.
 //  * Exceptions thrown by either branch propagate to the joining caller.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <type_traits>
 #include <utility>
@@ -86,18 +100,24 @@ class forked_task final : public job {
 
 class scheduler {
  public:
-  // Lazily constructed global scheduler. The first caller's thread becomes
-  // worker 0 and participates in parallel regions.
+  // Forks a deque holds before further forks run inline.
+  static constexpr std::size_t deque_capacity = 1024;
+
+  // Lazily constructed global scheduler.
   static scheduler& get();
 
-  // Id of the calling thread within the pool, or -1 for foreign threads.
+  // Deque owned by the calling thread: 1..p−1 on pool workers, a caller
+  // deque (0 or p..2p−2) while a thread from outside the pool is inside
+  // its outermost parallel region, −1 otherwise.
   static int worker_id() noexcept;
 
-  // Number of workers (threads) in the pool, >= 1.
+  // Number of workers in the pool, >= 1: p−1 pool threads plus the caller.
   [[nodiscard]] int num_workers() const noexcept { return num_workers_; }
 
   // Tear down and restart the pool with `p` workers (p >= 1). Must not be
-  // called while parallel work is in flight. Used by scaling benchmarks.
+  // called while parallel work is in flight; throws std::logic_error,
+  // before anything is torn down, when called from a pool worker or from
+  // inside a parallel region. Used by scaling benchmarks.
   static void set_num_workers(int p);
 
   // Default worker count: DOVETAIL_NUM_THREADS env var, else hardware
@@ -106,9 +126,30 @@ class scheduler {
   static int default_num_workers();
 
   // ---- internal API used by pardo() ----
-  void push(detail::job* j);
-  bool pop_if_top(detail::job* j);
-  void wait_until_done(detail::job* j);
+  // A foreign thread's hold on a caller deque for its outermost parallel
+  // region; empty (false) when every caller deque is taken.
+  class caller_slot {
+   public:
+    explicit caller_slot(scheduler& s) noexcept
+        : s_(s), id_(s.claim_caller_slot()) {}
+    ~caller_slot() {
+      if (id_ >= 0) s_.release_caller_slot(id_);
+    }
+    explicit operator bool() const noexcept { return id_ >= 0; }
+    caller_slot(const caller_slot&) = delete;
+    caller_slot& operator=(const caller_slot&) = delete;
+
+   private:
+    scheduler& s_;
+    int id_;
+  };
+  // Push onto the calling thread's deque; false when its ring is full.
+  bool push(detail::job* j) noexcept;
+  // Pop the bottom of the calling thread's deque: true when it was `j`,
+  // the last task this thread pushed, false when a thief took it.
+  bool pop(detail::job* j) noexcept;
+  // Run other deques' tasks until `j` has finished.
+  void wait_until_done(detail::job* j) noexcept;
 
   scheduler(const scheduler&) = delete;
   scheduler& operator=(const scheduler&) = delete;
@@ -117,52 +158,65 @@ class scheduler {
  private:
   friend struct scheduler_access;
   explicit scheduler(int p);
+  int claim_caller_slot() noexcept;
+  void release_caller_slot(int id) noexcept;
   void worker_loop(int id);
-  detail::job* try_get_job(int id, std::uint64_t& rng) noexcept;
+  detail::job* steal(int id, std::uint64_t& rng) noexcept;
 
   struct impl;
   impl* pimpl_;
   int num_workers_;
 };
 
-// Run `left` and `right` potentially in parallel; returns when both are
-// done. Exceptions from either branch are rethrown (left's first).
+namespace detail {
+
+// Fork `right`, run `left`, join. A fork whose deque is full runs inline.
 template <typename L, typename R>
-void pardo(L&& left, R&& right) {
-  scheduler& s = scheduler::get();
-  const int limit = detail::current_worker_limit();
-  if (s.num_workers() == 1 || limit == 1 || scheduler::worker_id() < 0) {
-    // Serial path: both branches still run even if one throws (same join
-    // guarantee as the parallel path), rethrowing left's exception first.
-    std::exception_ptr ex{};
-    try {
-      left();
-    } catch (...) {
-      ex = std::current_exception();
-    }
-    try {
-      right();
-    } catch (...) {
-      if (!ex) ex = std::current_exception();
-    }
-    if (ex) std::rethrow_exception(ex);
-    return;
-  }
-  detail::forked_task<std::decay_t<R>> rt(std::forward<R>(right));
-  s.push(&rt);
+void fork_join(scheduler& s, L& left, R&& right) {
+  forked_task<std::decay_t<R>> rt(std::forward<R>(right));
+  const bool forked = s.push(&rt);
   std::exception_ptr left_ex{};
   try {
     left();
   } catch (...) {
     left_ex = std::current_exception();
   }
-  if (s.pop_if_top(&rt)) {
+  if (!forked || s.pop(&rt)) {
     rt.run();
   } else {
     s.wait_until_done(&rt);
   }
   if (left_ex) std::rethrow_exception(left_ex);
   rt.rethrow_if_exception();
+}
+
+}  // namespace detail
+
+// Run `left` and `right` potentially in parallel; returns when both are
+// done. Exceptions from either branch are rethrown (left's first).
+template <typename L, typename R>
+void pardo(L&& left, R&& right) {
+  scheduler& s = scheduler::get();
+  if (s.num_workers() > 1 && detail::current_worker_limit() != 1) {
+    if (scheduler::worker_id() >= 0)
+      return detail::fork_join(s, left, std::forward<R>(right));
+    if (const scheduler::caller_slot slot(s); slot)
+      return detail::fork_join(s, left, std::forward<R>(right));
+  }
+  // Serial path: both branches still run even if one throws (same join
+  // guarantee as the parallel path), rethrowing left's exception first.
+  std::exception_ptr ex{};
+  try {
+    left();
+  } catch (...) {
+    ex = std::current_exception();
+  }
+  try {
+    right();
+  } catch (...) {
+    if (!ex) ex = std::current_exception();
+  }
+  if (ex) std::rethrow_exception(ex);
 }
 
 inline int num_workers() { return scheduler::get().num_workers(); }
