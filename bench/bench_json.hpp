@@ -629,6 +629,24 @@ inline bool validate_result_entry(const value& entry, std::string& err,
       }
     }
   }
+  // Finish-family contract (scenarios_engine.hpp): the base case's cost
+  // per record and the bucket size it was measured on are the result.
+  if (bench_v != nullptr && bench_v->is_string() &&
+      bench_v->as_string() == "engine-finish") {
+    const value* stats = entry.find("stats");
+    if (stats == nullptr || !stats->is_object()) {
+      err = name + ": engine-finish entry: missing 'stats' object";
+      return false;
+    }
+    for (const char* field : {"ns_per_rec", "bucket_records"}) {
+      const value* v = stats->find(field);
+      if (v == nullptr || !v->is_number() || v->as_number() <= 0) {
+        err = name + ": engine-finish entry: missing positive stat '" +
+              std::string(field) + "'";
+        return false;
+      }
+    }
+  }
   // In-place-family contract (scenarios_inplace.hpp). The family's reason
   // to exist is the workspace high-water comparison, so a report without
   // the measured peak (or with a zero peak: the accounting broke) and the

@@ -10,10 +10,17 @@
 //   engine-workspace  — DovetailSort with a warm persistent workspace vs a
 //                       cold per-sort one: the cost of hot-path allocation
 //                       the reusable arena removes.
+//   engine-finish     — DTSort's base case alone (detail::radix_finish),
+//                       serially over the light buckets DTSort's levels
+//                       leave: ns per record of the sequential finish.
 #pragma once
+
+#include <cstring>
+#include <limits>
 
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/pass_plan.hpp"
 #include "harness.hpp"
 #include "scenarios_ablation.hpp"
 
@@ -153,6 +160,90 @@ inline scenario_result run_counting_sort_api_once(const run_config& cfg,
   return res;
 }
 
+// DTSort's base case on the calling thread, over the light buckets DTSort's
+// recursion hands it. The buckets are cut from the stable-sorted input the
+// way its levels cut keys: by the top γ bits of the range left (γ from the
+// pass planner and Thm 4.5's cap, as dovetail_sort plans it), again inside
+// every bucket above θ records, so each bucket holds the keys that share
+// their bits above some shift, in input order: what a stable distribution
+// leaves in the T side of the (A, T) pair. Every bucket is then finished
+// into A by detail::radix_finish, and A must equal std::stable_sort's
+// bytes. Heavy keys, which DTSort's sampling would take out, stay in their
+// buckets here, so Zipf's all-equal buckets finish by the min/max pass.
+template <typename Rec>
+scenario_result run_finish_once(const run_config& cfg,
+                                const dovetail::gen::distribution& d,
+                                std::size_t n) {
+  using dovetail::detail::sampling_digit_cap;
+  const auto& input = cached_input<Rec>(d, n);
+  scenario_result res;
+  res.n = input.size();
+  using key_t = decltype(Rec::key);
+  const auto key = [](const Rec& r) { return r.key; };
+
+  std::vector<Rec> ref = input;
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const Rec& a, const Rec& b) { return a.key < b.key; });
+  const std::size_t theta = dovetail::sort_options{}.base_case;
+  const int gamma =
+      dovetail::detail::plan_digits(
+          dovetail::detail::kDtsortDigits,
+          {res.n, std::numeric_limits<key_t>::digits, theta, sizeof(Rec), 1})
+          .digit;
+  std::vector<std::size_t> cuts;  // bucket starts in ref, then res.n
+  const auto cut = [&](auto&& self, std::size_t lo, std::size_t hi,
+                       int bits) -> void {
+    if (hi - lo <= theta || bits == 0) {
+      cuts.push_back(lo);
+      return;
+    }
+    const int shift =
+        bits - std::min({gamma, bits, sampling_digit_cap(hi - lo)});
+    for (std::size_t b = lo; b < hi;) {
+      std::size_t e = b + 1;
+      while (e < hi && ref[e].key >> shift == ref[b].key >> shift) ++e;
+      self(self, b, e, shift);
+      b = e;
+    }
+  };
+  cut(cut, 0, res.n,
+      res.n == 0 ? 0 : dovetail::bit_width_u64(ref.back().key));
+  cuts.push_back(res.n);
+  std::vector<Rec> part = ref;  // values are input indices
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    std::sort(part.begin() + cuts[i], part.begin() + cuts[i + 1],
+              [](const Rec& a, const Rec& b) { return a.value < b.value; });
+  }
+
+  std::vector<Rec> t(res.n);
+  std::vector<Rec> a(res.n);
+  const auto one_run = [&]() -> double {
+    std::copy(part.begin(), part.end(), t.begin());
+    dovetail::timer tm;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      dovetail::detail::radix_finish(t.data() + cuts[i], a.data() + cuts[i],
+                                     cuts[i + 1] - cuts[i],
+                                     /*cur_is_a=*/false, key);
+    }
+    return tm.seconds();
+  };
+  run_warmups(cfg.warmups, one_run);
+  run_timed_reps(cfg.reps, res, one_run);
+  res.stats["bucket_records"] = static_cast<double>(res.n) /
+                                static_cast<double>(cuts.size() - 1);
+  res.stats["ns_per_rec"] =
+      res.n == 0 ? 0.0 : res.median_s() * 1e9 / static_cast<double>(res.n);
+
+  if (!cfg.check) return res;
+  if (std::memcmp(a.data(), ref.data(), res.n * sizeof(Rec)) != 0) {
+    res.check = "fail";
+    res.check_detail = "finished buckets differ from std::stable_sort";
+    return res;
+  }
+  res.check = "pass";
+  return res;
+}
+
 inline void register_engine_scenarios(const run_config& cfg) {
   // --- engine-counting: the counting_sort API, stable vs unstable ---
   for (std::size_t b : {std::size_t{16}, std::size_t{256}, std::size_t{4096},
@@ -226,6 +317,35 @@ inline void register_engine_scenarios(const run_config& cfg) {
       };
       scenario_registry::instance().add(std::move(s));
     }
+  }
+
+  // --- engine-finish: DTSort's sequential base case ---
+  using dovetail::gen::dist_kind;
+  struct finish_case {
+    dovetail::gen::distribution dist;
+    int width;
+  };
+  static const std::vector<finish_case> finish_cases = {
+      {{dist_kind::uniform, 1e9, "Unif-1e9"}, 64},
+      {{dist_kind::uniform, 1e9, "Unif-1e9"}, 32},
+      {{dist_kind::zipfian, 1.2, "Zipf-1.2"}, 64},
+      {{dist_kind::bexp, 30, "BExp-30"}, 64},
+  };
+  for (const auto& [d, width] : finish_cases) {
+    scenario s;
+    s.bench = "engine-finish";
+    s.col = "RadixFinish";
+    s.name = "engine/finish/" + std::to_string(width) + "bit/" + d.name;
+    s.paper = "Sec 3.5 base case: serial radix finish of DTSort's buckets";
+    s.row = d.name + "/" + std::to_string(width);
+    s.labels = {{"algo", s.col}, {"dist", d.name},
+                {"width", std::to_string(width)}};
+    const std::size_t n = cfg.n;
+    s.run = [d, width, n](const run_config& rc) {
+      return width == 32 ? run_finish_once<dovetail::kv32>(rc, d, n)
+                         : run_finish_once<dovetail::kv64>(rc, d, n);
+    };
+    scenario_registry::instance().add(std::move(s));
   }
 }
 

@@ -18,9 +18,11 @@
 //                   light bucket via DTMerge (Alg 3, Sec 3.4).
 // Base cases: no bits left, or n' <= θ. The paper finishes the latter with
 // a stable comparison sort (Sec 3.5); here a sequential, range-adaptive MSD
-// radix sort over the dead twin segment does it (detail::radix_finish) —
-// the same stable order, no allocation. Only the overflow bucket, whose
-// keys can span the full width and size, keeps the comparison sort.
+// radix sort over the dead twin segment does it (detail::radix_finish): one
+// 11-bit level for a θ-sized segment, then a branch-free rank placement of
+// each bucket of at most 16 records — the same stable order, no
+// allocation. Only the overflow bucket, whose keys can span the full width
+// and size, keeps the comparison sort.
 //
 // Work O(n sqrt(log r)), span ~O(2^sqrt(log r)) per Thm 4.5; stable.
 #pragma once
@@ -70,8 +72,9 @@ struct sort_options {
   // twin buffer (detail::radix_finish below) instead of the paper's
   // comparison sort. It allocates nothing and adapts its digit to the
   // segment's key range, so a base case costs O(n') per remaining digit of
-  // at most 8 bits. Larger θ trades parallel distribution depth for more
-  // sequential finishing.
+  // at most 11 bits (detail::finish_digit), and buckets of at most 16
+  // records take a rank placement instead of another level. Larger θ
+  // trades parallel distribution depth for more sequential finishing.
   std::size_t base_case = std::size_t{1} << 14;
 
   // Heavy-key detection via sampling (Alg 2 step 1), subsampling every
@@ -122,8 +125,44 @@ struct sort_options {
 
 namespace detail {
 
-// Segments at or below this size finish with an insertion sort.
-inline constexpr std::size_t kFinishInsertion = 24;
+// Stable rank placement of the n <= W records at `src` into the other
+// array `dst`, for keys that agree above their low `bits` bits (bits <=
+// kFinishLeafKeyBits). Each record's composite (low key bits, index) is
+// distinct and orders like (key, input position), so a record's place is
+// the number of smaller composites: the earlier records with a key <= its
+// own plus the later ones with a smaller key. Slots past n hold ~0, which
+// no composite exceeds, so the count runs over all W slots and no
+// comparison decides a branch.
+template <std::size_t W, typename Rec, typename KeyFn>
+void rank_place(const Rec* src, Rec* dst, std::size_t n, int bits,
+                const KeyFn& key) {
+  constexpr int kIndexBits = 64 - kFinishLeafKeyBits;
+  static_assert(W <= std::size_t{1} << kIndexBits);
+  const std::uint64_t low = low_mask(bits);
+  std::uint64_t c[W];
+  for (std::size_t i = 0; i < W; ++i) {
+    c[i] = i < n ? (static_cast<std::uint64_t>(key(src[i])) & low)
+                           << kIndexBits |
+                       i
+                 : ~std::uint64_t{0};
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (std::size_t j = 0; j < W; ++j) r += c[j] < c[i];
+    dst[r] = src[i];
+  }
+}
+
+// A leaf of at most kFinishLeaf records; half-size leaves count half the
+// slots.
+template <typename Rec, typename KeyFn>
+void rank_leaf(const Rec* src, Rec* dst, std::size_t n, int bits,
+               const KeyFn& key) {
+  if (n <= kFinishLeaf / 2)
+    rank_place<kFinishLeaf / 2>(src, dst, n, bits, key);
+  else
+    rank_place<kFinishLeaf>(src, dst, n, bits, key);
+}
 
 // Sequential stable MSD radix sort of the n records at `cur` by key. `oth`
 // is an equally long dead segment used as the scatter target (the twin
@@ -131,29 +170,21 @@ inline constexpr std::size_t kFinishInsertion = 24;
 // whichever of the two is the A side (`cur` if `cur_is_a`, else `oth`).
 // Each level makes one min/max pass: an all-equal segment is done without
 // a scatter, otherwise the digit starts at the highest bit where min and
-// max differ and is min(8, range bits, floor(log2 n)) wide, so the
-// histogram never costs more than the records it sorts. Counts live on the
-// stack; each level consumes at least min(4, range bits) bits (smaller
-// segments take the insertion sort), so the recursion is at most 16 deep
-// for 64-bit keys. Stable, so the output equals std::stable_sort by key.
+// max differ and is finish_digit(n, range bits) wide (pass_plan.hpp: 11
+// bits on a θ-sized segment). Buckets of at most kFinishLeaf records are
+// then placed by rank_leaf straight into `cur`, the output side when
+// cur_is_a; otherwise each run of leaves is copied back into `oth` before
+// the next larger bucket recurses with the parity flipped. Counts live on
+// the stack; each level consumes at least min(4, range bits) bits, so the
+// recursion is at most 16 deep for 64-bit keys. Stable, so the output
+// equals std::stable_sort by key.
 template <typename Rec, typename KeyFn>
 void radix_finish(Rec* cur, Rec* oth, std::size_t n, bool cur_is_a,
                   const KeyFn& key) {
   const auto k = [&key](const Rec& r) {
     return static_cast<std::uint64_t>(key(r));
   };
-  Rec* const out = cur_is_a ? cur : oth;
-  if (n <= kFinishInsertion) {
-    // Insertion sort from `cur` into `out` (the same array when cur_is_a).
-    for (std::size_t i = 0; i < n; ++i) {
-      const Rec x = cur[i];
-      const std::uint64_t kx = k(x);
-      std::size_t j = i;
-      for (; j > 0 && kx < k(out[j - 1]); --j) out[j] = out[j - 1];
-      out[j] = x;
-    }
-    return;
-  }
+  if (n == 0) return;
   std::uint64_t kmin = k(cur[0]);
   std::uint64_t kmax = kmin;
   for (std::size_t i = 1; i < n; ++i) {
@@ -162,16 +193,25 @@ void radix_finish(Rec* cur, Rec* oth, std::size_t n, bool cur_is_a,
     kmax = std::max(kmax, ki);
   }
   if (kmin == kmax) {
-    if (!cur_is_a) std::copy(cur, cur + n, out);
+    if (!cur_is_a) std::copy(cur, cur + n, oth);
     return;
   }
   const int range = bit_width_u64(kmin ^ kmax);
-  const int d = std::min({8, range, static_cast<int>(floor_log2(n))});
+  if (n <= kFinishLeaf && range <= kFinishLeafKeyBits) {
+    if (cur_is_a) {  // the leaf writes across: through the dead twin
+      std::copy(cur, cur + n, oth);
+      rank_leaf(oth, cur, n, range, key);
+    } else {
+      rank_leaf(cur, oth, n, range, key);
+    }
+    return;
+  }
+  const int d = finish_digit(n, range);
   const int shift = range - d;
   const std::size_t nb = std::size_t{1} << d;
   const std::uint64_t dmask = nb - 1;
   // end[b]: after the scatter, one past the last record of bucket b.
-  std::size_t end[256];
+  std::size_t end[std::size_t{1} << kFinishWidest];
   std::fill(end, end + nb, 0);
   for (std::size_t i = 0; i < n; ++i) ++end[(k(cur[i]) >> shift) & dmask];
   for (std::size_t b = 0, sum = 0; b < nb; ++b) {
@@ -185,10 +225,19 @@ void radix_finish(Rec* cur, Rec* oth, std::size_t n, bool cur_is_a,
     if (cur_is_a) std::copy(oth, oth + n, cur);
     return;
   }
+  // Leaves placed into `cur` from `pending` on are not yet in `oth`.
+  std::size_t pending = 0;
   for (std::size_t b = 0, lo = 0; b < nb; lo = end[b++]) {
-    if (end[b] > lo)
-      radix_finish(oth + lo, cur + lo, end[b] - lo, !cur_is_a, key);
+    const std::size_t m = end[b] - lo;
+    if (m <= kFinishLeaf) {
+      if (m != 0) rank_leaf(oth + lo, cur + lo, m, shift, key);
+      continue;
+    }
+    if (!cur_is_a) std::copy(cur + pending, cur + lo, oth + pending);
+    radix_finish(oth + lo, cur + lo, m, !cur_is_a, key);
+    pending = end[b];
   }
+  if (!cur_is_a) std::copy(cur + pending, cur + n, oth + pending);
 }
 
 // DTSort's digit rule (pass_plan.hpp): γ from 8 to 12 bits, and Thm 4.5's

@@ -3,7 +3,8 @@
 // and the in-place MSD kernel each state their digit rule next to their
 // code; detail::plan_digits turns a rule and the call's shape (n, key bits,
 // θ, record bytes, workers) into the digit that makes the fewest passes
-// over memory.
+// over memory. DTSort's sequential base case takes its digit from
+// detail::finish_digit, per segment.
 //
 // Every pass is a stable (or, in place, order-free) distribution, so the
 // plan changes how much memory traffic a sort costs, never its output.
@@ -110,6 +111,27 @@ inline digit_plan plan_digits(const digit_rule& rule, const pass_request& r) {
   int digit = std::min(cap, std::max(rule.base, even));
   if (r.theta != 0) digit = std::min(digit, r.key_bits);
   return {digit, passes};
+}
+
+// DTSort's base case (detail::radix_finish, dovetail_sort.hpp) places
+// segments of at most kFinishLeaf records by rank, on composites of 60 key
+// bits and 4 index bits.
+inline constexpr std::size_t kFinishLeaf = 16;
+inline constexpr int kFinishLeafKeyBits = 60;
+
+// The base case's digit for a segment of n records whose keys differ in
+// their low range_bits bits: min(11, range bits, floor(log2 n)), so its
+// stack histogram has no more cells than a segment above the leaf size has
+// records, and a θ = 2^14 segment resolves 11 bits in one level, down to
+// leaves of about 8 records. The digit is never below 4 bits (except for a
+// narrower range), so what a level leaves to its leaves fits
+// kFinishLeafKeyBits.
+inline constexpr int kFinishWidest = 11;
+
+inline int finish_digit(std::size_t n, int range_bits) {
+  return std::min(range_bits,
+                  std::clamp(static_cast<int>(floor_log2(n)),
+                             64 - kFinishLeafKeyBits, kFinishWidest));
 }
 
 }  // namespace dovetail::detail

@@ -332,6 +332,10 @@ std::size_t refill_words(std::span<R> seg, std::size_t off,
   return d;
 }
 
+// Segments at or below this size finish with an insertion sort on their
+// key suffixes.
+inline constexpr std::size_t kFinishInsertion = 24;
+
 // The cached-word radix finish of one segment of encode-once string
 // records whose word slots hold the words at bytes off, off + 7, ... and
 // whose keys tie through word f of them, i.e. through byte off + 7f: a

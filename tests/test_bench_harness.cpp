@@ -6,13 +6,16 @@
 //     "fail" result is rejected by the schema (it can never be committed);
 //   * warm runs perform zero workspace allocations (the timed-phase
 //     allocation counter the harness exposes per scenario);
-//   * filters, named-distribution lookup, and JSON parser round-trips.
+//   * filters, named-distribution lookup, and JSON parser round-trips;
+//   * the engine-finish family cross-checks the base case and reports the
+//     cost stats its schema contract demands.
 #include <gtest/gtest.h>
 
 #include <span>
 #include <string>
 
 #include "bench/harness.hpp"
+#include "bench/scenarios_engine.hpp"
 #include "bench/scenarios_service.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
 
@@ -346,6 +349,31 @@ TEST(BenchJson, ServiceEntriesNeedConcurrencyAndLoadStats) {
   labels.erase("concurrency");
   entry.as_object()["stats"] = dtb::json::value(dtb::json::object{});
   EXPECT_TRUE(dtb::json::validate_bench_schema(root, err)) << err;
+}
+
+TEST(BenchJson, FinishEntriesCrossCheckAndNeedTheirCostStats) {
+  const dtb::run_config cfg = small_config();
+  dtb::scenario s;
+  s.bench = "engine-finish";
+  s.name = "unit/finish/Zipf-1";
+  s.paper = "unit test";
+  s.row = "Zipf-1";
+  s.col = "RadixFinish";
+  s.labels = {{"dist", "Zipf-1"}, {"algo", "RadixFinish"}, {"width", "64"}};
+  std::vector<std::pair<const dtb::scenario*, dtb::scenario_result>> runs;
+  runs.emplace_back(&s, dtb::run_finish_once<dovetail::kv64>(cfg, kZipf,
+                                                             cfg.n));
+  EXPECT_EQ(runs[0].second.check, "pass") << runs[0].second.check_detail;
+  const std::string good = dtb::make_report(cfg, "unit", runs).dump();
+
+  dtb::json::value root;
+  std::string err;
+  ASSERT_TRUE(dtb::json::parse(good, root, err)) << err;
+  EXPECT_TRUE(dtb::json::validate_bench_schema(root, err)) << err;
+  auto& entry = root.as_object()["results"].as_array().at(0);
+  entry.as_object()["stats"].as_object().erase("ns_per_rec");
+  EXPECT_FALSE(dtb::json::validate_bench_schema(root, err));
+  EXPECT_NE(err.find("ns_per_rec"), std::string::npos) << err;
 }
 
 }  // namespace

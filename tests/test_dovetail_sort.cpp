@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -248,7 +249,8 @@ TEST(DovetailSort, OddSizesAroundPowersOfTwo) {
 // exactly std::stable_sort's bytes for every θ and worker count, on the
 // segment shapes it special-cases: all-equal keys (no scatter), one-bit
 // ranges at either end of the word, full-width keys (many levels), and
-// tiny buckets (insertion sort, where stability is easiest to lose).
+// buckets of at most 16 records (rank leaves, where ties must keep their
+// input order).
 
 namespace {
 
@@ -290,7 +292,8 @@ constexpr std::size_t kFinishN = 150000;
 template <typename Rec>
 std::vector<Rec> with_keys(std::size_t n, auto key_at) {
   std::vector<Rec> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = {key_at(i), i};
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = {key_at(i), static_cast<decltype(Rec::value)>(i)};
   return v;
 }
 
@@ -299,7 +302,7 @@ std::vector<Rec> with_keys(std::size_t n, auto key_at) {
 TEST(RadixFinish, AllEqualKeySegments) {
   using dovetail::par::hash64;
   // 10000 keys, 15 copies each, scattered: base segments of equal keys,
-  // small enough for the insertion sort.
+  // small enough for a rank leaf.
   expect_stable_sort_bytes(
       with_keys<kv64>(kFinishN,
                       [](std::size_t i) { return hash64(i % 10000) >> 20; }),
@@ -327,7 +330,9 @@ TEST(RadixFinish, KeysDifferingOnlyInBitZeroOrBit63) {
 }
 
 TEST(RadixFinish, FullWidthHashedKeys64) {
-  // Two 8/7-bit levels leave ~49 unsorted bits in every base case.
+  // DTSort's levels take at most 8 bits each at this n, so every base case
+  // keeps over 40 unsorted bits: rank leaves on wide keys, or finish
+  // levels before them.
   using dovetail::par::hash64;
   expect_stable_sort_bytes(
       with_keys<kv64>(kFinishN, [](std::size_t i) { return hash64(i); }),
@@ -383,5 +388,144 @@ TEST(RadixFinish, BaseCaseRecordsUnchanged) {
     o.num_threads = threads;
     dovetail_sort(std::span<kv64>(v), dovetail::key_of_kv64, o);
     EXPECT_EQ(st.base_case_records.load(), 511151u) << threads << " workers";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// detail::radix_finish called directly, on both sides of the (A, T) pair:
+// with cur_is_a the records start and end in `cur`; otherwise they start
+// in the T side and end in `oth`. Either way the output must be
+// std::stable_sort's bytes by key.
+
+namespace {
+
+// A string record as radix_finish_words hands it over: its key is one
+// cached codec word, word[f].
+struct word_rec {
+  std::uint64_t word[2];
+  std::uint32_t index;
+};
+
+template <typename Rec, typename KeyFn>
+void expect_finish_bytes(const std::vector<Rec>& input, const KeyFn& key,
+                         const std::string& what) {
+  std::vector<Rec> ref = input;
+  std::stable_sort(ref.begin(), ref.end(), [&](const Rec& a, const Rec& b) {
+    return key(a) < key(b);
+  });
+  const std::size_t n = input.size();
+  for (const bool cur_is_a : {true, false}) {
+    std::vector<Rec> cur = input;
+    std::vector<Rec> oth(n);
+    if (n != 0) std::memset(static_cast<void*>(oth.data()), 0xA5, n * sizeof(Rec));
+    dovetail::detail::radix_finish(cur.data(), oth.data(), n, cur_is_a, key);
+    const Rec* out = cur_is_a ? cur.data() : oth.data();
+    ASSERT_EQ(0, n == 0 ? 0 : std::memcmp(out, ref.data(), n * sizeof(Rec)))
+        << what << ", n " << n << ", cur_is_a " << cur_is_a;
+  }
+}
+
+std::vector<std::size_t> finish_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 64; ++n) sizes.push_back(n);
+  for (std::size_t n : {2047ul, 2048ul, 2049ul, 16384ul}) sizes.push_back(n);
+  return sizes;
+}
+
+}  // namespace
+
+TEST(RadixFinishDirect, EverySizeFullWidthAndTiedKeys64) {
+  using dovetail::par::hash64;
+  for (const std::size_t n : finish_sizes()) {
+    // Full-width keys: a segment of at most 16 records spans more bits
+    // than a rank leaf takes, so it runs one 4-bit level first.
+    expect_finish_bytes(
+        with_keys<kv64>(n, [n](std::size_t i) { return hash64(i + 7 * n); }),
+        dovetail::key_of_kv64, "hashed kv64");
+    // About three copies per key: ties inside every rank leaf.
+    expect_finish_bytes(with_keys<kv64>(n,
+                                        [n](std::size_t i) {
+                                          return hash64(i + n) % (n / 3 + 1);
+                                        }),
+                        dovetail::key_of_kv64, "tied kv64");
+    // Two keys, interleaved: every leaf is two long runs of ties.
+    expect_finish_bytes(
+        with_keys<kv64>(n,
+                        [](std::size_t i) {
+                          return (hash64(i) & 1) << 40 | 0x1234;
+                        }),
+        dovetail::key_of_kv64, "two keys kv64");
+  }
+}
+
+TEST(RadixFinishDirect, EverySizeKv32) {
+  using dovetail::par::hash64;
+  for (const std::size_t n : finish_sizes()) {
+    expect_finish_bytes(
+        with_keys<kv32>(n,
+                        [n](std::size_t i) {
+                          return static_cast<std::uint32_t>(hash64(i ^ n));
+                        }),
+        dovetail::key_of_kv32, "hashed kv32");
+    expect_finish_bytes(with_keys<kv32>(n,
+                                        [n](std::size_t i) {
+                                          return static_cast<std::uint32_t>(
+                                              hash64(i) % (n / 4 + 1));
+                                        }),
+                        dovetail::key_of_kv32, "tied kv32");
+  }
+}
+
+TEST(RadixFinishDirect, AllEqualAroundTheLeafSize) {
+  for (std::size_t n = 12; n <= 21; ++n) {
+    expect_finish_bytes(with_keys<kv64>(n, [](std::size_t) { return 5ull; }),
+                        dovetail::key_of_kv64, "all equal kv64");
+    expect_finish_bytes(
+        with_keys<kv32>(n, [](std::size_t) { return 0xFFFFFFFFu; }),
+        dovetail::key_of_kv32, "all equal kv32");
+    // All equal but the last record, which sorts first.
+    expect_finish_bytes(with_keys<kv64>(n,
+                                        [n](std::size_t i) {
+                                          return i + 1 == n ? 0ull : ~0ull;
+                                        }),
+                        dovetail::key_of_kv64, "one smaller key");
+  }
+}
+
+TEST(RadixFinishDirect, KeysDifferingOnlyBelowTheDigit) {
+  using dovetail::par::hash64;
+  // 2^14 records over 31 bits: the one 11-bit level takes bits 20-30, and
+  // records in one bucket differ only in bits 0-3, which their rank leaf
+  // must order.
+  for (const std::size_t n : {std::size_t{2049}, std::size_t{1} << 14}) {
+    expect_finish_bytes(with_keys<kv64>(n,
+                                        [](std::size_t i) {
+                                          return (hash64(i) & 0x7FF) << 20 |
+                                                 (hash64(~i) & 0xF);
+                                        }),
+                        dovetail::key_of_kv64, "low nibble kv64");
+    expect_finish_bytes(
+        with_keys<kv32>(n,
+                        [](std::size_t i) {
+                          return static_cast<std::uint32_t>(
+                              (hash64(i) & 0x7FF) << 21 | (hash64(~i) & 1));
+                        }),
+        dovetail::key_of_kv32, "low bit kv32");
+  }
+}
+
+TEST(RadixFinishDirect, WordKeysAsTheStringFinishPassesThem) {
+  using dovetail::par::hash64;
+  for (const std::size_t n : finish_sizes()) {
+    std::vector<word_rec> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Word 1 from a handful of 7-byte codec words: long runs of ties.
+      const std::uint64_t w = 0x6162636465666700ull + (hash64(i) % 5) * 0x100;
+      v[i] = {{hash64(i), w | (i % 2)}, static_cast<std::uint32_t>(i)};
+    }
+    expect_finish_bytes(v, [](const word_rec& r) { return r.word[1]; },
+                        "word[1]");
+    expect_finish_bytes(v, [](const word_rec& r) { return r.word[0]; },
+                        "word[0]");
   }
 }

@@ -147,6 +147,43 @@ TEST(PlanDigits, PinnedPlans) {
   }
 }
 
+// DTSort's base case: min(11, range bits, floor(log2 n)), never below 4
+// bits for a wider range, so each level leaves at most 60 bits to the rank
+// leaves and keeps its histogram at or below one cell per record.
+TEST(FinishDigit, TableAtTheBoundaries) {
+  using dt::detail::finish_digit;
+  using dt::detail::kFinishLeaf;
+  struct row {
+    std::size_t n;
+    int range1, range11, range54;
+  };
+  const row rows[] = {{kFinishLeaf + 1, 1, 4, 4},
+                      {std::size_t{1} << 11, 1, 11, 11},
+                      {9'766, 1, 11, 11},  // 1e7 records in 1,024 buckets
+                      {std::size_t{1} << 14, 1, 11, 11},
+                      {std::size_t{1} << 16, 1, 11, 11}};
+  for (const row& r : rows) {
+    EXPECT_EQ(finish_digit(r.n, 1), r.range1) << r.n;
+    EXPECT_EQ(finish_digit(r.n, 11), r.range11) << r.n;
+    EXPECT_EQ(finish_digit(r.n, 54), r.range54) << r.n;
+  }
+  EXPECT_EQ(finish_digit((std::size_t{1} << 11) - 1, 54), 10);
+  // Leaf-sized segments whose keys span more than kFinishLeafKeyBits.
+  EXPECT_EQ(finish_digit(2, 64), 4);
+  EXPECT_EQ(finish_digit(kFinishLeaf, 61), 4);
+  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n = n * 3 / 2 + 1) {
+    for (int range = 1; range <= 64; ++range) {
+      const int d = finish_digit(n, range);
+      EXPECT_GE(d, 1);
+      EXPECT_LE(d, std::min(range, dt::detail::kFinishWidest));
+      EXPECT_LE(range - d, dt::detail::kFinishLeafKeyBits);
+      if (n > kFinishLeaf) {
+        EXPECT_LE(std::size_t{1} << d, n);
+      }
+    }
+  }
+}
+
 // DTSort's planned γ for this call, computed under the same worker cap.
 template <typename Rec>
 digit_plan dtsort_plan(std::size_t n, std::size_t theta, int threads) {
