@@ -284,8 +284,8 @@ int main(int argc, char** argv) {
         "the wide-key families (wide-128: u128/pair-u64 keys through the "
         "refine-by-segment driver vs std::stable_sort; wide-str: string "
         "keys, 16-byte radix prefix + tie-break), and the parallel "
-        "families (parallel-auto/codec/wide: the per-call num_threads "
-        "sweep, the wide one through the workspace_pool refine), and "
+        "families (parallel-auto/codec/wide: the worker-count sweep, the "
+        "wide one through the workspace_pool refine), and "
         "the service families (service-batch: the open-loop batched sort "
         "service, request-size mix x concurrency, req/s with p50/p99 "
         "latency; service-stream: chunked streaming ingestion vs the "

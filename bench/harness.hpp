@@ -71,6 +71,22 @@ struct run_config {
   }
 };
 
+// One sweep point on a pool of `p` workers; the pool goes back to
+// --threads' maximum when the cell returns or throws. A call runs serial
+// or on the whole pool, so thread sweeps resize the pool.
+class pool_size_scope {
+ public:
+  pool_size_scope(const run_config& rc, int p) : restore_(rc.max_threads()) {
+    dovetail::par::scheduler::set_num_workers(p);
+  }
+  ~pool_size_scope() { dovetail::par::scheduler::set_num_workers(restore_); }
+  pool_size_scope(const pool_size_scope&) = delete;
+  pool_size_scope& operator=(const pool_size_scope&) = delete;
+
+ private:
+  int restore_;
+};
+
 // ---------------------------------------------------------------------------
 // Scenario + result model.
 

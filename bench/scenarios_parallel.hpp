@@ -1,10 +1,9 @@
 // The parallel-* families: evidence for the parallel-by-default front door.
 //
-// Unlike fig4e (scenarios_scaling.hpp), which resizes the GLOBAL scheduler
-// pool per sweep point, these cells keep the pool at --threads' maximum and
-// sweep the per-call `num_threads` override (sort_options / auto_sort_options
-// → par::scoped_worker_limit) — the mechanism a library embedder actually
-// uses, since set_num_workers cannot be called with sorts in flight.
+// Like fig4e (scenarios_scaling.hpp), every sweep point p runs its calls on
+// a pool of p workers (pool_size_scope) with the default width, 0 = the
+// whole pool: a call's own width is serial or the whole pool, so the pool
+// size is the one knob that sets a width in between.
 //
 //   parallel-auto  — dovetail::sort on 64-bit keys (kv64) over representative
 //       frequency families × n ∈ {--n/10, --n} × p ∈ --threads. Reports the
@@ -13,15 +12,14 @@
 //       p=1 cell of the same (dist, n) — the committed BENCH_parallel.json
 //       is the multi-thread baseline the acceptance gate reads.
 //   parallel-codec — the same sweep through the typed-key front door
-//       (tkv<double>, encode → radix → decode), proving the per-call limit
-//       composes with codec dispatch.
+//       (tkv<double>, encode → radix → decode).
 //   parallel-wide  — 128-bit (wkv128) and string keys through the
 //       refine-by-segment sort: the pool counters (checkouts / hits /
 //       creations, delta over the timed reps) prove the workspace_pool
 //       actually engaged at p > 1 — hits without creations on warm reps is
 //       the zero-steady-state-allocation property in the report.
 //
-// Every cell at p=1 must match the serial engine exactly: the scoped limit
+// Every cell at p=1 must match the serial engine exactly: a 1-worker pool
 // makes pardo take its serial path, parallel_for runs inline, and the wide
 // driver keeps its ws-reuse loop — so the p=1 rows double as the no-serial-
 // regression baseline for the existing families.
@@ -63,7 +61,7 @@ inline void note_parallel_speedup(const std::string& cell_key, int p,
 }
 
 // ---------------------------------------------------------------------------
-// Generic cell: dovetail::sort under a per-call worker limit. Hand-rolls
+// Generic cell: dovetail::sort on a pool of p workers. Hand-rolls
 // the check against a natural-order std::stable_sort (run_timed_sort's
 // u64-cast reference would mis-order typed keys), so one runner serves the
 // unsigned, codec and wide families alike.
@@ -72,6 +70,7 @@ template <typename Rec, typename KeyFn>
 scenario_result run_parallel_cell(const run_config& rc,
                                   const std::vector<Rec>& input, KeyFn key,
                                   int p, const std::string& cell_key) {
+  const pool_size_scope pool(rc, p);
   scenario_result res;
   res.n = input.size();
 
@@ -84,7 +83,6 @@ scenario_result run_parallel_cell(const run_config& rc,
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
-    opt.num_threads = p;
     ran = dovetail::sort(std::span<Rec>(work), key, opt);
     return t.seconds();
   };
@@ -123,8 +121,8 @@ scenario_result run_parallel_cell(const run_config& rc,
 }
 
 // ---------------------------------------------------------------------------
-// Wide cells: wide_refine under a per-call worker limit (pool-backed
-// above one worker). The shared workspace_pool's counters are sampled
+// Wide cells: wide_refine on a pool of p workers (pool-backed above one
+// worker). The shared workspace_pool's counters are sampled
 // around the timed reps.
 
 struct pool_counter_snapshot {
@@ -141,6 +139,7 @@ scenario_result run_parallel_wide_cell(const run_config& rc,
                                        const std::vector<Rec>& input,
                                        KeyFn key, int p,
                                        const std::string& cell_key) {
+  const pool_size_scope pool(rc, p);
   scenario_result res;
   res.n = input.size();
 
@@ -153,7 +152,6 @@ scenario_result run_parallel_wide_cell(const run_config& rc,
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
-    opt.num_threads = p;
     dovetail::sort(std::span<Rec>(work), key, opt);
     return t.seconds();
   };
@@ -201,6 +199,7 @@ scenario_result run_parallel_wide_cell(const run_config& rc,
 inline scenario_result run_parallel_string_cell(
     const run_config& rc, const std::vector<std::string>& input, int p,
     const std::string& cell_key) {
+  const pool_size_scope pool(rc, p);
   scenario_result res;
   res.n = input.size();
 
@@ -213,7 +212,6 @@ inline scenario_result run_parallel_string_cell(
     dovetail::auto_sort_options opt;
     opt.workspace = &suite_workspace();
     opt.stats = &stats;
-    opt.num_threads = p;
     dovetail::sort(std::span<std::string>(work), opt);
     return t.seconds();
   };
@@ -293,7 +291,7 @@ inline void register_parallel_scenarios(const run_config& cfg) {
         const std::string cell =
             s.bench + "/" + d.name + "/n=" + std::to_string(n);
         s.name = cell + "/p=" + std::to_string(p);
-        s.paper = "parallel-by-default dispatch: per-call num_threads sweep";
+        s.paper = "parallel-by-default dispatch: worker-count sweep";
         s.row = d.name + "/n=" + std::to_string(n);
         s.col = "p=" + std::to_string(p);
         s.labels = {{"dist", d.name},         {"algo", "Auto"},
@@ -309,7 +307,7 @@ inline void register_parallel_scenarios(const run_config& cfg) {
     }
   }
 
-  // --- parallel-codec: f64 keys, encode → radix → decode under the cap ---
+  // --- parallel-codec: f64 keys, encode → radix → decode ---
   static const distribution codec_dist = {dist_kind::uniform, 1e7,
                                           "Unif-1e7"};
   for (const std::size_t n : sizes) {
@@ -319,7 +317,7 @@ inline void register_parallel_scenarios(const run_config& cfg) {
       const std::string cell =
           s.bench + "/f64/" + codec_dist.name + "/n=" + std::to_string(n);
       s.name = cell + "/p=" + std::to_string(p);
-      s.paper = "typed-key path under the per-call worker limit";
+      s.paper = "typed-key path under the worker-count sweep";
       s.row = "f64/" + codec_dist.name + "/n=" + std::to_string(n);
       s.col = "p=" + std::to_string(p);
       s.labels = {{"dist", codec_dist.name}, {"algo", "Auto"},

@@ -41,14 +41,12 @@ inline void register_scaling_scenarios(const run_config& cfg) {
         const std::size_t n = cfg.n;
         s.run = [d, a, n, p](const run_config& rc) {
           const auto& input = cached_input<dovetail::kv32>(d, n);
-          dovetail::par::scheduler::set_num_workers(p);
+          const pool_size_scope pool(rc, p);
           timed_sort_spec spec;
           spec.check.stable = dovetail::algo_is_stable(a);
-          auto res = run_timed_sort(
+          return run_timed_sort(
               rc, input,
               algo_sort_fn<dovetail::kv32>(a, dovetail::key_of_kv32), spec);
-          dovetail::par::scheduler::set_num_workers(rc.max_threads());
-          return res;
         };
         scenario_registry::instance().add(std::move(s));
       }

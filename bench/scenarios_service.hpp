@@ -6,18 +6,21 @@
 //       independent kv64 sort requests whose sizes are drawn from a named
 //       mix (tiny 64..1024, small 1k..16k, mixed log-uniform 64..64k),
 //       submitted as one dovetail::sort_batch over a per-cell
-//       workspace_pool, sweeping the batch concurrency cap across
-//       --threads. Reports requests/sec (req_per_s) plus the p50/p99
+//       workspace_pool, on a pool of p workers for each p in --threads
+//       (pool_size_scope; the batch runs at its default concurrency, the
+//       whole pool, so the 'concurrency' label is p). Reports
+//       requests/sec (req_per_s) plus the p50/p99
 //       per-request latency quantiles pooled over the timed reps — the
 //       serving-layer headline numbers the BENCH_service.json baseline
 //       commits — and the pool counter deltas (checkouts / hits /
 //       creations over the timed reps) proving warm requests lease arenas
 //       instead of allocating them.
 //   service-stream — chunked ingestion through stream_sorter versus the
-//       one-shot front door on the same input, interleaved rep by rep:
-//       stream_overhead is the stream/one-shot median ratio (the price of
-//       sort-on-arrival plus the k-way merge), with the stream_chunks /
-//       stream_merge_records counter deltas from sort_stats.
+//       one-shot front door on the same input, both on the full --threads
+//       pool, interleaved rep by rep: stream_overhead is the
+//       stream/one-shot median ratio (the price of sort-on-arrival plus
+//       the k-way merge), with the stream_chunks / stream_merge_records
+//       counter deltas from sort_stats.
 //
 // The request-size generator (service_request_sizes) is deliberately a
 // standalone deterministic function: test_bench_harness pins its
@@ -89,6 +92,7 @@ inline scenario_result run_service_batch_cell(const run_config& rc,
   using dovetail::gen::distribution;
   namespace dt = dovetail;
 
+  const pool_size_scope workers(rc, p);
   scenario_result res;
   const std::vector<std::size_t> sizes =
       service_request_sizes(mix, rc.n, /*seed=*/42);
@@ -119,7 +123,6 @@ inline scenario_result run_service_batch_cell(const run_config& rc,
     for (std::size_t r = 0; r < work.size(); ++r)
       reqs[r].data = std::span<dt::kv64>(work[r]);
     dt::service_options opt;
-    opt.concurrency = p;
     opt.pool = &pool;
     opt.stats = &stats;
     dt::timer t;
@@ -201,7 +204,6 @@ inline scenario_result run_service_stream_cell(const run_config& rc,
   const auto run_stream = [&]() -> double {
     dt::timer t;
     dt::stream_options sopt;
-    sopt.num_threads = p;
     sopt.pool = &pool;
     sopt.stats = &stats;
     dt::stream_sorter<dt::kv64, decltype(dt::key_of_kv64)> s(sopt,
@@ -217,7 +219,6 @@ inline scenario_result run_service_stream_cell(const run_config& rc,
     dt::timer t;
     dt::auto_sort_options opt;
     opt.workspace = &suite_workspace();
-    opt.num_threads = p;
     dt::sort(std::span<dt::kv64>(work), dt::key_of_kv64, opt);
     return t.seconds();
   };
@@ -267,7 +268,7 @@ inline scenario_result run_service_stream_cell(const run_config& rc,
 }
 
 // ---------------------------------------------------------------------------
-// Registration: the batch family sweeps mix × concurrency (the matrix the
+// Registration: the batch family sweeps mix × pool size (the matrix the
 // committed baseline holds), the stream family sweeps chunk size at the
 // full worker count.
 

@@ -26,7 +26,7 @@
 //     driver on those records as the one record kernel, and gather the
 //     resulting stable permutation back into the caller's arrays.
 // Every route but the fused single-word sort opens with the same per-call
-// preamble (detail::call_scope): the caller's worker cap for the whole
+// preamble (detail::call_scope): the caller's width for the whole
 // call, encode and gather passes included, and the workspace every
 // scratch lease comes from. The encode-once route is also what powers the
 // SoA entry points:
@@ -64,8 +64,8 @@ using index_t = std::size_t;
 namespace detail {
 
 // The per-call preamble of every typed entry point except the fused
-// single-word sort (whose dispatcher installs the same cap itself): the
-// caller's worker cap for the WHOLE call — encode, kernel and gather
+// single-word sort (whose dispatcher installs the same width itself): the
+// caller's width for the WHOLE call — encode, kernel and gather
 // passes alike, not just the nested sort_unsigned calls — and the
 // workspace every scratch lease comes from (the caller's, else one local
 // to the call). opt() is the caller's options with that workspace filled

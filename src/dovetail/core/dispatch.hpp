@@ -138,8 +138,8 @@ struct kernel_plan {
   // inplace_sort.hpp).
   int gamma = 0;
   scatter_strategy scatter = scatter_strategy::automatic;
-  // Workers the kernel runs under (1 = serial; see parallel_crossover_n).
-  // Recorded in sort_stats::chosen_parallelism.
+  // Workers the kernel runs under: 1 (serial; see parallel_crossover_n) or
+  // the pool size. Recorded in sort_stats::chosen_parallelism.
   int parallelism = 1;
   const char* reason = "";  // the rule that fired (for logs/debugging)
 };
@@ -322,9 +322,9 @@ struct dispatch_policy {
 
   // The serial/parallel half of the dispatch: how many workers should a
   // sort of n records run under? 1 below the crossover (or for std_sort,
-  // which is sequential regardless), else every worker the scope allows —
-  // par::effective_workers(), which already reflects the per-call
-  // auto_sort_options::num_threads cap.
+  // which is sequential regardless), else par::effective_workers(): 1
+  // inside a serial call (auto_sort_options::num_threads = 1), else the
+  // whole pool.
   [[nodiscard]] static int plan_parallelism(std::size_t n) {
     return n <= parallel_crossover_n ? 1 : par::effective_workers();
   }
@@ -364,14 +364,9 @@ inline dispatch_policy always(sort_kernel k) {
 // workspace.
 struct auto_sort_options {
   dispatch_policy policy{};
-  // Per-call parallelism cap, same contract as sort_options::num_threads:
-  // 0 = all scheduler workers; 1 = run the whole call on the calling
-  // thread (exact); 2..p caps forking/granularity decisions while actual
-  // concurrency stays bounded by the shared pool. Applied for the entire
-  // call — sketch, dispatch, kernel, encode and gather passes — and
-  // composes with dispatch_policy::parallel_crossover_n (the dispatcher
-  // may still choose FEWER workers than allowed; the choice is recorded in
-  // sort_stats::chosen_parallelism).
+  // Width of the call, as sort_options::num_threads, for the sketch,
+  // dispatch, kernel, encode and gather passes alike. The width that ran
+  // is recorded in sort_stats::chosen_parallelism.
   int num_threads = 0;
   sort_workspace* workspace = nullptr;
   // Workspace pool for concurrent in-flight sub-sorts (today: the wide-key
@@ -494,7 +489,7 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   sort_stats* st = opt.stats;
   const std::size_t n = data.size();
 
-  // The per-call cap bounds everything below — sketch, confirmation scans,
+  // The call's width covers everything below — sketch, confirmation scans,
   // kernel — and is what dispatch_policy::plan_parallelism() sees as the
   // available worker count.
   const par::scoped_worker_limit worker_cap(opt.num_threads);
@@ -528,9 +523,9 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
     } else {
       plan = opt.policy.choose(sk, disallow);
     }
-    // Below the crossover the plan says "serial": cap the kernel (and its
-    // confirmation scans) to one worker so the decision is enforced, not
-    // advisory. The cap composes with worker_cap above by taking the min.
+    // Below the crossover the plan says "serial": run the kernel (and its
+    // confirmation scans) on this thread so the decision is enforced, not
+    // advisory. A serial worker_cap above stays serial either way.
     const par::scoped_worker_limit plan_cap(plan.parallelism);
 
     switch (plan.kernel) {

@@ -85,7 +85,7 @@ namespace detail {
 inline constexpr std::size_t kScatterBufferBytes = 256;
 
 // distribution_blocks (pass_plan.hpp) at the worker count this call may
-// use, so a num_threads cap also shrinks the matrix.
+// use, so a serial (num_threads = 1) call also shrinks the matrix.
 inline block_geometry distribution_blocks(std::size_t n,
                                           std::size_t num_buckets) {
   return distribution_blocks(n, num_buckets, par::effective_workers());

@@ -100,15 +100,9 @@ struct sort_options {
   // exist; this isolates the cost of the other steps as in Sec 6.3.
   bool ablate_skip_merge = false;
 
-  // Per-call parallelism cap: at most this many scheduler workers execute
-  // this sort (0 = all workers in the pool). 1 runs the whole call on the
-  // calling thread — exact, via pardo's serial path — which is what N
-  // request threads each sorting their own batch want: parallelism across
-  // calls, none within. Values between 1 and the pool size cap forking and
-  // granularity decisions; actual concurrency stays bounded by the shared
-  // work-stealing pool, which cannot reserve workers per call. The cap is
-  // scoped to the call (par::scoped_worker_limit) and composes with an
-  // enclosing cap by taking the minimum.
+  // Width of the call (the thread contract, par::serial_width): 0 = the
+  // whole pool, 1 = the calling thread only, which is what N request
+  // threads each sorting their own batch want.
   int num_threads = 0;
 
   // Reusable memory arena (see workspace.hpp). Pass the same workspace to
@@ -478,8 +472,8 @@ void dovetail_sort(std::span<Rec> data, const KeyFn& key,
                    const sort_options& opt = {}) {
   using K =
       std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
-  // Honor the per-call parallelism cap for the whole sort, sampling and
-  // distribution included.
+  // The call's width covers the whole sort, sampling and distribution
+  // included.
   const par::scoped_worker_limit worker_cap(opt.num_threads);
   if constexpr (std::is_unsigned_v<K>) {
     detail::dt_sorter<Rec, KeyFn> s(data, key, opt);

@@ -10,16 +10,17 @@
 //   * a workspace leased from a workspace_pool per request, so a warm
 //     steady state does zero pool-level and zero sort-internal allocation
 //     (the concurrency battery in test_sort_service.cpp pins this down);
-//   * an optional per-request `num_threads` cap (the PR 6 scoped-limit
-//     contract: composes by min with every enclosing cap) and a soft
-//     per-request deadline, recorded — not enforced preemptively — in
+//   * a per-request width (`num_threads`) and a soft per-request deadline,
+//     recorded — not enforced preemptively — in
 //     request_result::deadline_met;
 //   * batch-level concurrency driven by the scheduler: requests are
 //     parallel_for tasks at granularity 1, so idle workers steal whole
-//     requests. A foreign (non-worker) calling thread runs its batch
-//     inline — which is exactly what a multi-threaded server front end
-//     wants: N request threads each draining their own batch while the
-//     shared pool keeps their workspaces warm.
+//     requests; `concurrency = 1` runs the batch on the calling thread,
+//     which is what a multi-threaded server front end wants: N request
+//     threads each draining their own batch while the shared pool keeps
+//     their workspaces warm.
+// Both widths follow the thread contract (par::serial_width), checked for
+// every request before any is sorted.
 //
 // Determinism: the front door is deterministic per call for a fixed
 // policy regardless of worker count, so a batched run is byte-identical to
@@ -58,10 +59,8 @@ template <typename Rec, typename KeyFn = self_key>
 struct sort_request {
   std::span<Rec> data{};
   KeyFn key{};
-  // Per-request parallelism cap, same contract as
-  // auto_sort_options::num_threads (0 = inherit, 1 = exact serial path).
-  // Composes by min with service_options::concurrency and any enclosing
-  // scoped limit.
+  // Width of this request, as auto_sort_options::num_threads (0 = the
+  // batch's width). Inside a serial batch every request is serial.
   int num_threads = 0;
   // Soft latency budget in seconds; 0 = none. Checked after the sort
   // completes (the request is never abandoned mid-flight) and recorded in
@@ -76,8 +75,8 @@ struct sort_request {
 // Batch-level options for sort_batch.
 struct service_options {
   dispatch_policy policy{};
-  // Cap on requests in flight (a scoped worker limit around the batch):
-  // 0 = all scheduler workers. Per-request num_threads nests inside it.
+  // Width of the batch: 0 = requests run concurrently on the whole pool,
+  // 1 = one at a time on the calling thread (par::serial_width).
   int concurrency = 0;
   // Workspace pool the requests lease from. nullptr =
   // workspace_pool::shared(). Size (and prewarm()) it to the expected
@@ -100,6 +99,8 @@ void sort_batch(std::span<sort_request<Rec, KeyFn>> requests,
   workspace_pool& pool =
       opt.pool != nullptr ? *opt.pool : workspace_pool::shared();
   const par::scoped_worker_limit batch_cap(opt.concurrency);
+  for (const sort_request<Rec, KeyFn>& req : requests)
+    par::serial_width(req.num_threads);
   par::parallel_for(
       0, requests.size(),
       [&](std::size_t i) {

@@ -109,11 +109,11 @@ struct sort_stats {
   std::atomic<std::uint64_t> buckets_pruned{0};
   std::atomic<std::uint64_t> records_pruned{0};
   // --- Adaptive front door (dispatch.hpp) ---
-  // CAS-max of the worker count the dispatcher ran a kernel under (1 = the
-  // serial path, e.g. n at or below dispatch_policy::parallel_crossover_n
-  // or a num_threads = 1 cap; 0 = no dispatch yet). For one call it is the
-  // root plan: a wide sort's segment sorts are smaller than its word-0
-  // pass, and plan_parallelism is monotone in n.
+  // CAS-max of the worker count the dispatcher ran a kernel under: 1 for
+  // the serial path (n at or below dispatch_policy::parallel_crossover_n,
+  // or a num_threads = 1 call), else the pool size; 0 = no dispatch yet.
+  // For one call it is the root plan: a wide sort's segment sorts are
+  // smaller than its word-0 pass, and plan_parallelism is monotone in n.
   std::atomic<std::uint64_t> chosen_parallelism{0};
 
   // --- Service layer (sort_service.hpp / stream_sort.hpp) ---

@@ -86,8 +86,7 @@ struct codec_order_less {
 // Options for stream_sorter; the front-door knobs match auto_sort_options.
 struct stream_options {
   dispatch_policy policy{};
-  // Parallelism cap for chunk sorts and the finish() merge (0 = inherit;
-  // scoped-limit contract, composes by min).
+  // Width of chunk sorts and merges, as auto_sort_options::num_threads.
   int num_threads = 0;
   // Bound on pending sorted runs: when a push would leave more than this
   // many runs, the adjacent pair with the smallest combined size is merged
@@ -118,11 +117,15 @@ class stream_sorter {
   // Copy `chunk` in and sort it through the front door. Empty chunks are
   // accepted (and counted) but store no run.
   void push(std::span<const Rec> chunk) {
+    const par::scoped_worker_limit width(opt_.num_threads);
     if (opt_.stats != nullptr)
       opt_.stats->stream_chunks.fetch_add(1, std::memory_order_relaxed);
     if (chunk.empty()) return;
-    runs_.emplace_back(chunk.begin(), chunk.end());
-    sort_run(runs_.back());
+    // Sorted before it joins runs_, so a key that throws leaves the
+    // sorter as it was.
+    std::vector<Rec> run(chunk.begin(), chunk.end());
+    sort_run(run);
+    runs_.push_back(std::move(run));
     total_ += chunk.size();
     if (opt_.max_pending_runs >= 2) {
       while (runs_.size() > opt_.max_pending_runs) compact_smallest_pair();
@@ -143,6 +146,7 @@ class stream_sorter {
   // sorter to empty. Byte-identical to dovetail::sort over the
   // concatenation of every pushed chunk (see the header comment).
   std::vector<Rec> finish() {
+    const par::scoped_worker_limit width(opt_.num_threads);
     const std::size_t n = total_;
     std::vector<Rec> out(n);
     std::vector<std::size_t> bounds;
@@ -158,7 +162,6 @@ class stream_sorter {
     total_ = 0;
     if (bounds.size() <= 2) return out;  // 0 or 1 run: already sorted
 
-    const par::scoped_worker_limit cap(opt_.num_threads);
     workspace_pool::handle ws = pool().checkout();
     // Merge scratch: an n-record slab from the leased workspace when Rec
     // is trivially copyable (warm after the first stream), else a plain
@@ -179,13 +182,13 @@ class stream_sorter {
     return opt_.pool != nullptr ? *opt_.pool : workspace_pool::shared();
   }
 
+  // Runs under push()'s width.
   void sort_run(std::vector<Rec>& run) {
     if (run.size() <= 1) return;
     workspace_pool& p = pool();
     workspace_pool::handle ws = p.checkout();
     auto_sort_options aopt;
     aopt.policy = opt_.policy;
-    aopt.num_threads = opt_.num_threads;
     aopt.workspace = ws.get();
     aopt.pool = &p;
     aopt.stats = opt_.stats;
@@ -209,7 +212,6 @@ class stream_sorter {
     std::vector<Rec>& a = runs_[best];
     std::vector<Rec>& b = runs_[best + 1];
     std::vector<Rec> merged(a.size() + b.size());
-    const par::scoped_worker_limit cap(opt_.num_threads);
     par::merge(std::span<const Rec>(a.data(), a.size()),
                std::span<const Rec>(b.data(), b.size()),
                std::span<Rec>(merged), detail::codec_order_less<KeyFn>{key_});

@@ -20,7 +20,7 @@ namespace dovetail::par {
 namespace {
 
 thread_local int tl_worker_id = -1;
-thread_local int tl_worker_limit = 0;  // 0 = no per-call cap
+thread_local bool tl_serial = false;
 
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -40,9 +40,18 @@ inline std::uint64_t xorshift64(std::uint64_t& s) noexcept {
 }  // namespace
 
 namespace detail {
-int current_worker_limit() noexcept { return tl_worker_limit; }
-void set_worker_limit(int limit) noexcept { tl_worker_limit = limit; }
+bool serial() noexcept { return tl_serial; }
+void set_serial(bool on) noexcept { tl_serial = on; }
 }  // namespace detail
+
+bool serial_width(int width) {
+  if (width == 0 || width == 1) return width == 1;
+  if (const int p = num_workers(); width < p)  // negative, or part of p
+    throw std::invalid_argument(
+        "thread width " + std::to_string(width) + ": expected 1 (serial), "
+        "or 0 or at least " + std::to_string(p) + " (the whole pool)");
+  return false;
+}
 
 namespace {
 

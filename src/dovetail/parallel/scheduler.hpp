@@ -31,6 +31,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -41,12 +42,13 @@ namespace dovetail::par {
 
 namespace detail {
 
-// Per-thread cap on the parallelism a computation may use (0 = no cap).
-// Installed by scoped_worker_limit and consulted by pardo() and the
-// granularity heuristics; forked tasks carry the forking thread's limit
-// with them so a stolen continuation keeps the caller's cap.
-int current_worker_limit() noexcept;
-void set_worker_limit(int limit) noexcept;
+// Per-thread serial flag: set while the calling thread runs a computation
+// on itself alone (a width-1 call, see scoped_worker_limit). A serial
+// scope never forks, so a thread steals only from its idle loop or from a
+// join, and both run at pool width: every task runs under the width it was
+// forked at, and forked tasks need not carry it.
+bool serial() noexcept;
+void set_serial(bool on) noexcept;
 
 // Type-erased forked task. `run()` must be called exactly once.
 class job {
@@ -67,22 +69,17 @@ class job {
 template <typename F>
 class forked_task final : public job {
  public:
-  explicit forked_task(F&& f)
-      : f_(std::move(f)), limit_(current_worker_limit()) {}
-  explicit forked_task(const F& f) : f_(f), limit_(current_worker_limit()) {}
+  explicit forked_task(F&& f) : f_(std::move(f)) {}
+  explicit forked_task(const F& f) : f_(f) {}
 
   void run() noexcept override {
-    // Run under the forking thread's worker limit: a stolen task must make
-    // the same serial/parallel and granularity decisions it would have made
-    // on the thread that forked it.
-    const int saved = current_worker_limit();
-    set_worker_limit(limit_);
+    // Forked at pool width and run at pool width (see serial()).
+    assert(!serial());
     try {
       f_();
     } catch (...) {
       ex_ = std::current_exception();
     }
-    set_worker_limit(saved);
     mark_done();
   }
 
@@ -92,7 +89,6 @@ class forked_task final : public job {
 
  private:
   F f_;
-  int limit_;
   std::exception_ptr ex_{};
 };
 
@@ -197,7 +193,7 @@ void fork_join(scheduler& s, L& left, R&& right) {
 template <typename L, typename R>
 void pardo(L&& left, R&& right) {
   scheduler& s = scheduler::get();
-  if (s.num_workers() > 1 && detail::current_worker_limit() != 1) {
+  if (s.num_workers() > 1 && !detail::serial()) {
     if (scheduler::worker_id() >= 0)
       return detail::fork_join(s, left, std::forward<R>(right));
     if (const scheduler::caller_slot slot(s); slot)
@@ -221,37 +217,37 @@ void pardo(L&& left, R&& right) {
 
 inline int num_workers() { return scheduler::get().num_workers(); }
 
-// Workers this computation may actually use: the pool size capped by the
-// innermost scoped_worker_limit (sort_options::num_threads installs one per
-// call). A limit of 1 is exact — pardo() takes its serial path, so the call
-// runs entirely on the current thread. Limits between 1 and the pool size
-// cap forking/granularity decisions; actual concurrency remains bounded by
-// the shared pool, since a work-stealing pool cannot reserve workers
-// per-call.
+// Workers this computation may use: 1 inside a serial scope, else the
+// whole pool. Nothing in between exists: a work-stealing pool cannot
+// reserve part of itself for one call.
 inline int effective_workers() {
-  const int w = num_workers();
-  const int limit = detail::current_worker_limit();
-  return limit > 0 && limit < w ? limit : w;
+  return detail::serial() ? 1 : num_workers();
 }
 
-// RAII per-call parallelism cap. Nested limits compose by taking the
-// minimum; 0 means "no additional cap". The limit is thread-local and
-// travels with forked tasks, so it scopes exactly the computation between
-// construction and destruction — concurrent sorts on other threads are
-// unaffected.
+// The thread contract of every public width — sort_options,
+// auto_sort_options, sort_request and stream_options num_threads, and
+// service_options::concurrency: 0 means the whole pool, 1 the calling
+// thread only, and any value >= num_workers() the whole pool too (a pool
+// of p workers keeps "at most k >= p"). A negative value, or 1 < k <
+// num_workers(), throws std::invalid_argument. Returns true for 1.
+bool serial_width(int width);
+
+// RAII width of one call, checked by serial_width. Width 1 makes the scope
+// serial: pardo() takes its inline path and parallel_for runs a plain loop,
+// so the whole call stays on the calling thread. Serial is sticky: a wider
+// width inside a serial scope stays serial. The flag is thread-local, so
+// concurrent calls on other threads are unaffected.
 class scoped_worker_limit {
  public:
-  explicit scoped_worker_limit(int limit)
-      : saved_(detail::current_worker_limit()) {
-    if (limit > 0 && (saved_ == 0 || limit < saved_))
-      detail::set_worker_limit(limit);
+  explicit scoped_worker_limit(int width) : saved_(detail::serial()) {
+    if (serial_width(width)) detail::set_serial(true);
   }
-  ~scoped_worker_limit() { detail::set_worker_limit(saved_); }
+  ~scoped_worker_limit() { detail::set_serial(saved_); }
   scoped_worker_limit(const scoped_worker_limit&) = delete;
   scoped_worker_limit& operator=(const scoped_worker_limit&) = delete;
 
  private:
-  int saved_;
+  bool saved_;
 };
 
 }  // namespace dovetail::par

@@ -273,7 +273,7 @@ void expect_stable_sort_bytes(const std::vector<Rec>& input, const KeyFn& key,
     return dovetail::key_codec<K>::encode(key(a)) <
            dovetail::key_codec<K>::encode(key(b));
   });
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 0}) {
     for (std::size_t theta : {2ul, 25ul, 256ul, 1ul << 14, 1ul << 16}) {
       sort_options o;
       o.base_case = theta;
@@ -282,7 +282,7 @@ void expect_stable_sort_bytes(const std::vector<Rec>& input, const KeyFn& key,
       dovetail_sort(std::span<Rec>(got), key, o);
       ASSERT_EQ(0, std::memcmp(got.data(), ref.data(),
                                got.size() * sizeof(Rec)))
-          << what << ": theta " << theta << ", " << threads << " workers";
+          << what << ": theta " << theta << ", num_threads " << threads;
     }
   }
 }
@@ -380,14 +380,15 @@ TEST(RadixFinish, BaseCaseRecordsUnchanged) {
   // heavy buckets.
   const auto input = gen::generate_records<kv64>(
       {gen::dist_kind::zipfian, 1.2, "z"}, 1'000'000, 23);
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 0}) {
     auto v = input;
     dovetail::sort_stats st;
     sort_options o;
     o.stats = &st;
     o.num_threads = threads;
     dovetail_sort(std::span<kv64>(v), dovetail::key_of_kv64, o);
-    EXPECT_EQ(st.base_case_records.load(), 511151u) << threads << " workers";
+    EXPECT_EQ(st.base_case_records.load(), 511151u)
+        << "num_threads " << threads;
   }
 }
 

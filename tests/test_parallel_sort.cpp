@@ -5,9 +5,13 @@
 //     discards instead of growing, handles are move-only RAII, and the
 //     counters always satisfy checkouts == hits + creations — including
 //     under a many-thread checkout/checkin stress;
-//   * scoped_worker_limit — composes by min, effective_workers() reflects
-//     the innermost cap, and a limit of 1 forces pardo's serial path
-//     (both branches on the calling worker);
+//   * the thread contract — every public width (sort_options,
+//     auto_sort_options, sort_request and stream_options num_threads,
+//     service_options concurrency) accepts 0, 1 and any value >= the pool
+//     size and throws std::invalid_argument, input untouched, for negative
+//     values and 1 < k < p; effective_workers() is 1 or the pool size, a
+//     serial scope stays serial under a wider one, and width 1 forces
+//     pardo's serial path (both branches on the calling worker);
 //   * concurrent sorts — N foreign std::threads each sorting with its own
 //     workspace, and the shared-pool variant where every thread leases its
 //     arena from one workspace_pool: all outputs record-exact and stable,
@@ -23,8 +27,7 @@
 //     non-trivially-copyable records, top_k) on the calling thread;
 //   * the dispatch record — sort_stats.chosen_parallelism mirrors the
 //     decision on every kernel: 1 below parallel_crossover_n, for std_sort
-//     or under a num_threads=1 cap, the worker count above it, the
-//     per-call cap in between.
+//     or for a num_threads = 1 call, the pool size above it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +37,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -156,28 +160,25 @@ TEST(WorkspacePool, ConcurrentCheckoutStress) {
 // ---------------------------------------------------------------------------
 // scoped_worker_limit and effective_workers.
 
-TEST(ScopedWorkerLimit, ComposesByMin) {
+TEST(ScopedWorkerLimit, SerialOrThePoolAndSerialIsSticky) {
   worker_count_guard guard;
   par::scheduler::set_num_workers(4);
   EXPECT_EQ(par::effective_workers(), 4);
+  for (const int pool_width : {0, 4, 5}) {
+    par::scoped_worker_limit pool(pool_width);
+    EXPECT_EQ(par::effective_workers(), 4) << pool_width;
+  }
   {
-    par::scoped_worker_limit outer(2);
-    EXPECT_EQ(par::effective_workers(), 2);
-    {
-      par::scoped_worker_limit inner(3);  // wider than outer: no effect
-      EXPECT_EQ(par::effective_workers(), 2);
+    par::scoped_worker_limit outer(1);
+    EXPECT_EQ(par::effective_workers(), 1);
+    for (const int inner_width : {0, 1, 4}) {
+      par::scoped_worker_limit inner(inner_width);  // cannot widen
+      EXPECT_EQ(par::effective_workers(), 1) << inner_width;
     }
-    {
-      par::scoped_worker_limit inner(1);
-      EXPECT_EQ(par::effective_workers(), 1);
-    }
-    EXPECT_EQ(par::effective_workers(), 2);
+    EXPECT_THROW(par::scoped_worker_limit(2), std::invalid_argument);
+    EXPECT_EQ(par::effective_workers(), 1);
   }
   EXPECT_EQ(par::effective_workers(), 4);
-  {
-    par::scoped_worker_limit zero(0);  // 0 = no cap
-    EXPECT_EQ(par::effective_workers(), 4);
-  }
 }
 
 TEST(ScopedWorkerLimit, LimitOneForcesSerialPardo) {
@@ -191,14 +192,137 @@ TEST(ScopedWorkerLimit, LimitOneForcesSerialPardo) {
   EXPECT_EQ(left, std::this_thread::get_id());
 }
 
-TEST(ScopedWorkerLimit, ParallelForStillCoversEveryIndex) {
+TEST(ScopedWorkerLimit, SerialParallelForCoversEveryIndexOnTheCaller) {
   worker_count_guard guard;
   par::scheduler::set_num_workers(4);
-  par::scoped_worker_limit cap(2);
+  par::scoped_worker_limit cap(1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::uint8_t> hit(10'000, 0);
-  par::parallel_for(0, hit.size(), [&](std::size_t i) { hit[i] += 1; });
+  std::atomic<std::size_t> elsewhere{0};
+  par::parallel_for(0, hit.size(), [&](std::size_t i) {
+    hit[i] += 1;
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
   EXPECT_TRUE(std::all_of(hit.begin(), hit.end(),
                           [](std::uint8_t v) { return v == 1; }));
+  EXPECT_EQ(elsewhere.load(), 0u);
+}
+
+// Every public width field, one row per (field, pool size, value). A value
+// the pool keeps sorts exactly; any other throws before the data is
+// touched.
+namespace {
+
+enum class width_field {
+  sort_options,
+  auto_sort_options,
+  sort_request,
+  stream_options,
+  service_concurrency
+};
+
+const char* field_name(width_field f) {
+  switch (f) {
+    case width_field::sort_options: return "sort_options::num_threads";
+    case width_field::auto_sort_options:
+      return "auto_sort_options::num_threads";
+    case width_field::sort_request: return "sort_request::num_threads";
+    case width_field::stream_options: return "stream_options::num_threads";
+    case width_field::service_concurrency:
+      return "service_options::concurrency";
+  }
+  return "";
+}
+
+// Sorts `v` through the entry point that reads `field`, set to `width`.
+void sort_with_width(width_field field, int width, std::vector<kv64>& v) {
+  const std::span<kv64> data(v);
+  switch (field) {
+    case width_field::sort_options: {
+      sort_options opt;
+      opt.num_threads = width;
+      dovetail_sort(data, key_of_kv64, opt);
+      return;
+    }
+    case width_field::auto_sort_options: {
+      auto_sort_options opt;
+      opt.num_threads = width;
+      dovetail::sort(data, key_of_kv64, opt);
+      return;
+    }
+    case width_field::sort_request:
+    case width_field::service_concurrency: {
+      // Two requests, so a bad width on either cannot slip past a sort
+      // of the other.
+      std::vector<sort_request<kv64, decltype(key_of_kv64)>> reqs(2);
+      reqs[0].data = data.first(v.size() / 2);
+      reqs[1].data = data.subspan(v.size() / 2);
+      service_options opt;
+      if (field == width_field::sort_request)
+        reqs[1].num_threads = width;
+      else
+        opt.concurrency = width;
+      sort_batch(reqs, opt);
+      return;
+    }
+    case width_field::stream_options: {
+      stream_options opt;
+      opt.num_threads = width;
+      stream_sorter<kv64, decltype(key_of_kv64)> s(opt, key_of_kv64);
+      try {
+        s.push(std::span<const kv64>(v));
+      } catch (...) {
+        EXPECT_EQ(s.pending_runs(), 0u);
+        EXPECT_EQ(s.size(), 0u);
+        throw;
+      }
+      v = s.finish();
+      return;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ThreadContract, EveryWidthFieldAcceptsSerialOrThePoolOnly) {
+  worker_count_guard guard;
+  // 80k records: each half is still above parallel_crossover_n.
+  const auto input = gen::generate_records<kv64>(zipf_dist(), 80'000, 31);
+  for (const int p : {4, 2}) {
+    par::scheduler::set_num_workers(p);
+    for (const width_field f :
+         {width_field::sort_options, width_field::auto_sort_options,
+          width_field::sort_request, width_field::stream_options,
+          width_field::service_concurrency}) {
+      // The batch fields sort each half of the input as its own request.
+      std::vector<kv64> ref = input;
+      const bool halves = f == width_field::sort_request ||
+                          f == width_field::service_concurrency;
+      const auto mid = ref.begin() + static_cast<std::ptrdiff_t>(
+                                         halves ? ref.size() / 2 : 0);
+      const auto by_key = [](const kv64& a, const kv64& b) {
+        return a.key < b.key;
+      };
+      std::stable_sort(ref.begin(), mid, by_key);
+      std::stable_sort(mid, ref.end(), by_key);
+      for (const int width : {0, 1, p, p + 1}) {
+        SCOPED_TRACE(std::string(field_name(f)) + " = " +
+                     std::to_string(width) + ", p = " + std::to_string(p));
+        std::vector<kv64> v = input;
+        sort_with_width(f, width, v);
+        EXPECT_EQ(v, ref);
+      }
+      std::vector<int> rejected = {-1};
+      for (int k = 2; k < p; ++k) rejected.push_back(k);
+      for (const int width : rejected) {
+        SCOPED_TRACE(std::string(field_name(f)) + " = " +
+                     std::to_string(width) + ", p = " + std::to_string(p));
+        std::vector<kv64> v = input;
+        EXPECT_THROW(sort_with_width(f, width, v), std::invalid_argument);
+        EXPECT_EQ(v, input);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +420,7 @@ namespace {
 // bucket-partitioned.
 struct entry_point_outputs {
   std::vector<kv64> sorted;
-  std::vector<kv64> sorted_cap2;
+  std::vector<kv64> sorted_serial;
   std::vector<std::string> strings;
   std::vector<std::uint64_t> soa_keys;
   std::vector<std::uint32_t> soa_values;
@@ -321,7 +445,7 @@ entry_point_outputs run_every_entry_point(
     return work;
   };
   out.sorted = sorted_copy(0);
-  out.sorted_cap2 = sorted_copy(2);
+  out.sorted_serial = sorted_copy(1);
 
   out.strings = strings;
   dovetail::sort(std::span<std::string>(out.strings), opt);
@@ -382,7 +506,7 @@ TEST(Determinism, IdenticalOutputAcrossNumThreads) {
     par::scheduler::set_num_workers(p);
     const entry_point_outputs got = run_every_entry_point(input, strings);
     EXPECT_EQ(got.sorted, ref.sorted) << "sort p=" << p;
-    EXPECT_EQ(got.sorted_cap2, ref.sorted) << "sort num_threads=2 p=" << p;
+    EXPECT_EQ(got.sorted_serial, ref.sorted) << "sort num_threads=1 p=" << p;
     EXPECT_EQ(got.strings, ref.strings) << "string sort p=" << p;
     EXPECT_EQ(got.soa_keys, ref.soa_keys) << "sort_by_key keys p=" << p;
     EXPECT_EQ(got.soa_values, ref.soa_values) << "sort_by_key values p=" << p;
@@ -425,7 +549,7 @@ TEST(Determinism, WideRefinePoolAndSerialAgree) {
   workspace_pool pool(4);
   std::vector<std::vector<tkv<u128>>> outs;
   std::vector<std::uint64_t> checkouts;
-  for (const int p : {4, 1}) {
+  for (const int p : {0, 1}) {
     std::vector<tkv<u128>> work = input;
     sort_workspace ws;
     auto_sort_options opt;
@@ -538,25 +662,27 @@ TEST(DispatchRecord, EveryKernelRecordsItsParallelism) {
   }
 }
 
-TEST(DispatchRecord, PerCallCapBoundsThePlan) {
+TEST(DispatchRecord, CallWidthBoundsThePlan) {
   worker_count_guard guard;
   par::scheduler::set_num_workers(4);
   dispatch_policy policy;
   EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n), 1);
   EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n + 1), 4);
   {
-    // The per-call cap is a scoped worker limit, which the plan reads.
-    par::scoped_worker_limit cap(2);
-    EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n + 1), 2);
+    // The call's width is a scoped worker limit, which the plan reads.
+    par::scoped_worker_limit serial(1);
+    EXPECT_EQ(policy.plan_parallelism(policy.parallel_crossover_n + 1), 1);
   }
+  // A width above the pool size is the pool: the record shows the width
+  // that ran.
   sort_stats st;
   auto_sort_options opt;
   opt.stats = &st;
-  opt.num_threads = 2;
+  opt.num_threads = 5;
   auto input = gen::generate_records<kv64>(
       unif_dist(), opt.policy.parallel_crossover_n * 4, 24);
   dovetail::sort(std::span<kv64>(input), key_of_kv64, opt);
-  EXPECT_EQ(st.chosen_parallelism.load(), 2u);
+  EXPECT_EQ(st.chosen_parallelism.load(), 4u);
 }
 
 // ---------------------------------------------------------------------------

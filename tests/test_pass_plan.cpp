@@ -202,7 +202,7 @@ void expect_dtsort_matches_stable_sort(const gen::distribution& dist) {
   auto ref = input;
   std::stable_sort(ref.begin(), ref.end(),
                    [](const Rec& a, const Rec& b) { return a.key < b.key; });
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 0}) {
     // Shrinking θ makes the planner pick γ > 8 at this small n.
     ASSERT_GT(dtsort_plan<Rec>(n, theta, threads).digit, 8);
     auto v = input;
@@ -212,7 +212,7 @@ void expect_dtsort_matches_stable_sort(const gen::distribution& dist) {
     dt::dovetail_sort(std::span<Rec>(v), [](const Rec& r) { return r.key; },
                       o);
     EXPECT_EQ(std::memcmp(v.data(), ref.data(), n * sizeof(Rec)), 0)
-        << dist.name << " " << threads << " workers";
+        << dist.name << " num_threads " << threads;
   }
 }
 
@@ -234,7 +234,7 @@ TEST(PlannedDtsort, OneLevelPlanRecordsDepthOne) {
   const std::size_t theta = 768;
   const auto input = gen::generate_records<dt::kv64>(
       {gen::dist_kind::uniform, 1e9, "Unif-1e9"}, n, 3);
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 0}) {
     const digit_plan p = dtsort_plan<dt::kv64>(n, theta, threads);
     ASSERT_EQ(p.passes, 1);
     ASSERT_EQ(p.digit, 9);
@@ -245,14 +245,22 @@ TEST(PlannedDtsort, OneLevelPlanRecordsDepthOne) {
     o.num_threads = threads;
     o.stats = &st;
     dt::dovetail_sort(std::span<dt::kv64>(v), dt::key_of_kv64, o);
-    EXPECT_EQ(st.max_depth.load(), 1u) << threads << " workers";
-    EXPECT_EQ(st.num_distributions.load(), 1u) << threads << " workers";
+    EXPECT_EQ(st.max_depth.load(), 1u) << "num_threads " << threads;
+    EXPECT_EQ(st.num_distributions.load(), 1u) << "num_threads " << threads;
   }
 }
 
 TEST(PlannedLsd, FrontDoorElevenBitPassesMatchStableSort) {
   // Hashed-uniform 32-bit keys route to LSD. From 2^20 kv32 records the
   // plan is three 11-bit passes; one record fewer keeps four 8-bit ones.
+  // The plan reads the worker count, so the pool is pinned to 4 workers.
+  struct restore_pool {
+    ~restore_pool() {
+      dt::par::scheduler::set_num_workers(
+          dt::par::scheduler::default_num_workers());
+    }
+  } restore;
+  dt::par::scheduler::set_num_workers(4);
   for (std::size_t n : {std::size_t{1} << 20, (std::size_t{1} << 20) - 1}) {
     const auto input = gen::generate_records<dt::kv32>(
         {gen::dist_kind::uniform, 1e9, "Unif-1e9"}, n, 5);
@@ -260,7 +268,7 @@ TEST(PlannedLsd, FrontDoorElevenBitPassesMatchStableSort) {
     std::stable_sort(
         ref.begin(), ref.end(),
         [](const dt::kv32& a, const dt::kv32& b) { return a.key < b.key; });
-    for (int threads : {1, 4}) {
+    for (int threads : {1, 0}) {
       auto v = input;
       dt::sort_stats st;
       dt::auto_sort_options o;
@@ -269,11 +277,11 @@ TEST(PlannedLsd, FrontDoorElevenBitPassesMatchStableSort) {
       ASSERT_EQ(dt::sort(std::span<dt::kv32>(v), dt::key_of_kv32, o),
                 dt::sort_kernel::lsd);
       EXPECT_EQ(std::memcmp(v.data(), ref.data(), n * sizeof(dt::kv32)), 0)
-          << n << " records, " << threads << " workers";
+          << n << " records, num_threads " << threads;
       const std::uint64_t passes = st.scatter_direct_calls.load() +
                                    st.scatter_buffered_calls.load();
       EXPECT_EQ(passes, n == (std::size_t{1} << 20) ? 3u : 4u)
-          << n << " records, " << threads << " workers";
+          << n << " records, num_threads " << threads;
     }
   }
 }

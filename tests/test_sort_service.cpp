@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -98,6 +99,17 @@ std::vector<sort_request<kv64, decltype(key_of_kv64)>> make_requests(
   return reqs;
 }
 
+// kv64's key, counting the calls made off the `caller` thread.
+struct caller_key {
+  std::thread::id caller;
+  std::atomic<std::size_t>* elsewhere = nullptr;
+  std::uint64_t operator()(const kv64& r) const {
+    if (std::this_thread::get_id() != caller)
+      elsewhere->fetch_add(1, std::memory_order_relaxed);
+    return r.key;
+  }
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,19 +151,26 @@ TEST(SortBatch, ByteIdenticalToSerialOneShots) {
   EXPECT_EQ(pool.checkouts(), pool.pool_hits() + pool.creations());
 }
 
-TEST(SortBatch, ConcurrencyCapStillSortsEverything) {
+TEST(SortBatch, SerialBatchRunsOnTheCaller) {
   worker_count_guard guard;
   par::scheduler::set_num_workers(4);
   const std::vector<std::size_t> sizes = mixed_sizes(10);
   std::vector<std::vector<kv64>> inputs = make_inputs(sizes, 3'000);
   const std::vector<std::vector<kv64>> expected = serial_reference(inputs);
 
-  auto reqs = make_requests(inputs);
+  // concurrency = 1: every request, and every pass of it, on this thread.
+  std::atomic<std::size_t> elsewhere{0};
+  std::vector<sort_request<kv64, caller_key>> reqs(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    reqs[i].data = std::span<kv64>(inputs[i]);
+    reqs[i].key = {std::this_thread::get_id(), &elsewhere};
+  }
   service_options opt;
-  opt.concurrency = 2;
+  opt.concurrency = 1;
   sort_batch(reqs, opt);
   for (std::size_t i = 0; i < inputs.size(); ++i)
     EXPECT_EQ(inputs[i], expected[i]);
+  EXPECT_EQ(elsewhere.load(), 0u);
 }
 
 TEST(SortBatch, EmptyBatchIsANoOp) {

@@ -6,7 +6,8 @@
 // stability preserved through the k-way tree merge, for flat, typed
 // (double incl. NaN/±0), wide (u128) and string (non-exhaustive prefix
 // codec) keys, with and without push-time run compaction, and with warm
-// pool reuse across consecutive streams.
+// pool reuse across consecutive streams; a key that throws inside push
+// leaves the sorter as it was.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -247,6 +249,29 @@ TEST(StreamSort, ReusableAfterFinish) {
   const auto got_b = stream_in_chunks(b, random_chunks(b.size(), 800, 100), s);
   EXPECT_EQ(got_a, one_shot(a, key_of_kv32));
   EXPECT_EQ(got_b, one_shot(b, key_of_kv32));
+}
+
+TEST(StreamSort, ThrowingKeyInPushLeavesTheSorterAsItWas) {
+  // The second chunk's sort throws: the sorter keeps the first chunk only,
+  // and finish() returns exactly its sorted records.
+  const auto a = gen::generate_records<kv64>(unif_dist(), 3'000, 101);
+  const auto b = gen::generate_records<kv64>(zipf_dist(), 3'000, 102);
+  struct failing_key {
+    const bool* fail;
+    std::uint64_t operator()(const kv64& r) const {
+      if (*fail) throw std::runtime_error("key failed");
+      return r.key;
+    }
+  };
+  bool fail = false;
+  stream_sorter<kv64, failing_key> s({}, failing_key{&fail});
+  s.push(std::span<const kv64>(a));
+  fail = true;
+  EXPECT_THROW(s.push(std::span<const kv64>(b)), std::runtime_error);
+  fail = false;
+  EXPECT_EQ(s.size(), a.size());
+  EXPECT_EQ(s.pending_runs(), 1u);
+  EXPECT_EQ(s.finish(), one_shot(a, key_of_kv64));
 }
 
 TEST(StreamSort, WarmPoolSecondStreamAllocatesNothing) {

@@ -9,8 +9,7 @@
 //     checked byte-identical to std::stable_sort with
 //     std::less<std::string>, plus stability on duplicates via rank;
 //   * the continuation property — byte-identical to std::stable_sort
-//     across dispatch sizes x {serial, num_threads = 4} x {cold, warm
-//     pool};
+//     across dispatch sizes x {serial, the pool} x {cold, warm pool};
 //   * the no-fallback guarantee — sort_stats::wide_tiebreak_fallbacks is
 //     0 whenever the continuation runs, even when equal-prefix segments
 //     dwarf wide_segment_base_case;
@@ -31,7 +30,7 @@
 //     earliest divergence sits in any one block, queries cutting a
 //     finished segment, and refine counters that do not depend on the
 //     worker count — byte-identical to std::stable_sort, with stability
-//     witnessed by tagged records, at 1 and 4 workers;
+//     witnessed by tagged records, serial and on the pool;
 //   * std::string_view records (plain and in trivially copyable rows),
 //     which take the same encode-once route as std::string and count the
 //     same refine work; and a key functor that throws inside the
@@ -57,6 +56,7 @@
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/random.hpp"
+#include "dovetail/parallel/scheduler.hpp"
 
 using namespace dovetail;
 
@@ -233,7 +233,7 @@ TEST(StringEngine, DeepContinuationRecursion) {
 TEST(StringEngine, ContinuationMatchesStableSort) {
   // The continuation property: byte-identical output vs the
   // std::stable_sort reference across dispatch sizes x {serial,
-  // num_threads = 4} x {cold, warm pool}. The pool loop runs each
+  // the pool} x {cold, warm pool}. The pool loop runs each
   // configuration twice on the same workspace_pool — first pass cold
   // (arenas constructed), second warm (pure reuse).
   const gen::distribution d{gen::dist_kind::exponential, 7, "Exp-7"};
@@ -242,7 +242,7 @@ TEST(StringEngine, ContinuationMatchesStableSort) {
     const auto input = gen::generate_lcp_string_keys(d, n, 23 + n, 24);
     auto ref = input;
     std::stable_sort(ref.begin(), ref.end());
-    for (const int threads : {1, 4}) {
+    for (const int threads : {1, 0}) {
       sort_workspace ws;
       workspace_pool pool;
       for (const bool warm : {false, true}) {
@@ -306,7 +306,7 @@ TEST(StringEngine, QueriesContinueByRadixPastSharedPrefix) {
   }
   auto ref = input;
   std::stable_sort(ref.begin(), ref.end());
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     for (const std::size_t m : {std::size_t{100}, kN / 2}) {
       sort_stats st;
       auto_sort_options opt;
@@ -371,7 +371,7 @@ void expect_stable_everywhere(const std::vector<std::string>& keys,
                               std::size_t base_case) {
   const auto recs = tag(keys);
   const auto ref = stable_ref(recs);
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     sort_workspace ws;
     auto_sort_options opt;
     opt.workspace = &ws;
@@ -522,7 +522,7 @@ TEST(StringEngine, QueriesCutAFinishedSegment) {
   shuffle_strings(keys, 7);
   const auto recs = tag(keys);
   const auto ref = stable_ref(recs);
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     auto_sort_options opt;
     opt.num_threads = threads;
     opt.policy.wide_segment_base_case = kBase;
@@ -543,8 +543,13 @@ TEST(StringEngine, QueriesCutAFinishedSegment) {
 
 TEST(StringEngine, RefineCountersDoNotDependOnWorkers) {
   // The schedule (parallel probes, parallel finishes) must not leak into
-  // the refine counters: every wide_* counter equal at 1, 2, 3 and 4
-  // workers, on URLs and on deep shared prefixes.
+  // the refine counters: every wide_* counter equal on pools of 1, 2, 3
+  // and 4 workers, on URLs and on deep shared prefixes.
+  struct restore_pool {
+    ~restore_pool() {
+      par::scheduler::set_num_workers(par::scheduler::default_num_workers());
+    }
+  } restore;
   const gen::distribution zipf{gen::dist_kind::zipfian, 1.2, "Zipf-1.2"};
   const gen::distribution unif{gen::dist_kind::uniform, 1e5, "Unif-1e5"};
   const std::vector<std::vector<std::string>> inputs = {
@@ -555,9 +560,9 @@ TEST(StringEngine, RefineCountersDoNotDependOnWorkers) {
     std::stable_sort(ref.begin(), ref.end());
     std::vector<std::uint64_t> first;
     for (const int threads : {1, 2, 3, 4}) {
+      par::scheduler::set_num_workers(threads);
       sort_stats st;
       auto_sort_options opt;
-      opt.num_threads = threads;
       opt.stats = &st;
       opt.policy.wide_segment_base_case = 2048;
       auto v = input;
@@ -617,7 +622,7 @@ TEST(StringEngine, StringViewRecordsMatchStringRecords) {
     const auto ref = stable_ref(tag(keys));
     std::vector<std::uint32_t> ref_ids(kN);
     for (std::size_t i = 0; i < kN; ++i) ref_ids[i] = ref[i].id;
-    for (const int threads : {1, 4}) {
+    for (const int threads : {1, 0}) {
       sort_stats sv_st;
       sort_stats s_st;
       auto_sort_options opt;
@@ -694,7 +699,7 @@ TEST(StringEngine, ThrowingKeyInTheContinuationLeavesInputUnchanged) {
     input[i] = std::string(64, 'p') + digits(rnd(i) % 2000, 3);
   auto ref = input;
   std::stable_sort(ref.begin(), ref.end());
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     for (const std::size_t base_case : {std::size_t{64}, kN}) {
       sort_workspace ws;
       auto_sort_options opt;
@@ -737,7 +742,7 @@ TEST(StringEngine, KeyReturnedByValueInTheContinuation) {
   const auto input = tag(keys);
   const auto ref = stable_ref(input);
   const auto by_value = [](const tagged& t) { return t.key; };
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     for (const std::size_t base_case : {std::size_t{64}, kN}) {
       sort_workspace ws;
       auto_sort_options opt;
@@ -807,7 +812,7 @@ TEST(StringEngine, PrefixCodecWithoutOffsetFormTieBreaks) {
   dispatch_policy policy;
   policy.wide_segment_base_case = 64;
 
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     sort_stats st;
     auto_sort_options opt;
     opt.policy = policy;
@@ -918,7 +923,7 @@ TEST(StringEngine, CaseFoldingCodecOrdersByItsKey) {
     std::swap(input[i - 1].s, input[rnd(i + 8) % i].s);
   auto ref = input;
   std::stable_sort(ref.begin(), ref.end());
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 0}) {
     auto_sort_options opt;
     opt.num_threads = threads;
     opt.policy.wide_segment_base_case = 64;
