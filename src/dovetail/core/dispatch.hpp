@@ -109,6 +109,16 @@ namespace detail {
 inline constexpr digit_rule kLsdDigits{
     .base = 8, .widest = 11, .wide_min_bytes = std::size_t{8} << 20};
 
+// A serial DTSort plan of at most this many records is one base case:
+// the front door sets sort_options::base_case = n, so radix_finish sorts
+// the input through its leased twin with no sampling, bucket table or
+// merge (its all-equal check still catches a heavy key's segments).
+// Serially, on 22K-65K kv64 records, a level costs 15-32 ns per record on
+// Unif-1e9 and Zipf-1.2 and one finish 11-16; by 400K records on
+// Unif-1e9 the level wins (docs/TUNING.md). A pool-width plan keeps its
+// level: at 4 workers it beats a serial finish from about 45K records.
+inline constexpr std::size_t kSerialFinishMax = std::size_t{1} << 16;
+
 }  // namespace detail
 
 // The stability contract a caller demands from the dispatcher
@@ -197,11 +207,13 @@ struct dispatch_policy {
   // at small n.
   std::size_t select_base_case = std::size_t{1} << 11;
 
-  // n at or below this sorts with sequential std::stable_sort. The radix
-  // kernels overtake a comparison sort astonishingly early (measured
-  // crossover ~2^9-2^10 records on the baseline box: LSD 7.6us vs
-  // std::stable_sort 4.5us at n=512, and 2x ahead by n=1024), so this only
-  // guards the regime where sketching + workspace setup are not worth it.
+  // n at or below this sorts with sequential std::stable_sort, and an
+  // unforced call skips the sketch: choose() picks std_sort here whatever
+  // the sketch says. The radix kernels overtake a comparison sort
+  // astonishingly early (measured crossover ~2^9-2^10 records on the
+  // baseline box: LSD 7.6us vs std::stable_sort 4.5us at n=512, and 2x
+  // ahead by n=1024), so this only guards the regime where sketching and
+  // workspace setup are not worth it.
   static constexpr std::size_t serial_threshold = 512;
   // One-pass counting sort when the exact key range (max - min) is at most
   // this. The competitor is not a full-width radix sort but LSD over the
@@ -494,7 +506,28 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   // available worker count.
   const par::scoped_worker_limit worker_cap(opt.num_threads);
 
-  input_sketch sk = sketch_input(std::span<const Rec>(data.data(), n), key);
+  const auto key_less = [&](const Rec& x, const Rec& y) {
+    return static_cast<std::uint64_t>(key(x)) <
+           static_cast<std::uint64_t>(key(y));
+  };
+  const auto record_choice = [&](const kernel_plan& p) {
+    if (st != nullptr)
+      sort_stats::note_max(st->chosen_parallelism,
+                           static_cast<std::uint64_t>(p.parallelism));
+  };
+  if (!opt.policy.forced && n <= dispatch_policy::serial_threshold) {
+    record_choice(kernel_plan{.kernel = sort_kernel::std_sort});
+    std::stable_sort(data.begin(), data.end(), key_less);
+    return sort_kernel::std_sort;
+  }
+
+  // The sketch runs under the width the plan will get, so a request
+  // planned serial does not fork its sample gather onto the pool.
+  input_sketch sk = [&] {
+    const par::scoped_worker_limit sketch_cap(
+        dispatch_policy::plan_parallelism(n));
+    return sketch_input(std::span<const Rec>(data.data(), n), key);
+  }();
   // Type-level facts the sampling pass cannot know: the record footprint
   // (drives the memory-budget rule) and whether equal encoded keys imply
   // byte-identical records (makes the unstable in-place kernel safe).
@@ -504,16 +537,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   sort_workspace local_ws;
   sort_workspace& ws =
       opt.workspace != nullptr ? *opt.workspace : local_ws;
-  const auto record_choice = [&](const kernel_plan& p) {
-    if (st != nullptr)
-      sort_stats::note_max(st->chosen_parallelism,
-                           static_cast<std::uint64_t>(p.parallelism));
-  };
-
-  const auto key_less = [&](const Rec& x, const Rec& y) {
-    return static_cast<std::uint64_t>(key(x)) <
-           static_cast<std::uint64_t>(key(y));
-  };
   unsigned disallow = 0;
   for (;;) {
     kernel_plan plan;
@@ -604,6 +627,8 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
         sort_options dopt;
         dopt.workspace = &ws;
         dopt.stats = st;
+        if (plan.parallelism == 1 && n <= detail::kSerialFinishMax)
+          dopt.base_case = n;
         dovetail_sort(data, key, dopt);
         return plan.kernel;
       }

@@ -71,10 +71,13 @@ struct sort_options {
   // finished sequentially by a stable MSD radix sort over the ping-pong
   // twin buffer (detail::radix_finish below) instead of the paper's
   // comparison sort. It allocates nothing and adapts its digit to the
-  // segment's key range, so a base case costs O(n') per remaining digit of
-  // at most 11 bits (detail::finish_digit), and buckets of at most 16
-  // records take a rank placement instead of another level. Larger θ
-  // trades parallel distribution depth for more sequential finishing.
+  // segment's key range and size, so a base case costs O(n') per level,
+  // each level's digit at most 11 bits and sized for leaves of about 8
+  // records (detail::finish_digit), and buckets of at most 16 records take
+  // a rank placement instead of another level. Larger θ trades parallel
+  // distribution depth for more sequential finishing; the front door sets
+  // θ = n on serial plans of at most 2^16 records (dispatch.hpp), which
+  // makes the whole sort one finish.
   std::size_t base_case = std::size_t{1} << 14;
 
   // Heavy-key detection via sampling (Alg 2 step 1), subsampling every
@@ -164,8 +167,9 @@ void rank_leaf(const Rec* src, Rec* dst, std::size_t n, int bits,
 // whichever of the two is the A side (`cur` if `cur_is_a`, else `oth`).
 // Each level makes one min/max pass: an all-equal segment is done without
 // a scatter, otherwise the digit starts at the highest bit where min and
-// max differ and is finish_digit(n, range bits) wide (pass_plan.hpp: 11
-// bits on a θ-sized segment). Buckets of at most kFinishLeaf records are
+// max differ and is finish_digit(n, range bits) wide (pass_plan.hpp:
+// sized for leaves of about 8 records, 11 bits on a θ-sized segment, 7
+// then 6 on 2^16 records). Buckets of at most kFinishLeaf records are
 // then placed by rank_leaf straight into `cur`, the output side when
 // cur_is_a; otherwise each run of leaves is copied back into `oth` before
 // the next larger bucket recurses with the parity flipped. Counts live on

@@ -22,10 +22,12 @@
 //                        exploit.
 //
 // Everything is a deterministic function of (seed, position), so a sketch —
-// and hence every dispatch decision built on it — is reproducible. Cost is
-// O(samples log samples + probes) with ~1.5k random reads:
-// microseconds, against milliseconds for the cheapest sort of a
-// dispatch-sized input.
+// and hence every dispatch decision built on it — is reproducible. The
+// budget follows n (about n/16 samples and n/32 probes, see below), so the
+// cost is O(samples log samples + probes): at most 1,024 + 512 random
+// reads and a 1,024-key sort, and about 3 reads per 32 records on a
+// small input. The samples go to a stack array; the sketch allocates
+// nothing.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +35,6 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/sampling.hpp"
@@ -43,10 +44,13 @@
 
 namespace dovetail {
 
-// The sketch's budget: keys sampled for the range/duplicate statistics
-// (capped at n) and adjacent pairs probed for the order statistics (capped
-// at n - 1). The heavy-key rule subsamples at subsample_stride(n), the
-// stride dovetail_sort uses.
+// The sketch's budget: clamp(n/16, 64, kSketchSamples) keys sampled for
+// the range/duplicate statistics (capped at n) and clamp(n/32, 32,
+// kSketchProbes) adjacent pairs probed for the order statistics (capped at
+// n - 1), so a request of a few thousand records pays for a sketch in
+// proportion to its records. The full budget holds from 2^14 records. The
+// heavy-key rule subsamples at subsample_stride(n), the stride
+// dovetail_sort uses.
 inline constexpr std::size_t kSketchSamples = 1024;
 inline constexpr std::size_t kSketchProbes = 512;
 
@@ -168,15 +172,16 @@ input_sketch sketch_input(std::span<const Rec> data, const KeyFn& key,
   // sampling scheme dovetail_sort runs internally (sampling.hpp): same
   // positions for the same seed, so the sketch predicts what the sort
   // would itself detect.
-  const std::size_t ns = std::min(s.n, kSketchSamples);
-  std::vector<std::uint64_t> sample;
-  const sample_result sr =
-      sample_keys(data, keyof, ~std::uint64_t{0}, ns, subsample_stride(s.n),
-                  /*detect_heavy=*/true, opt.seed, &sample);
-  s.heavy_keys = sr.heavy_keys.size();
-  s.num_samples = sr.num_samples;
-  s.max_sample = sr.max_sample;
-  s.key_bits = bit_width_u64(sr.max_sample);
+  std::uint64_t buf[kSketchSamples] = {};
+  const std::span<std::uint64_t> sample(
+      buf, std::min(s.n, std::clamp<std::size_t>(s.n / 16, 64,
+                                                 kSketchSamples)));
+  sample_keys(data, keyof, ~std::uint64_t{0}, sample, opt.seed);
+  for_each_heavy(std::span<const std::uint64_t>(sample),
+                 subsample_stride(s.n), [&](std::uint64_t) { ++s.heavy_keys; });
+  s.num_samples = sample.size();
+  s.max_sample = sample.back();
+  s.key_bits = bit_width_u64(s.max_sample);
 
   // Duplicate / digit statistics from the same (already sorted) draw.
   s.min_sample = sample.front();
@@ -200,7 +205,8 @@ input_sketch sketch_input(std::span<const Rec> data, const KeyFn& key,
   // the sample gather, the probes are latency-bound random reads: the part
   // of the o(n) pre-work worth spreading across workers.
   if (s.n >= 2) {
-    s.probes = std::min(s.n - 1, kSketchProbes);
+    s.probes = std::min(s.n - 1,
+                        std::clamp<std::size_t>(s.n / 32, 32, kSketchProbes));
     struct tally {
       std::size_t asc = 0, eq = 0, desc = 0;
     };

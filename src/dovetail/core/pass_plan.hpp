@@ -120,17 +120,22 @@ inline constexpr std::size_t kFinishLeaf = 16;
 inline constexpr int kFinishLeafKeyBits = 60;
 
 // The base case's digit for a segment of n records whose keys differ in
-// their low range_bits bits: min(11, range bits, floor(log2 n)), so its
-// stack histogram has no more cells than a segment above the leaf size has
-// records, and a θ = 2^14 segment resolves 11 bits in one level, down to
-// leaves of about 8 records. The digit is never below 4 bits (except for a
-// narrower range), so what a level leaves to its leaves fits
-// kFinishLeafKeyBits.
+// their low range_bits bits aims for leaves of about 8 records: the
+// ceil(log2(n / 8)) bits that takes (at least 4) split evenly over the
+// fewest levels of at most 11 bits, then clamped to the range and to
+// [64 - kFinishLeafKeyBits, 11]. A θ-sized segment (2^13 + 1 to 2^14
+// records) resolves 11 bits in one level; a smaller one takes a narrower digit
+// instead of leaving 1-2-record leaves; a 2^16-record segment takes 7 bits
+// and then 6 instead of 11 and then 4 into 26-record buckets. The stack
+// histogram never has more cells than a segment above the leaf size has
+// records, and what a level leaves to its leaves fits kFinishLeafKeyBits.
 inline constexpr int kFinishWidest = 11;
 
 inline int finish_digit(std::size_t n, int range_bits) {
+  const int need = std::max(4, static_cast<int>(ceil_log2((n + 7) / 8)));
+  const int levels = (need + kFinishWidest - 1) / kFinishWidest;
   return std::min(range_bits,
-                  std::clamp(static_cast<int>(floor_log2(n)),
+                  std::clamp((need + levels - 1) / levels,
                              64 - kFinishLeafKeyBits, kFinishWidest));
 }
 

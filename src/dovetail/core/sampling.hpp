@@ -38,56 +38,61 @@ struct sample_result {
   std::size_t num_samples = 0;
 };
 
-// Samples `num_samples` keys of `data` (masked by `mask`) at deterministic
-// pseudo-random positions. `detect_heavy` toggles the heavy-key extraction
-// (the range estimate is always produced). If `keep_samples` is non-null it
-// receives the sorted sample vector, so callers that need more statistics
-// from the same draw (input_sketch.hpp) do not sample twice.
+// Fills `samples` with keys of the nonempty `data` (masked by `mask`) at
+// deterministic pseudo-random positions, sorted ascending. The caller
+// sizes the span, so a draw into stack or workspace memory allocates
+// nothing (input_sketch.hpp).
+//
+// The gather is a parallel loop (each position is an independent function
+// of (seed, i), so the draw is identical to the sequential one): the
+// random reads it scatters across `data` are the latency-bound part of
+// sampling, and at high worker counts a sequential gather here would be
+// Amdahl overhead on every sort. The sort of the samples stays
+// sequential.
+template <typename Rec, typename KeyFn>
+void sample_keys(std::span<const Rec> data, const KeyFn& key,
+                 std::uint64_t mask, std::span<std::uint64_t> samples,
+                 std::uint64_t seed) {
+  const std::size_t n = data.size();
+  par::parallel_for(0, samples.size(), [&](std::size_t i) {
+    const auto idx = static_cast<std::size_t>(par::rand_range(seed, i, n));
+    samples[i] = static_cast<std::uint64_t>(key(data[idx])) & mask;
+  });
+  std::sort(samples.begin(), samples.end());
+}
+
+// Calls f(k) once per heavy key of the sorted samples, ascending: the
+// rule subsamples s[0], s[stride], s[2*stride], ...; a key with two or
+// more subsamples is heavy.
+template <typename F>
+void for_each_heavy(std::span<const std::uint64_t> sorted, std::size_t stride,
+                    const F& f) {
+  stride = std::max<std::size_t>(stride, 1);
+  for (std::size_t j = stride; j < sorted.size(); j += stride) {
+    if (sorted[j] == sorted[j - stride] &&
+        (j < 2 * stride || sorted[j - 2 * stride] != sorted[j]))
+      f(sorted[j]);
+  }
+}
+
+// Samples `num_samples` keys of `data` (masked by `mask`, capped at n) and
+// summarises them: the range estimate always, the heavy keys when
+// `detect_heavy` is set.
 template <typename Rec, typename KeyFn>
 sample_result sample_keys(std::span<const Rec> data, const KeyFn& key,
                           std::uint64_t mask, std::size_t num_samples,
                           std::size_t subsample_stride, bool detect_heavy,
-                          std::uint64_t seed,
-                          std::vector<std::uint64_t>* keep_samples = nullptr) {
+                          std::uint64_t seed) {
   sample_result res;
-  const std::size_t n = data.size();
-  if (n == 0 || num_samples == 0) return res;
-  num_samples = std::min(num_samples, n);
-  res.num_samples = num_samples;
-
-  // The gather is a parallel loop (each position is an independent function
-  // of (seed, i), so the draw is identical to the sequential one): the
-  // random reads it scatters across `data` are the latency-bound part of
-  // sampling, and at high worker counts a sequential gather here would be
-  // Amdahl overhead on every sort. The sort of the samples stays
-  // sequential — ~1k elements.
-  std::vector<std::uint64_t> s(num_samples);
-  par::parallel_for(0, num_samples, [&](std::size_t i) {
-    const auto idx = static_cast<std::size_t>(par::rand_range(seed, i, n));
-    s[i] = static_cast<std::uint64_t>(key(data[idx])) & mask;
-  });
-  std::sort(s.begin(), s.end());
+  if (data.empty() || num_samples == 0) return res;
+  std::vector<std::uint64_t> s(std::min(num_samples, data.size()));
+  sample_keys(data, key, mask, std::span<std::uint64_t>(s), seed);
+  res.num_samples = s.size();
   res.max_sample = s.back();
-
-  if (!detect_heavy) {
-    if (keep_samples != nullptr) *keep_samples = std::move(s);
-    return res;
+  if (detect_heavy) {
+    for_each_heavy(std::span<const std::uint64_t>(s), subsample_stride,
+                   [&](std::uint64_t k) { res.heavy_keys.push_back(k); });
   }
-  if (subsample_stride == 0) subsample_stride = 1;
-  // Subsample s[0], s[stride], s[2*stride], ...; a key with two or more
-  // subsamples is heavy.
-  std::uint64_t prev = 0;
-  bool have_prev = false;
-  for (std::size_t j = 0; j < num_samples; j += subsample_stride) {
-    std::uint64_t k = s[j];
-    if (have_prev && k == prev) {
-      if (res.heavy_keys.empty() || res.heavy_keys.back() != k)
-        res.heavy_keys.push_back(k);
-    }
-    prev = k;
-    have_prev = true;
-  }
-  if (keep_samples != nullptr) *keep_samples = std::move(s);
   return res;
 }
 

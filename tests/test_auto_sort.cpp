@@ -411,6 +411,25 @@ TEST(InputSketch, DeterministicForFixedSeed) {
   EXPECT_EQ(a.max_sample, b.max_sample);
 }
 
+// The budget is clamp(n/16, 64, 1024) samples and clamp(n/32, 32, 512)
+// probes, each capped by what the input holds.
+TEST(InputSketch, BudgetFollowsN) {
+  struct row {
+    std::size_t n, samples, probes;
+  };
+  for (const row r : {row{40, 40, 32}, row{600, 64, 32}, row{2'000, 125, 62},
+                      row{16'384, 1'024, 512}, row{1'000'000, 1'024, 512}}) {
+    std::vector<kv32> v(r.n);
+    for (std::size_t i = 0; i < r.n; ++i)
+      v[i] = {static_cast<std::uint32_t>(dovetail::par::hash64(i)), 0};
+    const input_sketch s =
+        dovetail::sketch_input(std::span<const kv32>(v), key32);
+    EXPECT_EQ(s.num_samples, r.samples) << r.n;
+    EXPECT_EQ(s.probes, r.probes) << r.n;
+    EXPECT_EQ(s.asc_probes + s.eq_probes + s.desc_probes, r.probes) << r.n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Workspace reuse across dispatched kernels, and degenerate inputs.
 
@@ -470,6 +489,71 @@ TEST(AutoSort, MatchesStdStableSortAcrossDistributions) {
     for (std::size_t i = 0; i < v.size(); ++i) {
       ASSERT_EQ(v[i].key, ref[i].key) << name << " at " << i;
       ASSERT_EQ(v[i].value, ref[i].value) << name << " at " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Small and mid-size calls: n <= serial_threshold skips the sketch, and a
+// serial DTSort plan of at most 2^16 records is one base case (no level,
+// no sample, no merge); pool-width plans and larger inputs keep their
+// level. Hashed 64-bit keys route to DTSort above the serial threshold.
+
+TEST(AutoSortSerialFinish, PlansAroundTheBoundsMatchStableSort) {
+  namespace par = dovetail::par;
+  struct restore_pool {
+    ~restore_pool() {
+      par::scheduler::set_num_workers(par::scheduler::default_num_workers());
+    }
+  } restore;
+  constexpr std::size_t kFinishMax = std::size_t{1} << 16;
+  for (const int pool : {1, 4}) {
+    par::scheduler::set_num_workers(pool);
+    for (const std::size_t n :
+         {std::size_t{512}, std::size_t{513}, std::size_t{1} << 15,
+          (std::size_t{1} << 15) + 1, kFinishMax, kFinishMax + 1}) {
+      std::vector<kv64> input(n);
+      for (std::size_t i = 0; i < n; ++i) input[i] = {par::hash64(i + n), i};
+      auto ref = input;
+      std::stable_sort(ref.begin(), ref.end(),
+                       [](const kv64& x, const kv64& y) {
+                         return x.key < y.key;
+                       });
+      for (const int threads : {1, 0}) {
+        const bool serial =
+            threads == 1 || pool == 1 ||
+            n <= dovetail::dispatch_policy::parallel_crossover_n;
+        for (const bool forced : {false, true}) {
+          const std::string what = "pool " + std::to_string(pool) + ", n " +
+                                    std::to_string(n) + ", num_threads " +
+                                    std::to_string(threads) +
+                                    (forced ? ", forced" : "");
+          auto v = input;
+          sort_stats st;
+          auto_sort_options o;
+          o.num_threads = threads;
+          o.stats = &st;
+          if (forced) o.policy = policy::always(sort_kernel::dtsort);
+          const sort_kernel k =
+              dovetail::sort(std::span<kv64>(v), dovetail::key_of_kv64, o);
+          EXPECT_EQ(0, std::memcmp(v.data(), ref.data(), n * sizeof(kv64)))
+              << what;
+          EXPECT_EQ(st.chosen_parallelism.load(),
+                    serial ? 1u : static_cast<std::uint64_t>(pool))
+              << what;
+          if (!forced && n <= dovetail::dispatch_policy::serial_threshold) {
+            EXPECT_EQ(k, sort_kernel::std_sort) << what;
+            continue;
+          }
+          EXPECT_EQ(k, sort_kernel::dtsort) << what;
+          if (serial && n <= kFinishMax) {
+            EXPECT_EQ(st.distributed_records.load(), 0u) << what;
+            EXPECT_EQ(st.base_case_records.load(), n) << what;
+          } else {
+            EXPECT_GE(st.distributed_records.load(), n) << what;
+          }
+        }
+      }
     }
   }
 }

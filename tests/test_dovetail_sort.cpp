@@ -515,6 +515,25 @@ TEST(RadixFinishDirect, KeysDifferingOnlyBelowTheDigit) {
   }
 }
 
+// Segments the front door finishes whole (serial plans of at most 2^16
+// records) and larger: two levels of finish digits sized for 8-record
+// leaves, over generated keys.
+TEST(RadixFinishDirect, MidSizeSegmentsOnGeneratedKeys) {
+  for (const gen::distribution& d :
+       {gen::distribution{gen::dist_kind::uniform, 1e9, "Unif-1e9"},
+        gen::distribution{gen::dist_kind::zipfian, 1.2, "Zipf-1.2"},
+        gen::distribution{gen::dist_kind::bexp, 10, "BExp-10"}}) {
+    for (const std::size_t n :
+         {(std::size_t{1} << 15) + 1, std::size_t{54'000},
+          std::size_t{1} << 16, std::size_t{1} << 17}) {
+      expect_finish_bytes(gen::generate_records<kv32>(d, n, 5),
+                          dovetail::key_of_kv32, d.name + " kv32");
+      expect_finish_bytes(gen::generate_records<kv64>(d, n, 6),
+                          dovetail::key_of_kv64, d.name + " kv64");
+    }
+  }
+}
+
 TEST(RadixFinishDirect, WordKeysAsTheStringFinishPassesThem) {
   using dovetail::par::hash64;
   for (const std::size_t n : finish_sizes()) {

@@ -147,9 +147,11 @@ TEST(PlanDigits, PinnedPlans) {
   }
 }
 
-// DTSort's base case: min(11, range bits, floor(log2 n)), never below 4
-// bits for a wider range, so each level leaves at most 60 bits to the rank
-// leaves and keeps its histogram at or below one cell per record.
+// DTSort's base case aims for leaves of about 8 records: ceil(log2(n/8))
+// bits (at least 4) over the fewest levels of at most 11 bits, clamped to
+// the range; never below 4 bits for a wider range, so each level leaves at
+// most 60 bits to the rank leaves and keeps its histogram at or below one
+// cell per record.
 TEST(FinishDigit, TableAtTheBoundaries) {
   using dt::detail::finish_digit;
   using dt::detail::kFinishLeaf;
@@ -158,16 +160,21 @@ TEST(FinishDigit, TableAtTheBoundaries) {
     int range1, range11, range54;
   };
   const row rows[] = {{kFinishLeaf + 1, 1, 4, 4},
-                      {std::size_t{1} << 11, 1, 11, 11},
+                      {std::size_t{1} << 9, 1, 6, 6},
+                      {std::size_t{1} << 11, 1, 8, 8},
                       {9'766, 1, 11, 11},  // 1e7 records in 1,024 buckets
                       {std::size_t{1} << 14, 1, 11, 11},
-                      {std::size_t{1} << 16, 1, 11, 11}};
+                      {(std::size_t{1} << 14) + 1, 1, 6, 6},
+                      {std::size_t{1} << 15, 1, 6, 6},
+                      {std::size_t{1} << 16, 1, 7, 7},
+                      {std::size_t{1} << 20, 1, 9, 9}};
   for (const row& r : rows) {
     EXPECT_EQ(finish_digit(r.n, 1), r.range1) << r.n;
     EXPECT_EQ(finish_digit(r.n, 11), r.range11) << r.n;
     EXPECT_EQ(finish_digit(r.n, 54), r.range54) << r.n;
   }
-  EXPECT_EQ(finish_digit((std::size_t{1} << 11) - 1, 54), 10);
+  EXPECT_EQ(finish_digit((std::size_t{1} << 11) - 1, 54), 8);
+  EXPECT_EQ(finish_digit((std::size_t{1} << 11) + 1, 54), 9);
   // Leaf-sized segments whose keys span more than kFinishLeafKeyBits.
   EXPECT_EQ(finish_digit(2, 64), 4);
   EXPECT_EQ(finish_digit(kFinishLeaf, 61), 4);
@@ -180,6 +187,17 @@ TEST(FinishDigit, TableAtTheBoundaries) {
       if (n > kFinishLeaf) {
         EXPECT_LE(std::size_t{1} << d, n);
       }
+    }
+    // Evenly spread full-width keys: every level splits its segment into
+    // 2^d equal buckets until they are leaves, of at most 16 records on
+    // average, and from 64 records on of at least 4 (not 1-2).
+    double m = static_cast<double>(n);
+    while (m > static_cast<double>(kFinishLeaf))
+      m /= static_cast<double>(std::size_t{1}
+                               << finish_digit(static_cast<std::size_t>(m), 64));
+    EXPECT_LE(m, 16.0) << n;
+    if (n >= 64) {
+      EXPECT_GE(m, 4.0) << n;
     }
   }
 }
