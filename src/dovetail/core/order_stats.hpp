@@ -6,13 +6,15 @@
 // same router as dovetail::sort (detail::sort_windows, auto_sort.hpp),
 // which runs the one MSD segment driver (wide_sort.hpp) with those windows
 // instead of [0, n): segments wholly inside a window are sorted, segments
-// straddling a window boundary are pruned digit by digit by the
-// rank_selector (the carve fast path makes top-k cost one counting pass,
-// one classify pass, and work proportional to k — the bench_suite
-// query-topk family measures the gap against a full dovetail::sort,
-// speedup_vs_fullsort in BENCH_query.json), and segments outside every
-// window are dropped. Pruning decisions land in sort_stats
-// (buckets_pruned / records_pruned).
+// straddling a window boundary are pruned by the rank_selector, and
+// segments outside every window are dropped. Windows near either end (a
+// top-k, a short partial_sort, nth_element close to the minimum or the
+// maximum) cost one read pass over a sampled pivot plus work
+// proportional to the few records on the window's side of it; other
+// windows are pruned digit by digit (the bench_suite query-topk and
+// query-select families measure both against a full dovetail::sort,
+// speedup_vs_fullsort in BENCH_query.json). Pruning decisions land in
+// sort_stats (buckets_pruned / records_pruned).
 //
 // Semantics are defined by ONE reference: every query result is exactly a
 // slice of the stable full sort. top_k == stable_sort(data)[0..k) byte
@@ -65,11 +67,12 @@ enum class rank_side : std::uint8_t { smallest, largest };
 // WITHIN data (the front for smallest, the tail for largest), in
 // ascending key order. k is clamped to data.size().
 //
-// Work: one distribution pass over n plus work proportional to the
-// surviving buckets — for k << n the driver prunes nearly everything
-// after the first pass (sort_stats::buckets_pruned / records_pruned
-// count it). Workspace/stats contract as dovetail::sort: warm repeated
-// queries on one workspace allocate nothing.
+// Work: for k <= n/64, one read pass over n plus work proportional to
+// the candidates a sampled pivot lets through (a small multiple of k);
+// otherwise distribution passes that prune every bucket outside [0, k)
+// (sort_stats::buckets_pruned / records_pruned count both). Workspace/
+// stats contract as dovetail::sort: warm repeated queries on one
+// workspace allocate nothing.
 template <typename Rec, typename KeyFn>
   requires std::invocable<const KeyFn&, const Rec&>
 std::span<Rec> top_k(std::span<Rec> data, std::size_t k, const KeyFn& key,

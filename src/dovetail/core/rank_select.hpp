@@ -17,13 +17,20 @@
 // pass the bucket offsets pin every record's rank to its bucket's global
 // range, so any bucket wholly OUTSIDE every window is already "done" —
 // its records are placed, partitioned correctly against the window, and
-// never looked at again. For k << n that prunes ~all of the input after
-// the first pass — and when the counting pass shows most of a segment
+// never looked at again. When the counting pass shows most of a segment
 // pruning, the selector does not even pay the scatter: the carve fast
 // path copies only the active buckets' records aside (stably) and moves
 // just the misplaced pruned records into the gaps between them
-// (rank_selector::try_carve), so top-k costs one counting pass, one
-// classify pass, and work proportional to k, not n log n — the
+// (rank_selector::try_carve).
+//
+// A large segment whose windows all lie within its first or last n/64
+// ranks — top-k on either side, a short partial_sort, nth_element near an
+// end — skips all of that (rank_selector::try_threshold): a fixed-seed
+// sample of the word (Sec 2.5's sampling, core/sampling.hpp) picks a
+// pivot just past the reach, one read pass copies out the positions of
+// the records on the window's side of it, and those few candidates are
+// moved to the segment's end in input order. Top-k then costs one read of
+// the input and work proportional to the candidates, not n log n — the
 // bench_suite query-topk family measures the gap against a full
 // dovetail::sort (speedup_vs_fullsort in BENCH_query.json).
 //
@@ -45,14 +52,17 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "dovetail/core/dispatch.hpp"
 #include "dovetail/core/distribute.hpp"
+#include "dovetail/core/sampling.hpp"
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
@@ -130,6 +140,23 @@ inline constexpr std::size_t kCarveMin = std::size_t{1} << 15;
 // skewed inputs whose smallest-byte bucket holds a large slice of the input.
 inline constexpr std::size_t kCarve16Min = std::size_t{1} << 19;
 
+// The threshold step (rank_selector::try_threshold). It runs on segments
+// of at least kCarveMin records whose windows reach at most n /
+// kThresholdReach ranks into the segment from one end; it samples
+// kThresholdSamples words and skips when the sample predicts more than
+// n / kThresholdCap candidates (a heavy key at the pivot). The read pass
+// splits the segment into blocks of at least kThresholdBlock records, at
+// most kThresholdBlocks of them — a layout fixed by n alone, so the
+// candidates come out in the same order at any worker count — and each
+// block claims kThresholdChunk position slots at a time (docs/TUNING.md).
+inline constexpr std::size_t kThresholdSamples = std::size_t{1} << 12;
+inline constexpr std::size_t kThresholdReach = 64;
+inline constexpr std::size_t kThresholdCap = 16;
+inline constexpr std::size_t kThresholdBlock = std::size_t{1} << 14;
+inline constexpr std::size_t kThresholdBlocks = 256;
+inline constexpr std::size_t kThresholdChunk = 256;
+inline constexpr std::uint64_t kThresholdSeed = 0x7E5E1EC7ull;
+
 // The rank-window pruning step on one word: `word(rec)` is the word the
 // segment is selected on; `windows` are in absolute positions of `all`.
 // Recursion is serial ACROSS buckets (only a handful intersect the windows
@@ -196,6 +223,12 @@ class rank_selector {
       step_(lo, hi);
       return;
     }
+    if (n >= kCarveMin) {
+      if (const auto [clo, chi] = try_threshold(lo, hi); chi > clo) {
+        select(clo, chi, -1);
+        return;
+      }
+    }
     if (width < 0) {
       const auto [mn, mx] = exact_key_range(
           std::span<const Rec>(all_.data() + lo, n), word_);
@@ -225,6 +258,165 @@ class rank_selector {
     select_digit(lo, hi, shift);
   }
 
+  // Threshold step: for windows within the first (last) t <= n/64 ranks
+  // of [lo, hi), every record they need has a word at most (at least) the
+  // word of rank t. A sorted sample of the segment's words stands in for
+  // that rank: the pivot is the sample at rank mu + 4 sqrt(mu) + 4, mu =
+  // s t / n its expected rank, so the records on the window's side of it
+  // (the candidates) cover the t ranks but for a binomial tail beyond 4
+  // sigma, and the sample's count of them predicts how many there are.
+  // Then
+  //
+  //   1. one parallel read pass records the candidates' positions, block
+  //      by block in input order, writing nothing to the segment;
+  //   2. if there are at least t of them and at most n/16, they are
+  //      exactly the first (last) ranks of the segment in stable order,
+  //      so they move, in input order, to [lo, lo + a) ([hi - a, hi)),
+  //      and the non-candidates that sat there take the slots they
+  //      vacated, in ascending position order;
+  //   3. the rest of the segment is pruned, and the caller selects on the
+  //      candidate range.
+  //
+  // Returns the candidate range, or an empty one when the step does not
+  // apply (the windows reach too far, or the sample predicts too many
+  // candidates: a heavy key at the pivot) or falls back (fewer than t or
+  // more than n/16 candidates); the segment is untouched in that case.
+  // Every decision is a function of the segment alone, so the result is
+  // the same at any worker count.
+  std::pair<std::size_t, std::size_t> try_threshold(std::size_t lo,
+                                                    std::size_t hi) {
+    const std::size_t n = hi - lo;
+    // How far the windows [lo, hi) meets reach into it from the front and
+    // from the back (it straddles a boundary, so it meets at least one).
+    const auto first = std::partition_point(
+        windows_.begin(), windows_.end(),
+        [lo](const rank_window& w) { return w.hi <= lo; });
+    const auto last =
+        std::partition_point(first, windows_.end(),
+                             [hi](const rank_window& w) { return w.lo < hi; });
+    const std::size_t front = std::min(hi, std::prev(last)->hi) - lo;
+    const std::size_t back = hi - std::max(lo, first->lo);
+    const bool smallest = front <= back;
+    const std::size_t t = smallest ? front : back;
+    if (t > n / kThresholdReach) return {};
+
+    const std::span<const Rec> seg(all_.data() + lo, n);
+    std::array<std::uint64_t, kThresholdSamples> s{};
+    sample_keys(seg, word_, ~std::uint64_t{0}, std::span<std::uint64_t>(s),
+                kThresholdSeed);
+    const double mu = static_cast<double>(kThresholdSamples) *
+                      static_cast<double>(t) / static_cast<double>(n);
+    const std::size_t j = std::min(
+        kThresholdSamples - 1,
+        static_cast<std::size_t>(std::ceil(mu + 4 * std::sqrt(mu) + 4)));
+    const std::uint64_t pivot = smallest ? s[j] : s[kThresholdSamples - 1 - j];
+    const auto predicted =
+        static_cast<std::size_t>(smallest
+                                     ? std::upper_bound(s.begin(), s.end(),
+                                                        pivot) - s.begin()
+                                     : s.end() - std::lower_bound(s.begin(),
+                                                                  s.end(),
+                                                                  pivot));
+    if (predicted * kThresholdCap > kThresholdSamples) return {};
+    // A candidate's word is <= pivot (>= pivot for the largest side: the
+    // flip turns the order around).
+    const std::uint64_t flip = smallest ? 0 : ~std::uint64_t{0};
+    const std::uint64_t bound = pivot ^ flip;
+
+    const std::size_t cap = n / kThresholdCap;
+    const std::size_t bsize = std::max(
+        kThresholdBlock, (n + kThresholdBlocks - 1) / kThresholdBlocks);
+    const std::size_t nblocks = (n + bsize - 1) / bsize;
+    // A block's last chunk may be partly empty, so nchunks chunks hold any
+    // cap candidates.
+    const std::size_t nchunks =
+        (cap + kThresholdChunk - 1) / kThresholdChunk + nblocks;
+    sort_workspace::lease l = ws_.acquire(
+        (nchunks * (kThresholdChunk + 1) + 2 * nblocks + 1 + cap) *
+                sizeof(std::size_t) +
+            cap * sizeof(Rec) + 7 * kSlabAlign,
+        st_);
+    const std::span<std::size_t> slots =
+        l.template carve<std::size_t>(nchunks * kThresholdChunk);
+    const std::span<std::size_t> next = l.template carve<std::size_t>(nchunks);
+    const std::span<std::size_t> head = l.template carve<std::size_t>(nblocks);
+    const std::span<std::size_t> start =
+        l.template carve<std::size_t>(nblocks + 1);
+
+    // 1. The read pass. Each block chains the chunks it claims; running
+    //    out of chunks means more than cap candidates, so the pass stops.
+    std::size_t claimed = 0;
+    std::atomic<bool> overflow{false};
+    par::parallel_for(
+        0, nblocks,
+        [&](std::size_t b) {
+          if (overflow.load(std::memory_order_relaxed)) return;
+          const std::size_t i0 = b * bsize, i1 = std::min(n, i0 + bsize);
+          std::size_t c = 0, chunk = 0;
+          for (std::size_t i = i0; i < i1; ++i) {
+            if ((word_(seg[i]) ^ flip) > bound) continue;
+            if (c % kThresholdChunk == 0) {
+              const std::size_t got =
+                  std::atomic_ref<std::size_t>(claimed).fetch_add(
+                      1, std::memory_order_relaxed);
+              if (got >= nchunks) {
+                overflow.store(true, std::memory_order_relaxed);
+                return;
+              }
+              (c == 0 ? head[b] : next[chunk]) = got;
+              chunk = got;
+            }
+            slots[chunk * kThresholdChunk + c % kThresholdChunk] = lo + i;
+            ++c;
+          }
+          start[b] = c;
+        },
+        1);
+    if (overflow.load(std::memory_order_relaxed)) return {};
+    std::size_t a = 0;
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      const std::size_t c = start[b];
+      start[b] = a;
+      a += c;
+    }
+    start[nblocks] = a;
+    if (a < t || a > cap) return {};
+
+    // 2. Gather the candidates in input order, then place them.
+    const std::span<std::size_t> pos = l.template carve<std::size_t>(a);
+    const std::span<Rec> cand = l.template carve<Rec>(a);
+    par::parallel_for(
+        0, nblocks,
+        [&](std::size_t b) {
+          std::size_t chunk = 0;
+          for (std::size_t i = start[b], c = 0; i < start[b + 1]; ++i, ++c) {
+            if (c % kThresholdChunk == 0) chunk = c == 0 ? head[b] : next[chunk];
+            pos[i] = slots[chunk * kThresholdChunk + c % kThresholdChunk];
+            cand[i] = all_[pos[i]];
+          }
+        },
+        1);
+    // Candidates pos[in0, in1) already sit inside the destination; the
+    // rest, pos[0, in0) and pos[in1, a), vacate their slots.
+    const std::size_t dst = smallest ? lo : hi - a;
+    const auto in0 = static_cast<std::size_t>(
+        std::lower_bound(pos.begin(), pos.end(), dst) - pos.begin());
+    const auto in1 = static_cast<std::size_t>(
+        std::lower_bound(pos.begin(), pos.end(), dst + a) - pos.begin());
+    for (std::size_t x = dst, j = in0, m = 0; x < dst + a; ++x) {
+      if (j < in1 && pos[j] == x) {
+        ++j;
+        continue;
+      }
+      all_[pos[m < in0 ? m : m - in0 + in1]] = all_[x];
+      ++m;
+    }
+    par::copy(std::span<const Rec>(cand), all_.subspan(dst, a));
+    ++buckets_pruned_;
+    records_pruned_ += n - a;
+    return {dst, dst + a};
+  }
+
   // Carve fast path: when only a small fraction of [lo, hi) lands in
   // window-intersecting ("active") buckets — the normal shape for k << n —
   // a full stable scatter plus copy-back moves every record twice to
@@ -246,8 +438,7 @@ class rank_selector {
   //
   // Traffic drops from ~2 full rewrites of the segment to one counting
   // read, one classify read, and writes proportional to the active set
-  // plus the misplaced pruned records — at n = 1e7, k <= 1024 this is the
-  // difference between ~4x and >5x over a full sort (BENCH_query.json).
+  // plus the misplaced pruned records.
   //
   // `nb` is the fanout (256, or 65536 for large segments — the wide first
   // digit keeps the active bucket tiny even when the key distribution

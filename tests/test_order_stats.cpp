@@ -8,20 +8,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "dovetail/core/group_by.hpp"
 #include "dovetail/core/order_stats.hpp"
 #include "dovetail/generators/synthetic.hpp"
+#include "dovetail/parallel/random.hpp"
+#include "dovetail/parallel/scheduler.hpp"
 #include "dovetail/util/record.hpp"
 #include "test_util.hpp"
 
@@ -38,15 +43,40 @@ std::vector<Rec> stable_ref(const std::vector<Rec>& v, const Less& less) {
   return ref;
 }
 
+// `v` in a canonical order: by key, then by the payload where records
+// carry one (generated records hold their input index, so the order is
+// total). Two arrays hold the same multiset of records iff their
+// canonical forms are equal.
+template <typename Rec, typename Less>
+std::vector<Rec> canonical(std::vector<Rec> v, const Less& less) {
+  std::sort(v.begin(), v.end(), [&](const Rec& a, const Rec& b) {
+    if (less(a, b)) return true;
+    if (less(b, a)) return false;
+    if constexpr (requires { a.value; }) {
+      return a.value < b.value;
+    } else if constexpr (requires { a.second; }) {
+      return a.second < b.second;
+    } else {
+      return false;
+    }
+  });
+  return v;
+}
+
 // Exhaustive equivalence sweep for one input: top_k both sides across the
 // k edge cases (0, 1, mid, n-1, n, k > n), nth_element with its partition
-// property, partial_sort including the m == n full-sort route.
+// property, partial_sort including the m == n full-sort route. Every query
+// must also leave the whole array a permutation of the input.
 template <typename Rec, typename KeyFn, typename Less>
 void check_queries(const std::vector<Rec>& input, const KeyFn& key,
                    const Less& less) {
   const std::size_t n = input.size();
   ASSERT_GE(n, 3u);
   const auto ref = stable_ref(input, less);
+  const auto multiset = canonical(input, less);
+  const auto same_records = [&](const std::vector<Rec>& v) {
+    return canonical(v, less) == multiset;
+  };
   for (const std::size_t k :
        {std::size_t{0}, std::size_t{1}, std::size_t{64}, n / 7, n - 1, n,
         n + 13}) {
@@ -57,6 +87,7 @@ void check_queries(const std::vector<Rec>& input, const KeyFn& key,
       ASSERT_EQ(out.size(), kk) << "k=" << k;
       for (std::size_t i = 0; i < kk; ++i)
         ASSERT_TRUE(out[i] == ref[i]) << "k=" << k << " i=" << i;
+      ASSERT_TRUE(same_records(v)) << "top_k k=" << k;
     }
     {
       auto v = input;
@@ -64,6 +95,7 @@ void check_queries(const std::vector<Rec>& input, const KeyFn& key,
       ASSERT_EQ(out.size(), kk) << "k=" << k;
       for (std::size_t i = 0; i < kk; ++i)
         ASSERT_TRUE(out[i] == ref[n - kk + i]) << "k=" << k << " i=" << i;
+      ASSERT_TRUE(same_records(v)) << "top_k largest k=" << k;
     }
   }
   for (const std::size_t nth : {std::size_t{0}, n / 2, n - 1}) {
@@ -74,6 +106,7 @@ void check_queries(const std::vector<Rec>& input, const KeyFn& key,
       ASSERT_FALSE(less(v[nth], v[i])) << "nth=" << nth << " i=" << i;
     for (std::size_t i = nth + 1; i < n; ++i)
       ASSERT_FALSE(less(v[i], v[nth])) << "nth=" << nth << " i=" << i;
+    ASSERT_TRUE(same_records(v)) << "nth_element nth=" << nth;
   }
   for (const std::size_t m : {n / 5, n}) {
     auto v = input;
@@ -84,6 +117,7 @@ void check_queries(const std::vector<Rec>& input, const KeyFn& key,
       for (std::size_t i = m; i < n; ++i)
         ASSERT_FALSE(less(v[i], v[m - 1])) << "m=" << m << " i=" << i;
     }
+    ASSERT_TRUE(same_records(v)) << "partial_sort m=" << m;
   }
 }
 
@@ -343,6 +377,337 @@ TEST(OrderStats, ZeroAllocWarmReuse) {
   EXPECT_EQ(st.workspace_allocations.load(), allocs)
       << "warm repeated queries must lease, not allocate";
   EXPECT_GT(st.workspace_reuses.load(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The threshold step (rank_selector::try_threshold): windows within the
+// first or last n/64 ranks of a segment of at least kCarveMin records are
+// served by one read pass over a sampled pivot.
+
+namespace {
+
+using u128 = unsigned __int128;
+
+// Every test that resizes the global pool restores it on exit.
+struct worker_count_guard {
+  ~worker_count_guard() {
+    par::scheduler::set_num_workers(par::scheduler::default_num_workers());
+  }
+};
+
+enum class shape {
+  unif,
+  zipf,
+  ties50,
+  two_keys,
+  all_equal,
+  ascending,
+  descending,
+  heavy_pivot
+};
+
+constexpr shape kShapes[] = {shape::unif,       shape::zipf,
+                             shape::ties50,     shape::two_keys,
+                             shape::all_equal,  shape::ascending,
+                             shape::descending, shape::heavy_pivot};
+
+const char* shape_name(shape s) {
+  switch (s) {
+    case shape::unif: return "Unif-1e9";
+    case shape::zipf: return "Zipf-1.2";
+    case shape::ties50: return "Unif-50";
+    case shape::two_keys: return "two keys";
+    case shape::all_equal: return "all equal";
+    case shape::ascending: return "ascending";
+    case shape::descending: return "descending";
+    case shape::heavy_pivot: return "heavy key at the pivot";
+  }
+  return "?";
+}
+
+// Whether the step serves windows reaching t ranks from one end of this
+// shape: the sample predicts too many candidates when a key holding a
+// large share of the records sits at the pivot (two keys, all equal, and
+// the heavy-pivot shape, built for it).
+bool takes_threshold(shape s, std::size_t n, std::size_t t) {
+  return n >= detail::kCarveMin && t <= n / detail::kThresholdReach &&
+         s != shape::two_keys && s != shape::all_equal &&
+         s != shape::heavy_pivot;
+}
+
+// 64-bit keys of the shape, every one of which keeps its shape below 2^32
+// (kv32 records take the low 32 bits).
+std::vector<std::uint64_t> shape_keys(shape s, std::size_t n) {
+  switch (s) {
+    case shape::unif:
+      return gen::generate_keys<std::uint64_t>(
+          {gen::dist_kind::uniform, 1e9, "u"}, n, 81);
+    case shape::zipf:
+      return gen::generate_keys<std::uint64_t>(
+          {gen::dist_kind::zipfian, 1.2, "z"}, n, 82);
+    case shape::ties50:
+      return gen::generate_keys<std::uint64_t>(
+          {gen::dist_kind::uniform, 50, "u"}, n, 83);
+    default: break;
+  }
+  std::vector<std::uint64_t> k(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t h = par::hash64(i + 84);
+    switch (s) {
+      case shape::two_keys: k[i] = (h & 1) != 0 ? 7 : 3; break;
+      case shape::all_equal: k[i] = 42; break;
+      case shape::ascending: k[i] = i; break;
+      case shape::descending: k[i] = n - i; break;
+      default:
+        // A fifth of the records on one key just above the smallest few,
+        // a fifth on one just below the largest few: the pivot lands on
+        // a heavy key from either end.
+        k[i] = h % 10 < 2   ? 10
+               : h % 10 < 4 ? std::uint64_t{1} << 31
+                            : 100 + (h >> 8) % (std::uint64_t{1} << 30);
+    }
+  }
+  if (s == shape::heavy_pivot) {
+    for (std::uint64_t j = 0; j < 3; ++j) {
+      k[j * (n / 3)] = 1 + j;
+      k[j * (n / 3) + 1] = (std::uint64_t{1} << 31) + 1 + j;
+    }
+  }
+  return k;
+}
+
+template <typename Rec>
+Rec make_rec(std::uint64_t k, std::size_t i) {
+  if constexpr (std::is_same_v<Rec, std::string>) {
+    // URL-shaped; fixed-width hex keeps the string order the key order.
+    constexpr char hexd[] = "0123456789abcdef";
+    std::string url = "https://";
+    for (int sh = 60; sh >= 0; sh -= 4) url += hexd[(k >> sh) & 0xF];
+    return url + ".example.com/item";
+  } else if constexpr (std::is_same_v<Rec, tkv<u128>>) {
+    // Equal 64-bit keys stay equal; word 1 is not in word-0 order.
+    return {(static_cast<u128>(k) << 64) | par::hash64(k),
+            static_cast<std::uint32_t>(i)};
+  } else {
+    return {static_cast<decltype(Rec::key)>(k),
+            static_cast<decltype(Rec::value)>(i)};
+  }
+}
+
+template <typename Rec>
+auto rec_less() {
+  if constexpr (std::is_same_v<Rec, std::string>) {
+    return std::less<std::string>{};
+  } else {
+    return [](const Rec& a, const Rec& b) { return a.key < b.key; };
+  }
+}
+
+// Order-independent fingerprint of the whole array: equal multisets of
+// records give equal fingerprints.
+template <typename Rec>
+std::uint64_t fingerprint(const std::vector<Rec>& v) {
+  std::uint64_t f = 0;
+  for (const Rec& r : v) {
+    if constexpr (std::is_same_v<Rec, std::string>) {
+      f += par::hash64(std::hash<std::string>{}(r));
+    } else {
+      std::uint64_t h = par::hash64(static_cast<std::uint64_t>(r.key) ^
+                                    par::hash64(r.value));
+      if constexpr (sizeof(r.key) > 8)
+        h = par::hash64(h ^ static_cast<std::uint64_t>(r.key >> 64));
+      f += h;
+    }
+  }
+  return f;
+}
+
+// A key functor that counts the reads of each slot of `base`. The step
+// reads every record once and then only its candidates, while every other
+// path reads each slot at least twice (the min/max scan, then a count or
+// distribution pass) or prunes nothing (a segment tied on its word).
+template <typename Rec>
+struct counted_key {
+  const Rec* base;
+  std::uint32_t* reads;
+  std::size_t n;
+  auto operator()(const Rec& r) const {
+    const std::size_t at = (reinterpret_cast<std::uintptr_t>(&r) -
+                            reinterpret_cast<std::uintptr_t>(base)) /
+                           sizeof(Rec);
+    if (at < n)
+      std::atomic_ref<std::uint32_t>(reads[at]).fetch_add(
+          1, std::memory_order_relaxed);
+    return r.key;
+  }
+};
+
+// One query of the sweep: top_k on either side, or nth_element (at n - 2).
+struct threshold_query {
+  enum { smallest, largest, nth } kind;
+  std::size_t k;
+  // How far the window reaches into the array from its nearer end.
+  [[nodiscard]] std::size_t reach() const { return kind == nth ? 2 : k; }
+};
+
+// Runs `q` on a copy of `input`. Returns the array and, for records whose
+// key reads can be counted, whether the threshold step ran.
+template <typename Rec>
+std::pair<std::vector<Rec>, bool> run_threshold_query(
+    const std::vector<Rec>& input, const threshold_query& q) {
+  const std::size_t n = input.size();
+  std::vector<Rec> v = input;
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  const auto query = [&](const auto& key) {
+    switch (q.kind) {
+      case threshold_query::smallest:
+        top_k(std::span<Rec>(v), q.k, key, rank_side::smallest, opt);
+        break;
+      case threshold_query::largest:
+        top_k(std::span<Rec>(v), q.k, key, rank_side::largest, opt);
+        break;
+      case threshold_query::nth:
+        dovetail::nth_element(std::span<Rec>(v), n - 2, key, opt);
+        break;
+    }
+  };
+  if constexpr (std::is_same_v<Rec, std::string>) {
+    query([](const std::string& s) -> const std::string& { return s; });
+    return {std::move(v), false};
+  } else {
+    std::vector<std::uint32_t> reads(n, 0);
+    query(counted_key<Rec>{v.data(), reads.data(), n});
+    const bool read_once =
+        std::find(reads.begin(), reads.end(), 1u) != reads.end();
+    return {std::move(v), read_once && st.records_pruned.load() > 0};
+  }
+}
+
+// The sweep for one record type. Every query's window must be the stable
+// sort's slice at 1 and 4 workers, and the array a permutation of the
+// input. Where the step ran, the whole array must be the same at pool
+// sizes 1-4. String keys take the encode-once route, whose key functor
+// runs once per record before any selection, so for them the test cannot
+// see which path ran and checks the windows and the permutation only.
+template <typename Rec>
+void check_threshold_select(std::size_t n) {
+  constexpr bool countable = !std::is_same_v<Rec, std::string>;
+  worker_count_guard guard;
+  const auto less = rec_less<Rec>();
+  std::vector<threshold_query> queries;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{64}, n / 64,
+                              n / 64 + 1}) {
+    queries.push_back({threshold_query::smallest, k});
+    queries.push_back({threshold_query::largest, k});
+  }
+  queries.push_back({threshold_query::nth, 1});
+  for (const shape s : kShapes) {
+    const std::vector<std::uint64_t> keys = shape_keys(s, n);
+    std::vector<Rec> input(n);
+    for (std::size_t i = 0; i < n; ++i) input[i] = make_rec<Rec>(keys[i], i);
+    const auto ref = stable_ref(input, less);
+    const std::uint64_t fp = fingerprint(input);
+    for (const threshold_query& q : queries) {
+      const bool expect_step = takes_threshold(s, n, q.reach());
+      std::vector<Rec> first;
+      for (const int p : {1, 4, 2, 3}) {
+        if (p < 4 && p > 1 && !(countable && expect_step)) continue;
+        par::scheduler::set_num_workers(p);
+        const auto [v, stepped] = run_threshold_query(input, q);
+        const std::string what = std::string(shape_name(s)) +
+                                 " n=" + std::to_string(n) +
+                                 " kind=" + std::to_string(q.kind) +
+                                 " k=" + std::to_string(q.k) +
+                                 " p=" + std::to_string(p);
+        const std::size_t lo = q.kind == threshold_query::smallest ? 0
+                               : q.kind == threshold_query::largest
+                                   ? n - q.k
+                                   : n - 2;
+        const std::size_t hi = q.kind == threshold_query::largest ? n
+                               : q.kind == threshold_query::nth ? n - 1
+                                                                : q.k;
+        for (std::size_t i = lo; i < hi; ++i)
+          ASSERT_TRUE(v[i] == ref[i]) << what << " i=" << i;
+        ASSERT_EQ(fingerprint(v), fp) << what << ": not a permutation";
+        if constexpr (countable) {
+          ASSERT_EQ(stepped, expect_step) << what;
+          if (stepped) {
+            if (p == 1)
+              first = v;
+            else
+              ASSERT_TRUE(v == first) << what << ": differs from p=1";
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(OrderStats, ThresholdSelectKv32) {
+  for (const std::size_t n :
+       {detail::kCarveMin - 1, detail::kCarveMin, std::size_t{100000},
+        (std::size_t{1} << 19) + 1})
+    check_threshold_select<kv32>(n);
+}
+
+TEST(OrderStats, ThresholdSelectKv64) {
+  for (const std::size_t n :
+       {detail::kCarveMin - 1, detail::kCarveMin, std::size_t{100000},
+        (std::size_t{1} << 19) + 1})
+    check_threshold_select<kv64>(n);
+}
+
+TEST(OrderStats, ThresholdSelectU128) {
+  for (const std::size_t n :
+       {detail::kCarveMin - 1, detail::kCarveMin, std::size_t{100000},
+        (std::size_t{1} << 19) + 1})
+    check_threshold_select<tkv<u128>>(n);
+}
+
+TEST(OrderStats, ThresholdSelectUrlStrings) {
+  for (const std::size_t n :
+       {detail::kCarveMin - 1, detail::kCarveMin, std::size_t{100000},
+        (std::size_t{1} << 19) + 1})
+    check_threshold_select<std::string>(n);
+}
+
+TEST(OrderStats, ThresholdSelectThrowingKeyLeavesDataUnchanged) {
+  // The key throws halfway through the threshold step's read pass (after
+  // the sample's reads): nothing has been written to the array yet.
+  worker_count_guard guard;
+  const std::size_t n = 100000;
+  const auto input = gen::generate_records<kv64>(
+      {gen::dist_kind::uniform, 1e9, "u"}, n, 85);
+  const auto ref = stable_ref(input, [](const kv64& a, const kv64& b) {
+    return a.key < b.key;
+  });
+  sort_workspace ws;
+  auto_sort_options opt;
+  opt.workspace = &ws;
+  for (const int p : {1, 4}) {
+    par::scheduler::set_num_workers(p);
+    auto v = input;
+    std::atomic<std::size_t> calls{0};
+    const std::size_t throw_at = detail::kThresholdSamples + n / 2;
+    const auto flaky = [&](const kv64& r) {
+      if (calls.fetch_add(1, std::memory_order_relaxed) + 1 == throw_at)
+        throw std::runtime_error("key");
+      return r.key;
+    };
+    EXPECT_THROW(top_k(std::span<kv64>(v), 100, flaky, rank_side::smallest,
+                       opt),
+                 std::runtime_error)
+        << "p=" << p;
+    EXPECT_TRUE(v == input) << "p=" << p;
+    const auto out =
+        top_k(std::span<kv64>(v), 100, key_of_kv64, rank_side::smallest, opt);
+    for (std::size_t i = 0; i < 100; ++i)
+      ASSERT_TRUE(out[i] == ref[i]) << "p=" << p << " i=" << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
